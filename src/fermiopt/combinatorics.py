@@ -11,8 +11,9 @@ dimer sits inside any interaction.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .gaussian import Matching
 from .hamiltonian import MajoranaHamiltonian, sparsity_profile
@@ -52,12 +53,8 @@ class ConflictGraph:
 def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
     """Connect terms that overlap or are bridged by a third term."""
     n_terms = len(ham.terms)
-    mode_to_terms: dict[int, list[int]] = {}
-    for t_id, term in enumerate(ham.terms):
-        for mode in term.indices:
-            mode_to_terms.setdefault(mode, []).append(t_id)
     direct: list[set[int]] = [set() for _ in range(n_terms)]
-    for members in mode_to_terms.values():
+    for members in ham.mode_terms:
         for a in members:
             for b in members:
                 if a != b:
@@ -122,21 +119,26 @@ def is_diffuse(
     3. the united support covers fewer than ``2*q*n/(q+1)`` Majoranas,
        ``q`` being the ambient locality (max term weight unless given).
     """
-    members = [ham.terms[i] for i in subset_ids]
     support: set[int] = set()
-    for term in members:
-        if support & term.support:
+    for t_id in subset_ids:
+        term_support = ham.terms[t_id].support
+        if not support.isdisjoint(term_support):
             return DiffuseCheck(False, 1)
-        support |= term.support
+        support |= term_support
+    # Condition 1 holds from here on, so every mode of the united support
+    # belongs to exactly one member.  A non-member term therefore touches
+    # two distinct members exactly when the modes it shares with the
+    # support reach it from two different members: walking each member's
+    # modes through the mode -> terms index and remembering the first
+    # member that reached each term decides condition 2 without a scan of
+    # all terms.
     member_ids = set(subset_ids)
-    for t_id, term in enumerate(ham.terms):
-        if t_id in member_ids:
-            continue
-        touched = 0
-        for m in members:
-            if term.support & m.support:
-                touched += 1
-                if touched >= 2:
+    reached_from: dict[int, int] = {}
+    mode_terms = ham.mode_terms
+    for m_id in subset_ids:
+        for mode in ham.terms[m_id].indices:
+            for t_id in mode_terms[mode]:
+                if t_id not in member_ids and reached_from.setdefault(t_id, m_id) != m_id:
                     return DiffuseCheck(False, 2)
     if ham.terms:
         q = locality if locality is not None else max(t.weight for t in ham.terms)
@@ -236,18 +238,53 @@ def diffuse_partition(
     )
 
 
+class _Complement(AbstractSet[int]):
+    """Neighbors of ``v`` in a permitted graph: the vertex set minus ``v``
+    and its forbidden partners.  Membership and size are O(1); iteration
+    yields the neighbors in ascending order."""
+
+    __slots__ = ("_v", "_order", "_vertex_set", "_forbidden")
+
+    def __init__(
+        self, v: int, order: tuple[int, ...], vertex_set: frozenset[int], forbidden: frozenset[int]
+    ):
+        self._v = v
+        self._order = order
+        self._vertex_set = vertex_set
+        self._forbidden = forbidden
+
+    def __contains__(self, u) -> bool:
+        return u != self._v and u in self._vertex_set and u not in self._forbidden
+
+    def __len__(self) -> int:
+        return len(self._order) - 1 - len(self._forbidden)
+
+    def __iter__(self) -> Iterator[int]:
+        v, forbidden = self._v, self._forbidden
+        return (u for u in self._order if u != v and u not in forbidden)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset[int]:
+        return frozenset(it)
+
+
 @dataclass(frozen=True)
 class PermittedGraph:
-    """Graph on leftover Majoranas; edges avoid co-membership in any term."""
+    """Graph on leftover Majoranas; edges avoid co-membership in any term.
+
+    Only the forbidden partners are stored: ``adjacency[v]`` is a set view
+    of the complement, so the graph costs memory in the number of terms,
+    not in the square of the vertex count.
+    """
 
     vertices: tuple[int, ...]
-    adjacency: dict[int, frozenset[int]]
+    adjacency: dict[int, AbstractSet[int]]
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def neighbors(self, v: int) -> AbstractSet[int]:
         return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -260,7 +297,7 @@ class PermittedGraph:
 def permitted_graph(ham: MajoranaHamiltonian, excluded: Iterable[int]) -> PermittedGraph:
     """Permitted-edge graph on the Majoranas outside ``excluded``."""
     verts = tuple(sorted(set(range(ham.n_majoranas)) - set(excluded)))
-    vset = set(verts)
+    vset = frozenset(verts)
     forbidden: dict[int, set[int]] = {v: set() for v in verts}
     for term in ham.terms:
         inside = [i for i in term.indices if i in vset]
@@ -268,7 +305,7 @@ def permitted_graph(ham: MajoranaHamiltonian, excluded: Iterable[int]) -> Permit
             for b in inside:
                 if a != b:
                     forbidden[a].add(b)
-    adjacency = {v: frozenset(vset - forbidden[v] - {v}) for v in verts}
+    adjacency = {v: _Complement(v, verts, vset, frozenset(forbidden[v])) for v in verts}
     return PermittedGraph(vertices=verts, adjacency=adjacency)
 
 
@@ -289,56 +326,57 @@ def validate_cycle(cycle: Sequence[int], graph) -> None:
         assert graph.has_edge(v, cycle[(i + 1) % len(cycle)]), "cycle uses a non-edge"
 
 
+def _take_first_neighbor(end: int, outside: list[int], graph) -> int | None:
+    """Remove and return the smallest vertex of ``outside`` adjacent to
+    ``end``.  ``outside`` is kept in descending order, so the scan starts at
+    its tail and a removal there moves little."""
+    for j in range(len(outside) - 1, -1, -1):
+        if graph.has_edge(end, outside[j]):
+            return outside.pop(j)
+    return None
+
+
 def hamiltonian_cycle_dense(graph) -> list[int]:
     """Hamiltonian cycle of a graph with min degree > |V|/2 (Dirac regime).
 
     Deterministic path extension with rotations: grow a path greedily at
     both ends (smallest eligible vertex first), close a maximal path into a
     cycle through a crossing pair, then absorb an outside vertex and keep
-    going.  O(|V|^3) worst case.
+    going.  Needs only ``vertices``, ``has_edge`` and ``min_degree``: each
+    step scans the vertices not yet on the path in ascending order, which
+    in the Dirac regime finds an eligible one after a few probes.
     """
     verts = sorted(graph.vertices)
     nv = len(verts)
     if nv < 3 or graph.min_degree() <= nv / 2:
         raise DiracError("Dirac condition unmet")
     path = [verts[0]]
-    in_path = {verts[0]}
+    outside = verts[:0:-1]  # descending: the smallest candidate sits at the end
     while True:
-        extended = True
-        while extended and len(path) < nv:
-            extended = False
-            for u in sorted(graph.neighbors(path[-1])):
-                if u not in in_path:
-                    path.append(u)
-                    in_path.add(u)
-                    extended = True
-                    break
-            if not extended:
-                for u in sorted(graph.neighbors(path[0])):
-                    if u not in in_path:
-                        path.insert(0, u)
-                        in_path.add(u)
-                        extended = True
-                        break
+        while outside:
+            u = _take_first_neighbor(path[-1], outside, graph)
+            if u is not None:
+                path.append(u)
+                continue
+            u = _take_first_neighbor(path[0], outside, graph)
+            if u is None:
+                break
+            path.insert(0, u)
         cycle = _close_path_to_cycle(path, graph)
         if len(cycle) == nv:
             validate_cycle(cycle, graph)
             return cycle
         attach = None
-        for w in verts:
-            if w in in_path:
-                continue
-            for i, v in enumerate(cycle):
-                if graph.has_edge(w, v):
-                    attach = (w, i)
-                    break
-            if attach:
+        for j in range(len(outside) - 1, -1, -1):
+            w = outside[j]
+            i = next((i for i, v in enumerate(cycle) if graph.has_edge(w, v)), None)
+            if i is not None:
+                attach = (j, i)
                 break
         if attach is None:
             raise DiracError("Dirac condition unmet: cycle cannot be extended")
-        w, i = attach
-        path = [w] + cycle[i:] + cycle[:i]
-        in_path = set(path)
+        j, i = attach
+        path = [outside.pop(j)] + cycle[i:] + cycle[:i]
 
 
 def _backtrack_matching(vertices: list[int], graph) -> list[tuple[int, int]] | None:

@@ -20,6 +20,9 @@ from .hamiltonian import InteractionTerm, MajoranaHamiltonian
 
 FAMILIES = ("sykq", "ssyk", "sparse_random", "two_colored")
 
+# largest n with binom(2n, 4) < 2^63, the trial-count limit of gen_ssyk's draw
+SSYK_MAX_N = 60988
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -48,21 +51,31 @@ class EnsembleSpec:
 
 def _unrank_combination(rank: int, n_items: int, size: int) -> tuple[int, ...]:
     """Inverse of the lexicographic rank of a ``size``-combination of
-    ``range(n_items)``."""
+    ``range(n_items)``.
+
+    Works on the dual rank ``C(n_items, size) - 1 - rank``: the smallest
+    next element ``c`` is the first one with ``C(n_items - 1 - c, r) <=
+    dual`` (``r`` elements still to place), found by binary search since
+    the left side falls as ``c`` grows.
+    """
+    total = math.comb(n_items, size)
+    if not 0 <= rank < total:
+        raise ValueError(f"rank {rank} outside [0, {total})")
+    dual = total - 1 - rank
     out = []
-    start = 0
-    remaining = size
-    while remaining:
-        for candidate in range(start, n_items):
-            block = math.comb(n_items - candidate - 1, remaining - 1)
-            if rank < block:
-                out.append(candidate)
-                start = candidate + 1
-                remaining -= 1
-                break
-            rank -= block
-        else:
-            raise ValueError("rank out of range")
+    low = 0
+    for remaining in range(size, 0, -1):
+        # C(remaining - 1, remaining) = 0 <= dual, so ``high`` always qualifies
+        high = n_items - remaining
+        while low < high:
+            mid = (low + high) // 2
+            if math.comb(n_items - 1 - mid, remaining) <= dual:
+                high = mid
+            else:
+                low = mid + 1
+        out.append(low)
+        dual -= math.comb(n_items - 1 - low, remaining)
+        low += 1
     return tuple(out)
 
 
@@ -90,10 +103,21 @@ def gen_ssyk(n: int, k: int, seed: int) -> MajoranaHamiltonian:
     The kept set is sampled as a binomial count followed by a uniform
     distinct-rank draw, which is distributionally identical to independent
     per-quartet trials but runs in O(#kept) instead of O(binom(2n, 4)).
+
+    Size limits: the binomial count takes a 64-bit trial count, so
+    ``binom(2n, 4)`` must stay below 2^63, i.e. ``n <= 60988``.  Ranks come
+    from ``rng.integers_below``, which scales 53-bit uniforms; above
+    ``n = 10782`` ``binom(2n, 4)`` exceeds 2^53 and not every quartet rank
+    is reachable, so the draw is only approximately uniform there.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     total = math.comb(2 * n, 4)
+    if total >= 2**63:
+        raise ValueError(
+            f"gen_ssyk supports n <= {SSYK_MAX_N}: binom(2n, 4) = {total} "
+            "is not below 2^63, the limit of the binomial count draw"
+        )
     p = k / math.comb(2 * n - 1, 3)
     count = int(rng.generator(seed, "ssyk-count").binomial(total, p))
     ranks: list[int] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,12 +57,17 @@ class Matching:
                 return a
         raise KeyError(i)
 
-    def partner_map(self) -> dict[int, int]:
+    @cached_property
+    def _partners(self) -> dict[int, int]:
+        # built once per matching; read-only, every closed-form term reads it
         out = {}
         for a, b in self.pairs:
             out[a] = b
             out[b] = a
         return out
+
+    def partner_map(self) -> dict[int, int]:
+        return dict(self._partners)
 
 
 @dataclass(frozen=True)
@@ -264,7 +270,7 @@ def classify_consistency(matching: Matching, indices: Sequence[int]) -> Consiste
     if len(idx) % 2 != 0:
         raise ValueError(f"support must have even size, got {idx}")
     support = set(idx)
-    partner = matching.partner_map()
+    partner = matching._partners
     inner = []
     for i in idx:
         j = partner.get(i)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -86,7 +87,7 @@ class InteractionTerm:
     def weight(self) -> int:
         return len(self.indices)
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         return frozenset(self.indices)
 
@@ -119,6 +120,15 @@ class MajoranaHamiltonian:
     @property
     def n_majoranas(self) -> int:
         return 2 * self.n_modes
+
+    @cached_property
+    def mode_terms(self) -> tuple[tuple[int, ...], ...]:
+        """For each Majorana, the ids of the terms containing it, ascending."""
+        out: list[list[int]] = [[] for _ in range(self.n_majoranas)]
+        for t_id, term in enumerate(self.terms):
+            for mode in term.indices:
+                out[mode].append(t_id)
+        return tuple(tuple(ids) for ids in out)
 
     def weights(self) -> set[int]:
         return {t.weight for t in self.terms}
@@ -177,7 +187,7 @@ def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
     if not isinstance(doc, dict) or "n_modes" not in doc or "terms" not in doc:
         raise FormatError("malformed", "document must carry 'n_modes' and 'terms'")
     n_modes = doc["n_modes"]
-    if not isinstance(n_modes, int):
+    if not isinstance(n_modes, int) or isinstance(n_modes, bool):
         raise FormatError("malformed", f"n_modes must be an integer, got {n_modes!r}")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):

@@ -7,6 +7,7 @@ exhaustive search.  Nothing imports the algorithms it is meant to check.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -82,3 +83,117 @@ def random_antisymmetric(rng, m: int, integer: bool = False) -> np.ndarray:
     else:
         upper = rng.standard_normal((m, m))
     return np.triu(upper, 1) - np.triu(upper, 1).T
+
+
+# -------------------------------------------------------------------------
+# Straightforward versions of the combinatorial certify steps.  The package
+# replaced each of them with an indexed or sparse form that must give the
+# same answers; these keep the plain scans around to compare against.  They
+# read Hamiltonians only through ``terms[i].indices`` and ``n_modes`` and
+# graphs only through ``vertices``, ``has_edge`` and ``neighbors``.
+
+
+def unrank_combination_scan(rank: int, n_items: int, size: int) -> tuple[int, ...]:
+    """Lexicographic unranking by a linear scan over candidates."""
+    out = []
+    start = 0
+    remaining = size
+    while remaining:
+        for candidate in range(start, n_items):
+            block = math.comb(n_items - candidate - 1, remaining - 1)
+            if rank < block:
+                out.append(candidate)
+                start = candidate + 1
+                remaining -= 1
+                break
+            rank -= block
+        else:
+            raise ValueError("rank out of range")
+    return tuple(out)
+
+
+def diffuse_verdict_scan(subset_ids, ham, locality=None) -> tuple[bool, int | None]:
+    """The three separation conditions by an all-pairs scan: (ok, violated)."""
+    members = [set(ham.terms[i].indices) for i in subset_ids]
+    support: set[int] = set()
+    for m in members:
+        if support & m:
+            return False, 1
+        support |= m
+    member_ids = set(subset_ids)
+    for t_id, term in enumerate(ham.terms):
+        if t_id in member_ids:
+            continue
+        touched = sum(1 for m in members if m & set(term.indices))
+        if touched >= 2:
+            return False, 2
+    if ham.terms:
+        q = locality if locality is not None else max(len(t.indices) for t in ham.terms)
+        if len(support) >= 2 * q * ham.n_modes / (q + 1):
+            return False, 3
+    return True, None
+
+
+def dense_permitted_adjacency(ham, excluded) -> dict[int, frozenset[int]]:
+    """Permitted-edge graph as the explicit complement of term co-membership."""
+    verts = set(range(2 * ham.n_modes)) - set(excluded)
+    forbidden = {v: set() for v in verts}
+    for term in ham.terms:
+        inside = [i for i in term.indices if i in verts]
+        for a in inside:
+            for b in inside:
+                if a != b:
+                    forbidden[a].add(b)
+    return {v: frozenset(verts - forbidden[v] - {v}) for v in verts}
+
+
+def hamiltonian_cycle_sorted_neighbors(graph) -> list[int] | None:
+    """Path extension with rotations, smallest neighbor first, picking each
+    step's vertex by sorting the endpoint's neighbor set.  None where the
+    construction gets stuck (including outside the Dirac regime)."""
+    verts = sorted(graph.vertices)
+    nv = len(verts)
+    if nv < 3 or min(len(graph.neighbors(v)) for v in verts) <= nv / 2:
+        return None
+    path = [verts[0]]
+    in_path = {verts[0]}
+    while True:
+        extended = True
+        while extended and len(path) < nv:
+            extended = False
+            for end, place in ((path[-1], len(path)), (path[0], 0)):
+                for u in sorted(graph.neighbors(end)):
+                    if u not in in_path:
+                        path.insert(place, u)
+                        in_path.add(u)
+                        extended = True
+                        break
+                if extended:
+                    break
+        head, tail = path[0], path[-1]
+        if graph.has_edge(head, tail):
+            cycle = list(path)
+        else:
+            for i in range(len(path) - 1):
+                if graph.has_edge(head, path[i + 1]) and graph.has_edge(path[i], tail):
+                    cycle = path[: i + 1] + list(reversed(path[i + 1 :]))
+                    break
+            else:
+                return None
+        if len(cycle) == nv:
+            return cycle
+        attach = next(
+            (
+                (w, i)
+                for w in verts
+                if w not in in_path
+                for i, v in enumerate(cycle)
+                if graph.has_edge(w, v)
+            ),
+            None,
+        )
+        if attach is None:
+            return None
+        w, i = attach
+        path = [w] + cycle[i:] + cycle[:i]
+        in_path = set(path)

@@ -185,3 +185,16 @@ def test_study_artifacts_byte_identical(tmp_path):
 def test_missing_input_file_is_error(tmp_path):
     code = run(["exact", "--in", str(tmp_path / "nope.json")])
     assert code == 1
+
+
+def test_optimize_rejects_boolean_mode_count(tmp_path, capsys):
+    h = tmp_path / "h.json"
+    h.write_text('{"n_modes": true, "terms": []}')
+    code = run(
+        ["optimize", "--in", str(h), "--out-state", str(tmp_path / "s.json"),
+         "--out-cert", str(tmp_path / "c.json")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "n_modes" in err
+    assert not (tmp_path / "c.json").exists()

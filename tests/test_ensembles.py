@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiopt.ensembles import (
+    SSYK_MAX_N,
     EnsembleSpec,
     gen_mixed_24,
     gen_sparse_random,
@@ -85,6 +86,14 @@ def test_ssyk_coefficients_scaled():
     scale = 1 / math.sqrt(2 * k * n)
     values = np.array([t.coeff for t in ham.terms]) / scale
     assert np.std(values) == pytest.approx(1.0, abs=0.35)
+
+
+def test_ssyk_size_limit_is_explicit():
+    # binom(2n, 4) first reaches 2^63, the binomial draw's limit, at n = 60989
+    assert SSYK_MAX_N == 60988
+    assert math.comb(2 * SSYK_MAX_N, 4) < 2**63 <= math.comb(2 * SSYK_MAX_N + 2, 4)
+    with pytest.raises(ValueError, match="n <= 60988"):
+        gen_ssyk(SSYK_MAX_N + 1, 2, seed=0)
 
 
 def test_ssyk_deterministic():

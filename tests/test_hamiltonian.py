@@ -123,6 +123,7 @@ def test_serialize_round_trip():
     "doc, code",
     [
         ('{"n_modes": 2}', "malformed"),
+        ('{"n_modes": true, "terms": []}', "malformed"),  # a JSON bool is a Python int
         ('{"n_modes": 2, "terms": [{"indices": [0, 1, 2], "coeff": 1.0}]}', "odd-weight"),
         ('{"n_modes": 1, "terms": [{"indices": [0, 5], "coeff": 1.0}]}', "index-range"),
         (

@@ -9,6 +9,7 @@ criterion cannot see).
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -95,3 +96,90 @@ def test_golden_digest(build, notes, expected):
     for fragment in notes:
         assert any(fragment in note for note in result.certificate.notes), fragment
     assert artifact_digest(ham, result) == expected
+
+
+# ------------------------------------------------------ command-line artifacts
+#
+# The same idea one layer up: what ``fermiopt optimize`` and ``fermiopt
+# study`` write and print.  These pin the pipeline dispatch of the CLI and
+# of the ratio bench, not only the optimizers behind it.
+
+from fermiopt.cli import main as cli_main  # noqa: E402
+
+
+def _cli_digest(capsys, argv, files) -> str:
+    code = cli_main(argv)
+    printed = capsys.readouterr().out
+    blob = "\n".join([str(code), printed] + [f.read_text() for f in files])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# (id, Hamiltonian, optimize arguments, sha256 of exit code + stdout + state + certificate)
+OPTIMIZE_CASES = [
+    (
+        "auto-mixed24-n12", lambda: gen_mixed_24(12, 2, 3), ["--pipeline", "auto"],
+        "fbd73707a4e460368c94ca80fe52add72d982d6557aaa5a517cc5ccce129eae6",
+    ),
+    (
+        "auto-strictq-n20", lambda: gen_sparse_random(20, 4, 2, "normal", seed=11), [],
+        "1a3b2f4c89d067e3fa71c81d132c4a6a9bd12982ea51b66e5a8cd833dbe9355d",
+    ),
+    (
+        "strictq-n20", lambda: gen_sparse_random(20, 4, 2, "normal", seed=11),
+        ["--pipeline", "strictq"],
+        "1a3b2f4c89d067e3fa71c81d132c4a6a9bd12982ea51b66e5a8cd833dbe9355d",
+    ),
+    (
+        "mixed24-n20", lambda: gen_mixed_24(20, 2, 4), ["--pipeline", "mixed24"],
+        "dbd47599d7640541a125c0422480bfad807d7155e75374854ec60939f9b95e23",
+    ),
+    (
+        "ssyk-n100-k2", lambda: gen_ssyk(100, 2, seed=5), ["--pipeline", "ssyk", "--k", "2"],
+        "df69f5c21c9cac84d4881cefdd05b5e83fcb7e87ce084976dcc0e97ba04ea863",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build,args,expected", [c[1:] for c in OPTIMIZE_CASES], ids=[c[0] for c in OPTIMIZE_CASES]
+)
+def test_golden_cli_optimize(tmp_path, capsys, build, args, expected):
+    h = tmp_path / "h.json"
+    h.write_text(serialize_hamiltonian(build()))
+    state, cert = tmp_path / "s.json", tmp_path / "c.json"
+    argv = ["optimize", "--in", str(h), *args, "--out-state", str(state), "--out-cert", str(cert)]
+    assert _cli_digest(capsys, argv, [state, cert]) == expected
+
+
+# (pipeline, sizes, sha256 of exit code + CSV + sidecar); above 8 modes the
+# exact-eigenvalue columns stay empty, whose last bits depend on the BLAS build
+STUDY_CASES = [
+    (
+        "strictq", {"n": 9, "q": 2, "k": 2},
+        "2148b60196d819e71fa7761de2083c2e9de236feb03d0652c39329e4143d0336",
+    ),
+    (
+        "mixed24", {"n": 10, "k": 2},
+        "e06f5dccb82965c70fd505474ef7d4f351c3d2cb71ea439b5a018c931f417f32",
+    ),
+    (
+        "ssyk", {"n": 100, "k": 2},
+        "85bf0e9ec90305102de2d58269df677db2591b064fbbabad9dd6e959ca267031",
+    ),
+]
+
+
+@pytest.mark.parametrize("pipeline,sizes,expected", STUDY_CASES, ids=[c[0] for c in STUDY_CASES])
+def test_golden_ratio_bench_study(tmp_path, capsys, pipeline, sizes, expected):
+    config = tmp_path / "bench.json"
+    config.write_text(
+        json.dumps(
+            {"study": "ratio_bench", "trials": 3, "base_seed": 9, "pipeline": pipeline, **sizes}
+        )
+    )
+    out = tmp_path / "bench.csv"
+    code = cli_main(["study", "--config", str(config), "--out", str(out)])
+    capsys.readouterr()  # the summary lines name the output path
+    sidecar = out.with_name(out.name + ".config.json")
+    blob = "\n".join([str(code), out.read_text(), sidecar.read_text()])
+    assert hashlib.sha256(blob.encode()).hexdigest() == expected

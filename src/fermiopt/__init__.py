@@ -38,11 +38,10 @@ from .combinatorics import (
     permitted_graph,
 )
 from .optimizer import (
-    LiftedHamiltonian,
     OptimizationResult,
     RatioCertificate,
     lift_to_strict4,
-    optimize_auto,
+    optimize,
     optimize_mixed_24,
     optimize_ssyk,
     optimize_strict_q,

@@ -26,12 +26,7 @@ from .gaussian import (
     state_to_json,
 )
 from .hamiltonian import parse_hamiltonian, serialize_hamiltonian
-from .optimizer import (
-    optimize_auto,
-    optimize_mixed_24,
-    optimize_ssyk,
-    optimize_strict_q,
-)
+from .optimizer import optimize
 from .oracle import (
     DENSE_EIG_MODE_BUDGET,
     dense_expectation,
@@ -118,16 +113,7 @@ def _cmd_gen(args) -> int:
 def _cmd_optimize(args) -> int:
     with open(args.infile) as fh:
         ham = parse_hamiltonian(fh.read())
-    if args.pipeline == "auto":
-        result = optimize_auto(ham, k=args.k)
-    elif args.pipeline == "strictq":
-        result = optimize_strict_q(ham, k=args.k)
-    elif args.pipeline == "mixed24":
-        result = optimize_mixed_24(ham, k=args.k)
-    else:
-        if args.k is None:
-            raise ValueError("the diluted pipeline needs --k (expected degree)")
-        result = optimize_ssyk(ham, k=args.k)
+    result = optimize(ham, args.pipeline, k=args.k)
     with open(args.out_state, "w") as fh:
         fh.write(state_to_json(result.matching, result.signs))
     cert = result.certificate
@@ -136,7 +122,7 @@ def _cmd_optimize(args) -> int:
     ratio = cert.achieved / cert.upper_bound if cert.upper_bound > 0 else float("nan")
     print(
         f"achieved {cert.achieved:.9g} of strength {cert.upper_bound:.9g} "
-        f"(ratio {ratio:.3g}, floor 1/{cert.part_bound if cert.pipeline != 'mixed24' else 2 * cert.part_bound}, "
+        f"(ratio {ratio:.3g}, floor 1/{round(1 / cert.guaranteed_ratio)}, "
         f"guaranteed {cert.guarantee_holds})"
     )
     return 0 if cert.guarantee_holds else 2

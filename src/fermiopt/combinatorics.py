@@ -29,8 +29,10 @@ def conflict_degree_bound(q: int, k: int) -> int:
 
 
 def part_bound(q: int, k: int) -> int:
-    """Bound on the number of classes per weight: coloring bound plus the
-    one extra class created by the support-size fix-up."""
+    """Bound on the number of classes per weight: the coloring bound plus
+    one class for a support-size split.  A draw that needs more splits can
+    exceed it; ``DiffusePartition.within_bound`` then withholds the
+    guarantee."""
     return conflict_degree_bound(q, k) + 2
 
 
@@ -188,8 +190,11 @@ def diffuse_partition(
     """Split all terms into per-weight diffuse classes.
 
     Greedy-color the conflict graph, split classes by exact weight, then fix
-    the support-size condition: per weight at most one class can violate it,
-    and halving that class by term count (in index order) restores it.
+    the support-size condition: every class that violates it is halved by
+    term count (in index order), the second half taking a new color.  Most
+    draws have at most one violator per weight; small or crowded ones can
+    have several, and the class count may then exceed ``bound``.  Each class
+    is checked once, and only the halves of a split class again.
     """
     profile = sparsity_profile(ham)
     if ham.terms:
@@ -216,23 +221,24 @@ def diffuse_partition(
         parts[key] = tuple(ids)
         by_weight.setdefault(key[0], []).append(key)
 
+    flags: dict[tuple[int, int], bool] = {}
     for q_half, keys in by_weight.items():
-        violators = [
-            key for key in keys if is_diffuse(parts[key], ham, locality=q).violated == 3
-        ]
-        # conditions 1-2 hold per coloring; at most one class per weight can
-        # breach the support bound, and a cardinality halving repairs it
-        assert len(violators) <= 1, violators
-        for key in violators:
+        # conditions 1-2 hold per coloring; a class that breaches the
+        # support bound is halved, each violator into its own new color
+        for key in keys:
+            check = is_diffuse(parts[key], ham, locality=q)
+            if check.violated != 3:
+                flags[key] = check.ok
+                continue
             ids = parts[key]
-            keep, spill = ids[: len(ids) // 2], ids[len(ids) // 2 :]
-            parts[key] = keep
-            parts[(q_half, n_colors)] = spill
-        if violators:
+            parts[key] = ids[: len(ids) // 2]
+            parts[(q_half, n_colors)] = ids[len(ids) // 2 :]
+            for half in (key, (q_half, n_colors)):
+                if parts[half]:
+                    flags[half] = is_diffuse(parts[half], ham, locality=q).ok
             n_colors += 1
 
     parts = {key: ids for key, ids in parts.items() if ids}
-    flags = {key: is_diffuse(ids, ham, locality=q).ok for key, ids in parts.items()}
     return DiffusePartition(
         parts=parts, bound=bound, locality=q, sparsity=k, diffuse_flags=flags
     )
@@ -396,19 +402,8 @@ def _backtrack_matching(vertices: list[int], graph) -> list[tuple[int, int]] | N
 FALLBACK_VERTEX_LIMIT = 16
 
 
-def _quartic_pairings(indices: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-    a, b, c, d = indices
-    return [
-        [(a, b), (c, d)],
-        [(a, c), (b, d)],
-        [(a, d), (b, c)],
-    ]
-
-
 def diffuse_matching(
-    ham: MajoranaHamiltonian,
-    subset_ids: Sequence[int],
-    avoid_two_mode_overlap: bool = False,
+    ham: MajoranaHamiltonian, subset_ids: Sequence[int]
 ) -> tuple[Matching, bool]:
     """Perfect matching consistent with the subset, inconsistent elsewhere.
 
@@ -416,9 +411,6 @@ def diffuse_matching(
     leftover Majoranas are paired along a Hamiltonian cycle of the permitted
     graph.  Returns the matching and whether the exhaustive small-residual
     fallback was needed in place of the cycle construction.
-
-    With ``avoid_two_mode_overlap``, each quartic member picks (among its
-    three pairings) one minimizing coincidences with weight-2 interactions.
     """
     members = [ham.terms[i] for i in subset_ids]
     support: set[int] = set()
@@ -426,16 +418,11 @@ def diffuse_matching(
         if support & term.support:
             raise ValueError("subset supports overlap; not a diffuse set")
         support |= term.support
-    two_mode_sets = {t.indices for t in ham.terms if t.weight == 2}
-    inner: list[tuple[int, int]] = []
-    for term in members:
-        idx = term.indices
-        if avoid_two_mode_overlap and term.weight == 4:
-            options = _quartic_pairings(idx)
-            scored = [sum(1 for p in opt if p in two_mode_sets) for opt in options]
-            inner.extend(options[scored.index(min(scored))])
-        else:
-            inner.extend((idx[2 * l], idx[2 * l + 1]) for l in range(term.weight // 2))
+    inner = [
+        (term.indices[2 * l], term.indices[2 * l + 1])
+        for term in members
+        for l in range(term.weight // 2)
+    ]
 
     residual = sorted(set(range(ham.n_majoranas)) - support)
     if not residual:

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import ensembles
 from .hamiltonian import total_strength, strength
-from .optimizer import (
-    optimize_mixed_24,
-    optimize_ssyk,
-    optimize_strict_q,
-    truncate_to_sparse,
-)
+from .optimizer import optimize, truncate_to_sparse
 from .oracle import (
     DENSE_EIG_MODE_BUDGET,
     ITER_EIG_MODE_BUDGET,
@@ -176,17 +171,17 @@ def run_ssyk_concentration(cfg: StudyConfig) -> StudyResult:
 
 
 def _bench_instance(cfg: StudyConfig, seed: int):
+    """One draw of the pipeline's own ensemble, and its certified state."""
     pipeline = cfg.pipeline or "strictq"
     if pipeline == "strictq":
         ham = ensembles.gen_sparse_random(cfg.n, cfg.q or 4, cfg.k, "normal", seed)
-        return ham, optimize_strict_q(ham, k=cfg.k)
-    if pipeline == "mixed24":
+    elif pipeline == "mixed24":
         ham = ensembles.gen_mixed_24(cfg.n, cfg.k, seed)
-        return ham, optimize_mixed_24(ham, k=cfg.k)
-    if pipeline == "ssyk":
+    elif pipeline == "ssyk":
         ham = ensembles.gen_ssyk(cfg.n, cfg.k, seed)
-        return ham, optimize_ssyk(ham, k=cfg.k)
-    raise ValueError(f"unknown pipeline {pipeline!r}")
+    else:
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    return ham, optimize(ham, pipeline, k=cfg.k)
 
 
 def run_ratio_bench(cfg: StudyConfig) -> StudyResult:

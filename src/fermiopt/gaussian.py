@@ -49,14 +49,6 @@ class Matching:
     def n_majoranas(self) -> int:
         return 2 * len(self.pairs)
 
-    def partner(self, i: int) -> int:
-        for a, b in self.pairs:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        raise KeyError(i)
-
     @cached_property
     def _partners(self) -> dict[int, int]:
         # built once per matching; read-only, every closed-form term reads it
@@ -86,15 +78,6 @@ class SignAssignment:
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {pair: s for pair, s in self.signs}
-
-    def sign(self, pair: tuple[int, int]) -> int:
-        for p, s in self.signs:
-            if p == pair:
-                return s
-        raise KeyError(pair)
-
-    def matches(self, matching: Matching) -> bool:
-        return set(p for p, _ in self.signs) == set(matching.pairs)
 
 
 @dataclass(frozen=True)

@@ -133,9 +133,6 @@ class MajoranaHamiltonian:
     def weights(self) -> set[int]:
         return {t.weight for t in self.terms}
 
-    def is_strictly_local(self) -> bool:
-        return len(self.weights()) <= 1
-
 
 @dataclass(frozen=True)
 class SparsityProfile:

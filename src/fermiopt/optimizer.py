@@ -113,41 +113,27 @@ class OptimizationResult:
         return correlation_from_matching(self.matching, self.signs)
 
 
-@dataclass(frozen=True)
-class LiftedHamiltonian:
-    """A weight-{2,4} Hamiltonian and its strictly 4-local lift.
-
-    Weight-2 terms gain the auxiliary pair ``(2n, 2n+1)`` and a negated
-    coefficient; weight-4 terms are copied.  ``lifted.terms[i]`` corresponds
-    to ``base.terms[i]``.
-    """
-
-    base: MajoranaHamiltonian
-    lifted: MajoranaHamiltonian
-    weight2_ids: tuple[int, ...]
-    weight4_ids: tuple[int, ...]
-
-
-def _default_matching(n_majoranas: int) -> Matching:
-    return Matching(tuple((2 * j, 2 * j + 1) for j in range(n_majoranas // 2)))
-
-
-def _degenerate_result(
-    ham: MajoranaHamiltonian, pipeline: str, bound: int, ratio: float, note: str
+def _best_effort(
+    ham: MajoranaHamiltonian,
+    pipeline: str,
+    bound: int,
+    ratio: float,
+    notes: list[str],
+    partition: DiffusePartition | None = None,
 ) -> OptimizationResult:
-    matching = _default_matching(ham.n_majoranas)
+    """Unguaranteed state: consecutive Majoranas paired, every sign +1."""
+    matching = Matching(tuple((2 * j, 2 * j + 1) for j in range(ham.n_modes)))
     signs = SignAssignment.all_plus(matching)
-    achieved = matching_state_expectation(matching, signs, ham)
     cert = RatioCertificate(
         pipeline=pipeline,
-        achieved=achieved,
+        achieved=matching_state_expectation(matching, signs, ham),
         upper_bound=total_strength(ham),
         part_bound=bound,
         guaranteed_ratio=ratio,
         guarantee_holds=False,
-        notes=(note,),
+        notes=tuple(notes),
     )
-    return OptimizationResult(matching=matching, signs=signs, certificate=cert)
+    return OptimizationResult(matching, signs, cert, partition)
 
 
 def _ranked_parts(partition: DiffusePartition, ham: MajoranaHamiltonian):
@@ -157,6 +143,58 @@ def _ranked_parts(partition: DiffusePartition, ham: MajoranaHamiltonian):
         entries.append((-strength(ham.terms[i] for i in ids), key, ids))
     entries.sort(key=lambda e: (e[0], e[1]))
     return [(key, ids, -neg) for neg, key, ids in entries]
+
+
+def _certify(
+    ham: MajoranaHamiltonian,
+    pipeline: str,
+    partition: DiffusePartition,
+    ratio: float,
+    below_threshold: str | None,
+    build,
+) -> OptimizationResult:
+    """The loop both sparse routes share: try the parts heaviest first,
+    match the first one that admits a matching, and certify it.
+
+    ``build(key, ids, value, matching)`` turns the part's matching into the
+    final state and returns ``(matching, signs, achieved, extra_notes)``;
+    it raises ``DiracError`` to skip the part.  ``below_threshold`` is the
+    note for an instance under the route's size threshold, ``None`` above
+    it.  The guarantee needs the heaviest part, no fallback matching, and a
+    partition that is diffuse and within the class-count bound.
+    """
+    notes: list[str] = []
+    for rank, (key, ids, value) in enumerate(_ranked_parts(partition, ham)):
+        try:
+            matching, used_fallback = diffuse_matching(ham, ids)
+            matching, signs, achieved, extra_notes = build(key, ids, value, matching)
+        except DiracError as exc:
+            notes.append(f"part {key} skipped: {exc}")
+            continue
+        if used_fallback:
+            notes.append(f"part {key} matched via exhaustive residual fallback")
+        notes.extend(extra_notes)
+        if below_threshold is not None:
+            notes.append(below_threshold)
+        guarantee = (
+            below_threshold is None
+            and not used_fallback
+            and rank == 0
+            and partition.all_diffuse
+            and partition.within_bound()
+        )
+        cert = RatioCertificate(
+            pipeline=pipeline,
+            achieved=achieved,
+            upper_bound=total_strength(ham),
+            part_bound=partition.bound,
+            guaranteed_ratio=ratio,
+            guarantee_holds=guarantee,
+            notes=tuple(notes),
+        )
+        return OptimizationResult(matching, signs, cert, partition)
+    notes.append("all parts failed the matching construction; best-effort state")
+    return _best_effort(ham, pipeline, partition.bound, ratio, notes, partition)
 
 
 def optimize_strict_q(ham: MajoranaHamiltonian, k: int | None = None) -> OptimizationResult:
@@ -171,100 +209,47 @@ def optimize_strict_q(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
         raise ValueError(f"strictly local Hamiltonian required, weights {sorted(weights)}")
     profile = sparsity_profile(ham)
     if not ham.terms:
-        return _degenerate_result(
-            ham, PIPELINE_STRICTQ, part_bound(2, 1), 1.0 / part_bound(2, 1),
-            "no terms; nothing to certify",
+        bound = part_bound(2, 1)
+        return _best_effort(
+            ham, PIPELINE_STRICTQ, bound, 1.0 / bound, ["no terms; nothing to certify"]
         )
     q = next(iter(weights))
     k_eff = max(k if k is not None else profile.max_degree, 1)
     partition = diffuse_partition(ham, locality=q, sparsity=k_eff)
-    bound = partition.bound
-    notes: list[str] = []
 
-    chosen = None
-    used_fallback = False
-    ranked = _ranked_parts(partition, ham)
-    for rank, (key, ids, value) in enumerate(ranked):
-        try:
-            matching, fb = diffuse_matching(ham, ids)
-        except DiracError as exc:
-            notes.append(f"part {key} skipped: {exc}")
-            continue
-        chosen = (key, ids, value, matching, rank)
-        used_fallback = fb
-        if fb:
-            notes.append(f"part {key} matched via exhaustive residual fallback")
-        break
-    if chosen is None:
-        notes.append("all parts failed the matching construction; best-effort state")
-        matching = _default_matching(ham.n_majoranas)
-        signs = SignAssignment.all_plus(matching)
-        achieved = matching_state_expectation(matching, signs, ham)
-        cert = RatioCertificate(
-            pipeline=PIPELINE_STRICTQ,
-            achieved=achieved,
-            upper_bound=total_strength(ham),
-            part_bound=bound,
-            guaranteed_ratio=1.0 / bound,
-            guarantee_holds=False,
-            notes=tuple(notes),
-        )
-        return OptimizationResult(matching, signs, cert, partition)
+    def build(key, ids, value, matching):
+        signs = assign_signs(matching, [ham.terms[i] for i in ids])
+        check = matching_state_expectation(matching, signs, ham)
+        assert math.isclose(check, value, rel_tol=1e-9, abs_tol=1e-12), (check, value)
+        return matching, signs, value, ()
 
-    key, ids, achieved, matching, rank = chosen
-    targets = [ham.terms[i] for i in ids]
-    signs = assign_signs(matching, targets)
-    check = matching_state_expectation(matching, signs, ham)
-    assert math.isclose(check, achieved, rel_tol=1e-9, abs_tol=1e-12), (check, achieved)
-
-    threshold_ok = ham.n_modes > (q * q - 1) * k_eff
-    if not threshold_ok:
-        notes.append(f"below size threshold n > (q^2-1)k = {(q * q - 1) * k_eff}")
-    guarantee = (
-        threshold_ok
-        and not used_fallback
-        and rank == 0
-        and partition.all_diffuse
-        and partition.within_bound()
-    )
-    cert = RatioCertificate(
-        pipeline=PIPELINE_STRICTQ,
-        achieved=achieved,
-        upper_bound=total_strength(ham),
-        part_bound=bound,
-        guaranteed_ratio=1.0 / bound,
-        guarantee_holds=guarantee,
-        notes=tuple(notes),
-    )
-    return OptimizationResult(matching, signs, cert, partition)
+    limit = (q * q - 1) * k_eff
+    below = None if ham.n_modes > limit else f"below size threshold n > (q^2-1)k = {limit}"
+    return _certify(ham, PIPELINE_STRICTQ, partition, 1.0 / partition.bound, below, build)
 
 
-def lift_to_strict4(ham: MajoranaHamiltonian) -> LiftedHamiltonian:
+def lift_to_strict4(ham: MajoranaHamiltonian) -> MajoranaHamiltonian:
     """Multiply every weight-2 term by the auxiliary dimer, negating its
-    coefficient, so the result is strictly 4-local on two extra Majoranas."""
+    coefficient, so the result is strictly 4-local on two extra Majoranas.
+
+    Weight-4 terms are copied; term ``i`` of the lift corresponds to term
+    ``i`` of ``ham``.
+    """
     if not ham.weights() <= {2, 4}:
         raise ValueError(f"weights must be 2 and 4, got {sorted(ham.weights())}")
     aux = (ham.n_majoranas, ham.n_majoranas + 1)
-    lifted_terms = []
-    w2, w4 = [], []
-    for t_id, term in enumerate(ham.terms):
-        if term.weight == 2:
-            lifted_terms.append(InteractionTerm(term.indices + aux, -term.coeff))
-            w2.append(t_id)
-        else:
-            lifted_terms.append(term)
-            w4.append(t_id)
-    lifted = MajoranaHamiltonian(n_modes=ham.n_modes + 1, terms=tuple(lifted_terms))
-    return LiftedHamiltonian(
-        base=ham, lifted=lifted, weight2_ids=tuple(w2), weight4_ids=tuple(w4)
-    )
+    lifted_terms = [
+        InteractionTerm(term.indices + aux, -term.coeff) if term.weight == 2 else term
+        for term in ham.terms
+    ]
+    return MajoranaHamiltonian(n_modes=ham.n_modes + 1, terms=tuple(lifted_terms))
 
 
 def pull_back(
     tilde_matching: Matching,
     tilde_signs: SignAssignment,
     ham: MajoranaHamiltonian,
-    lifted: LiftedHamiltonian,
+    lifted: MajoranaHamiltonian,
 ) -> tuple[Matching, SignAssignment]:
     """Convert a branch state on 2n+2 Majoranas into one on 2n, no worse.
 
@@ -278,7 +263,7 @@ def pull_back(
     error, never silently returned.
     """
     aux_pair = (ham.n_majoranas, ham.n_majoranas + 1)
-    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted.lifted)
+    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
     slack = CONTRACT_SLACK * total_strength(ham)
     sd = tilde_signs.as_dict()
 
@@ -364,102 +349,46 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     profile = sparsity_profile(ham)
     if not ham.terms:
         bound = part_bound(4, 1)
-        return _degenerate_result(
-            ham, PIPELINE_MIXED24, bound, 1.0 / (2 * bound), "no terms; nothing to certify"
+        return _best_effort(
+            ham, PIPELINE_MIXED24, bound, 1.0 / (2 * bound), ["no terms; nothing to certify"]
         )
     k_eff = max(k if k is not None else profile.max_degree, 1)
     partition = diffuse_partition(ham, locality=4, sparsity=k_eff)
-    bound = partition.bound
     lifted = lift_to_strict4(ham)
     aux = (ham.n_majoranas, ham.n_majoranas + 1)
-    notes: list[str] = []
 
-    built = None
-    used_fallback = False
-    ranked = _ranked_parts(partition, ham)
-    for rank, (key, ids, value) in enumerate(ranked):
-        q_half = key[0]
-        try:
-            matching, fb = diffuse_matching(ham, ids)
-            targets = [ham.terms[i] for i in ids]
-            base_signs = assign_signs(matching, targets)
-            if q_half == 1:
-                # weight-2 branch: append the auxiliary dimer in the state
-                # that makes every lifted coefficient count positively
-                tilde_matching = Matching(matching.pairs + (aux,))
-                tilde_sd = base_signs.as_dict()
-                tilde_sd[aux] = -1
-                tilde_signs = SignAssignment.from_dict(tilde_sd)
-            else:
-                # weight-4 branch: re-route a marked outer edge through the
-                # auxiliaries so no lifted weight-2 term can stay consistent
-                support = set().union(*(set(ham.terms[i].indices) for i in ids))
-                outer = [p for p in matching.pairs if not set(p) & support]
-                if not outer:
-                    raise DiracError("no outer edge available to mark")
-                i1, i2 = outer[0]
-                # outer edges are permitted edges, so never a weight-2 term
-                assert (i1, i2) not in {t.indices for t in ham.terms if t.weight == 2}
-                kept = tuple(p for p in matching.pairs if p != (i1, i2))
-                tilde_matching = Matching(kept + ((i1, aux[0]), (i2, aux[1])))
-                tilde_sd = {p: base_signs.as_dict()[p] for p in kept}
-                tilde_sd[(i1, aux[0])] = 1
-                tilde_sd[(i2, aux[1])] = 1
-                tilde_signs = SignAssignment.from_dict(tilde_sd)
-        except DiracError as exc:
-            notes.append(f"part {key} skipped: {exc}")
-            continue
-        built = (key, ids, value, tilde_matching, tilde_signs, rank)
-        used_fallback = fb
-        if fb:
-            notes.append(f"part {key} matched via exhaustive residual fallback")
-        break
+    def build(key, ids, value, matching):
+        base_signs = assign_signs(matching, [ham.terms[i] for i in ids])
+        if key[0] == 1:
+            # weight-2 branch: append the auxiliary dimer in the state
+            # that makes every lifted coefficient count positively
+            tilde_matching = Matching(matching.pairs + (aux,))
+            tilde_sd = base_signs.as_dict()
+            tilde_sd[aux] = -1
+        else:
+            # weight-4 branch: re-route a marked outer edge through the
+            # auxiliaries so no lifted weight-2 term can stay consistent
+            support = set().union(*(ham.terms[i].support for i in ids))
+            outer = [p for p in matching.pairs if not set(p) & support]
+            if not outer:
+                raise DiracError("no outer edge available to mark")
+            i1, i2 = outer[0]
+            # outer edges are permitted edges, so never a weight-2 term
+            assert (i1, i2) not in {t.indices for t in ham.terms if t.weight == 2}
+            kept = tuple(p for p in matching.pairs if p != (i1, i2))
+            tilde_matching = Matching(kept + ((i1, aux[0]), (i2, aux[1])))
+            tilde_sd = {p: base_signs.as_dict()[p] for p in kept}
+            tilde_sd[(i1, aux[0])] = 1
+            tilde_sd[(i2, aux[1])] = 1
+        tilde_signs = SignAssignment.from_dict(tilde_sd)
+        tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
+        assert math.isclose(tilde_value, value, rel_tol=1e-9, abs_tol=1e-12), (tilde_value, value)
+        matching, signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
+        achieved = matching_state_expectation(matching, signs, ham)
+        return matching, signs, achieved, (f"winning branch: weight {2 * key[0]} class {key[1]}",)
 
-    if built is None:
-        notes.append("all parts failed the matching construction; best-effort state")
-        matching = _default_matching(ham.n_majoranas)
-        signs = SignAssignment.all_plus(matching)
-        cert = RatioCertificate(
-            pipeline=PIPELINE_MIXED24,
-            achieved=matching_state_expectation(matching, signs, ham),
-            upper_bound=total_strength(ham),
-            part_bound=bound,
-            guaranteed_ratio=1.0 / (2 * bound),
-            guarantee_holds=False,
-            notes=tuple(notes),
-        )
-        return OptimizationResult(matching, signs, cert, partition)
-
-    key, ids, part_value, tilde_matching, tilde_signs, rank = built
-    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted.lifted)
-    assert math.isclose(tilde_value, part_value, rel_tol=1e-9, abs_tol=1e-12), (
-        tilde_value,
-        part_value,
-    )
-    matching, signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
-    achieved = matching_state_expectation(matching, signs, ham)
-    notes.append(f"winning branch: weight {2 * key[0]} class {key[1]}")
-
-    threshold_ok = ham.n_majoranas > 15 * k_eff
-    if not threshold_ok:
-        notes.append(f"below size threshold 2n > 15k = {15 * k_eff}")
-    guarantee = (
-        threshold_ok
-        and not used_fallback
-        and rank == 0
-        and partition.all_diffuse
-        and partition.within_bound()
-    )
-    cert = RatioCertificate(
-        pipeline=PIPELINE_MIXED24,
-        achieved=achieved,
-        upper_bound=total_strength(ham),
-        part_bound=bound,
-        guaranteed_ratio=1.0 / (2 * bound),
-        guarantee_holds=guarantee,
-        notes=tuple(notes),
-    )
-    return OptimizationResult(matching, signs, cert, partition)
+    below = None if ham.n_majoranas > 15 * k_eff else f"below size threshold 2n > 15k = {15 * k_eff}"
+    return _certify(ham, PIPELINE_MIXED24, partition, 1.0 / (2 * partition.bound), below, build)
 
 
 def truncate_to_sparse(
@@ -513,9 +442,7 @@ def optimize_ssyk(ham: MajoranaHamiltonian, k: int) -> OptimizationResult:
     ratio = 1.0 / bound
     core, residual = truncate_to_sparse(ham, k_prime)
     if not core.terms:
-        return _degenerate_result(
-            ham, PIPELINE_SSYK, bound, ratio, "empty core after truncation"
-        )
+        return _best_effort(ham, PIPELINE_SSYK, bound, ratio, ["empty core after truncation"])
     inner = optimize_strict_q(core, k=k_prime)
     residual_value = matching_state_expectation(inner.matching, inner.signs, residual)
     achieved = inner.certificate.achieved + residual_value
@@ -553,11 +480,27 @@ def optimize_ssyk(ham: MajoranaHamiltonian, k: int) -> OptimizationResult:
     return OptimizationResult(inner.matching, inner.signs, cert, inner.partition)
 
 
-def optimize_auto(ham: MajoranaHamiltonian, k: int | None = None) -> OptimizationResult:
-    """Route by weight profile: one weight -> strict, {2,4} -> mixed."""
-    weights = ham.weights()
-    if len(weights) <= 1:
+def optimize(
+    ham: MajoranaHamiltonian, pipeline: str = "auto", k: int | None = None
+) -> OptimizationResult:
+    """Run the named pipeline.  ``auto`` routes by weight profile: one
+    weight -> strict, {2,4} -> mixed.  The diluted pipeline needs ``k``."""
+    if pipeline == "auto":
+        weights = ham.weights()
+        if len(weights) <= 1:
+            pipeline = PIPELINE_STRICTQ
+        elif weights <= {2, 4}:
+            pipeline = PIPELINE_MIXED24
+        else:
+            raise ValueError(f"no pipeline covers weights {sorted(weights)}")
+    # module-level names, looked up per call, so that wrappers installed on
+    # them (the traced benchmark's) see every run
+    if pipeline == PIPELINE_STRICTQ:
         return optimize_strict_q(ham, k=k)
-    if weights <= {2, 4}:
+    if pipeline == PIPELINE_MIXED24:
         return optimize_mixed_24(ham, k=k)
-    raise ValueError(f"no pipeline covers weights {sorted(weights)}")
+    if pipeline == PIPELINE_SSYK:
+        if k is None:
+            raise ValueError("the diluted pipeline needs --k (expected degree)")
+        return optimize_ssyk(ham, k=k)
+    raise ValueError(f"unknown pipeline {pipeline!r}")

@@ -372,12 +372,6 @@ class _TermEvaluator:
         return energy, grad - grad.T
 
 
-def _energy_and_gradient(
-    gamma: np.ndarray, terms: tuple[InteractionTerm, ...]
-) -> tuple[float, np.ndarray]:
-    return _TermEvaluator(terms)(gamma)
-
-
 def _reference_gamma(m: int) -> np.ndarray:
     gamma = np.zeros((m, m))
     for j in range(0, m, 2):

@@ -216,10 +216,10 @@ def test_criterion_4_mixed_route_and_pull_back():
             sd[(i2, 9)] = 1
             tilde_signs = SignAssignment.from_dict(sd)
             tilde_value = matching_state_expectation(
-                tilde_matching, tilde_signs, lifted.lifted
+                tilde_matching, tilde_signs, lifted
             )
             dense_tilde = dense_expectation(
-                lifted.lifted, dense_state_from_matching(tilde_matching, tilde_signs)
+                lifted, dense_state_from_matching(tilde_matching, tilde_signs)
             )
             assert abs(dense_tilde - tilde_value) <= 1e-9 * max(1.0, abs(tilde_value))
             back_matching, back_signs = pull_back(tilde_matching, tilde_signs, ham, lifted)

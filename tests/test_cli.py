@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fermiopt
 from fermiopt.cli import main
-from fermiopt.hamiltonian import parse_hamiltonian, sparsity_profile
+from fermiopt.ensembles import gen_sparse_random
+from fermiopt.hamiltonian import parse_hamiltonian, serialize_hamiltonian, sparsity_profile
 from fermiopt.optimizer import RatioCertificate
 
 
@@ -198,3 +204,27 @@ def test_optimize_rejects_boolean_mode_count(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "n_modes" in err
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize(
+    "n,seed,extra,expected",
+    [(6, 2, [], 2), (9, 29, ["--k", "2"], 0)],
+    ids=["below-threshold", "above-threshold"],
+)
+def test_optimize_several_support_violators_exits_cleanly(tmp_path, n, seed, extra, expected):
+    # draws with three classes over the support bound; a separate process,
+    # so that an uncaught exception shows as a traceback on stderr
+    h = tmp_path / "h.json"
+    h.write_text(serialize_hamiltonian(gen_sparse_random(n, 2, 2, "normal", seed=seed)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fermiopt.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fermiopt.cli", "optimize", "--in", str(h), *extra,
+         "--out-state", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert RatioCertificate.from_json((tmp_path / "c.json").read_text()).guarantee_holds is (
+        expected == 0
+    )

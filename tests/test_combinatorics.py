@@ -196,6 +196,42 @@ def test_partition_support_halving_applies():
     assert partition.all_diffuse
 
 
+@pytest.mark.parametrize("n,seed", [(6, 2), (9, 29), (12, 4)])
+def test_partition_halves_every_support_violator(n, seed):
+    # all three weight-2 color classes of these draws breach the support
+    # bound; each is halved into a color of its own
+    ham = gen_sparse_random(n, 2, 2, "normal", seed=seed)
+    n_colors = max(greedy_color(build_conflict_graph(ham))) + 1
+    partition = diffuse_partition(ham, locality=2, sparsity=2)
+    assert sorted(partition.parts) == [(1, c) for c in range(2 * n_colors)]
+    assert sorted(i for ids in partition.parts.values() for i in ids) == list(range(len(ham.terms)))
+    for ids in partition.parts.values():
+        assert is_diffuse(ids, ham, locality=2).ok
+    assert partition.all_diffuse and partition.within_bound()
+
+
+@pytest.mark.parametrize("n,seed", [(6, 2), (16, 0), (40, 3)])
+def test_partition_checks_each_class_once(monkeypatch, n, seed):
+    # one is_diffuse call per color class, plus one per half of a split class
+    from fermiopt import combinatorics
+
+    calls = []
+    original = combinatorics.is_diffuse
+
+    def counting(ids, ham, locality=None):
+        calls.append(tuple(ids))
+        return original(ids, ham, locality=locality)
+
+    monkeypatch.setattr(combinatorics, "is_diffuse", counting)
+    q = 2 if n == 6 else 4
+    ham = gen_sparse_random(n, q, 2, "normal", seed=seed)
+    colors = greedy_color(build_conflict_graph(ham))
+    n_classes = len(set(colors))
+    partition = diffuse_partition(ham, locality=q)
+    splits = len(partition.parts) - n_classes
+    assert len(calls) == n_classes + 2 * splits
+
+
 # ------------------------------------------------------- hamiltonian cycle
 
 

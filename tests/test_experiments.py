@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from fermiopt.experiments import (
+    STUDIES,
     StudyConfig,
     run_ratio_bench,
     run_ssyk_concentration,
@@ -138,3 +140,17 @@ def test_write_study_artifacts(tmp_path):
     sidecar = json.loads((tmp_path / "bench.csv.config.json").read_text())
     assert sidecar["config"]["study"] == "ratio_bench"
     assert "summary" in sidecar
+
+
+EXAMPLES = Path(__file__).parent.parent / "examples"
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.json")), ids=lambda p: p.name)
+def test_example_config_parses(path):
+    cfg = StudyConfig.from_json(path.read_text())
+    assert cfg.out == path.stem + ".csv"
+
+
+def test_one_example_config_per_study():
+    studies = [StudyConfig.from_json(p.read_text()).study for p in EXAMPLES.glob("*.json")]
+    assert sorted(studies) == sorted(STUDIES)

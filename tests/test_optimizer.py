@@ -1,6 +1,7 @@
 
 import pytest
 
+from fermiopt.combinatorics import build_conflict_graph, greedy_color
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
 from fermiopt.gaussian import (
     Matching,
@@ -18,7 +19,7 @@ from fermiopt.optimizer import (
     PullBackError,
     RatioCertificate,
     lift_to_strict4,
-    optimize_auto,
+    optimize,
     optimize_mixed_24,
     optimize_ssyk,
     optimize_strict_q,
@@ -118,30 +119,30 @@ def test_below_threshold_still_attempts():
 def test_lift_weight2_sign_convention():
     ham = ham_of(4, ((0, 1), 3.0))
     lifted = lift_to_strict4(ham)
-    term = lifted.lifted.terms[0]
+    term = lifted.terms[0]
     assert term.indices == (0, 1, 8, 9)
     assert term.coeff == -3.0
-    assert lifted.lifted.n_modes == 5
+    assert lifted.n_modes == 5
 
 
 def test_lift_pure_weight4_is_embedding():
     ham = gen_sparse_random(10, 4, 2, "normal", seed=1)
     lifted = lift_to_strict4(ham)
-    assert lifted.lifted.terms == ham.terms
-    assert lifted.lifted.n_modes == ham.n_modes + 1
+    assert lifted.terms == ham.terms
+    assert lifted.n_modes == ham.n_modes + 1
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lift_preserves_total_strength(seed):
     ham = gen_mixed_24(10, 2, seed=seed)
     lifted = lift_to_strict4(ham)
-    assert total_strength(lifted.lifted) == pytest.approx(total_strength(ham), rel=1e-12)
+    assert total_strength(lifted) == pytest.approx(total_strength(ham), rel=1e-12)
 
 
 def test_lift_preserves_lambda_max():
     ham = gen_mixed_24(5, 2, seed=9)
     lifted = lift_to_strict4(ham)
-    assert lambda_max_exact(lifted.lifted) == pytest.approx(
+    assert lambda_max_exact(lifted) == pytest.approx(
         lambda_max_exact(ham), rel=1e-9
     )
 
@@ -223,7 +224,7 @@ def test_pull_back_weight2_branch_is_exact():
     sd = signs.as_dict()
     sd[(8, 9)] = -1
     tilde_signs = SignAssignment.from_dict(sd)
-    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted.lifted)
+    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
     assert tilde_value == pytest.approx(3.0, abs=1e-12)
     back_matching, back_signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
     value = matching_state_expectation(back_matching, back_signs, ham)
@@ -237,13 +238,13 @@ def test_pull_back_weight4_branch_no_overlap():
     lifted = lift_to_strict4(ham)
     _, tilde_matching, tilde_signs = branch_b_state(ham, [0], marked_edge(ham, [0]), (8, 9))
     tilde_signs = assign_signs(tilde_matching, [ham.terms[0]])
-    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted.lifted)
+    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
     assert tilde_value == pytest.approx(2.0, abs=1e-12)
     back_matching, back_signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
     value = matching_state_expectation(back_matching, back_signs, ham)
     assert value >= tilde_value - 1e-12
     rho_tilde = dense_state_from_matching(tilde_matching, tilde_signs)
-    assert dense_expectation(lifted.lifted, rho_tilde) == pytest.approx(
+    assert dense_expectation(lifted, rho_tilde) == pytest.approx(
         tilde_value, abs=1e-10
     )
     rho = dense_state_from_matching(back_matching, back_signs)
@@ -275,7 +276,7 @@ def test_pull_back_adversarial_overlaps(two_mode_coeffs):
     lifted = lift_to_strict4(ham)
     edge = marked_edge(ham, [0])
     _, tilde_matching, tilde_signs = branch_b_state(ham, [0], edge, (8, 9))
-    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted.lifted)
+    tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
     assert tilde_value == pytest.approx(1.0, abs=1e-12)  # overlapping terms drop out
     back_matching, back_signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
     value = matching_state_expectation(back_matching, back_signs, ham)
@@ -364,9 +365,9 @@ def test_ssyk_requires_quartic():
 
 def test_auto_routes_by_weights():
     quartic = gen_sparse_random(16, 4, 1, "normal", seed=0)
-    assert optimize_auto(quartic).certificate.pipeline == "strictq"
+    assert optimize(quartic).certificate.pipeline == "strictq"
     mixed = gen_mixed_24(16, 2, seed=0)
-    assert optimize_auto(mixed).certificate.pipeline == "mixed24"
+    assert optimize(mixed).certificate.pipeline == "mixed24"
 
 
 def test_certificate_json_round_trip():
@@ -375,3 +376,40 @@ def test_certificate_json_round_trip():
     again = RatioCertificate.from_json(cert.to_json())
     assert again == cert
     assert '"Q": 2' in cert.to_json()
+
+
+# --------------------------------------------------- several support violators
+
+
+def test_strict_several_violators_below_threshold():
+    ham = gen_sparse_random(6, 2, 2, "normal", seed=2)
+    cert = optimize_strict_q(ham).certificate
+    assert not cert.guarantee_holds
+    assert any("below size threshold" in note for note in cert.notes)
+
+
+def test_strict_several_violators_above_threshold_certifies():
+    ham = gen_sparse_random(9, 2, 2, "normal", seed=29)  # n = 9 > (q^2-1)k = 6
+    result = optimize_strict_q(ham, k=2)
+    assert len(result.partition.parts) == 6 == result.partition.bound
+    cert = result.certificate
+    assert cert.guarantee_holds
+    assert cert.achieved >= cert.guaranteed_ratio * cert.upper_bound
+
+
+@pytest.mark.parametrize("q,sizes", [(2, (6, 9, 12)), (4, (9, 20))])
+def test_guarantee_sweep_meets_its_floor(q, sizes):
+    # the state is re-evaluated here, not read back from the certificate
+    several = 0
+    for n in sizes:
+        for seed in range(20):
+            ham = gen_sparse_random(n, q, 2, "normal", seed=seed)
+            result = optimize_strict_q(ham, k=2)
+            n_colors = max(greedy_color(build_conflict_graph(ham))) + 1
+            several += sum(c >= n_colors for (_qh, c) in result.partition.parts) >= 2
+            cert = result.certificate
+            if cert.guarantee_holds:
+                achieved = matching_state_expectation(result.matching, result.signs, ham)
+                assert achieved >= cert.guaranteed_ratio * total_strength(ham) - 1e-12
+    if q == 2:
+        assert several > 0  # draws with more than one support violator are covered

@@ -48,18 +48,6 @@ def test_partition_debug_json():
     assert listed == [0, 1]
 
 
-def test_quartic_pairing_option_avoids_two_mode_terms():
-    # weight-2 term (0,1) sits on the consecutive pairing of the quartic;
-    # the option picks a pairing that dodges it
-    ham = ham_of(4, (0, 1, 2, 3), (0, 1), coeffs=[1.0, -3.0])
-    default, _ = diffuse_matching(ham, [0])
-    assert (0, 1) in set(default.pairs)
-    dodged, _ = diffuse_matching(ham, [0], avoid_two_mode_overlap=True)
-    assert (0, 1) not in set(dodged.pairs)
-    inner = [p for p in dodged.pairs if set(p) <= {0, 1, 2, 3}]
-    assert len(inner) == 2  # still pairs the quartic internally
-
-
 def test_gamma_form_state_round_trip():
     matching_state = correlation_from_matching(
         *state_from_json(

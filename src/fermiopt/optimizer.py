@@ -109,9 +109,6 @@ class OptimizationResult:
     certificate: RatioCertificate
     partition: DiffusePartition | None = None
 
-    def correlation(self):
-        return correlation_from_matching(self.matching, self.signs)
-
 
 def _best_effort(
     ham: MajoranaHamiltonian,
@@ -387,7 +384,8 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
         achieved = matching_state_expectation(matching, signs, ham)
         return matching, signs, achieved, (f"winning branch: weight {2 * key[0]} class {key[1]}",)
 
-    below = None if ham.n_majoranas > 15 * k_eff else f"below size threshold 2n > 15k = {15 * k_eff}"
+    limit = 15 * k_eff
+    below = None if ham.n_majoranas > limit else f"below size threshold 2n > 15k = {limit}"
     return _certify(ham, PIPELINE_MIXED24, partition, 1.0 / (2 * partition.bound), below, build)
 
 

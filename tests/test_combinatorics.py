@@ -204,7 +204,8 @@ def test_partition_halves_every_support_violator(n, seed):
     n_colors = max(greedy_color(build_conflict_graph(ham))) + 1
     partition = diffuse_partition(ham, locality=2, sparsity=2)
     assert sorted(partition.parts) == [(1, c) for c in range(2 * n_colors)]
-    assert sorted(i for ids in partition.parts.values() for i in ids) == list(range(len(ham.terms)))
+    covered = sorted(i for ids in partition.parts.values() for i in ids)
+    assert covered == list(range(len(ham.terms)))
     for ids in partition.parts.values():
         assert is_diffuse(ids, ham, locality=2).ok
     assert partition.all_diffuse and partition.within_bound()

@@ -75,8 +75,7 @@ def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
     )
     profile = sparsity_profile(ham)
     if ham.terms:
-        q = max(profile.weights_present)
-        bound = conflict_degree_bound(q, max(profile.max_degree, 1))
+        bound = conflict_degree_bound(max(profile.weights_present), max(profile.max_degree, 1))
         assert graph.max_degree <= bound, (graph.max_degree, bound)
     return graph
 
@@ -143,7 +142,7 @@ def is_diffuse(
                 if t_id not in member_ids and reached_from.setdefault(t_id, m_id) != m_id:
                     return DiffuseCheck(False, 2)
     if ham.terms:
-        q = locality if locality is not None else max(t.weight for t in ham.terms)
+        q = locality if locality is not None else max(sparsity_profile(ham).weights_present)
         if len(support) >= 2 * q * ham.n_modes / (q + 1):
             return DiffuseCheck(False, 3)
     return DiffuseCheck(True, None)
@@ -154,8 +153,10 @@ class DiffusePartition:
     """Disjoint cover of the term set by per-weight diffuse classes.
 
     Keys are ``(half_weight, color)``; values are term-id tuples.  ``bound``
-    is the printed class-count bound per weight; ``diffuse_flags`` records
-    the per-part separation verdicts (all true above the size thresholds).
+    is the printed class-count bound per weight, ``part_bound(locality,
+    sparsity)``: the (q, k) resolved once here, which the routes also read
+    for their size thresholds.  ``diffuse_flags`` records the per-part
+    separation verdicts (all true above the size thresholds).
     """
 
     parts: dict[tuple[int, int], tuple[int, ...]]
@@ -197,13 +198,8 @@ def diffuse_partition(
     is checked once, and only the halves of a split class again.
     """
     profile = sparsity_profile(ham)
-    if ham.terms:
-        q = locality if locality is not None else max(profile.weights_present)
-        k = sparsity if sparsity is not None else max(profile.max_degree, 1)
-    else:
-        q = locality if locality is not None else 2
-        k = sparsity if sparsity is not None else 1
-    k = max(k, 1)
+    q = locality if locality is not None else max(profile.weights_present, default=2)
+    k = max(sparsity if sparsity is not None else profile.max_degree, 1)
     bound = part_bound(q, k)
 
     graph = build_conflict_graph(ham)

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
@@ -93,29 +94,48 @@ class InteractionTerm:
 
 
 @dataclass(frozen=True)
+class SparsityProfile:
+    """Per-Majorana interaction counts of a Hamiltonian.
+
+    ``max_degree`` is the smallest ``k`` for which the Hamiltonian is
+    k-sparse (no Majorana occurs in more than ``k`` terms).
+    """
+
+    degree: Mapping[int, int]
+    max_degree: int
+    weights_present: frozenset[int] = field(default_factory=frozenset)
+
+
+@dataclass(frozen=True)
 class MajoranaHamiltonian:
     """A traceless Hamiltonian ``sum_I J_I C_I`` on ``2 * n_modes`` Majoranas.
 
     Index sets are pairwise distinct; all indices lie in ``[0, 2*n_modes)``.
+    It is its own read-only index, built once: ``term_id`` (index tuple ->
+    term id), ``mode_terms`` and the profile behind ``sparsity_profile``.
     """
 
     n_modes: int
     terms: tuple[InteractionTerm, ...]
+    term_id: Mapping[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.n_modes < 1:
             raise FormatError("malformed", f"n_modes must be positive, got {self.n_modes}")
-        seen = set()
-        for t in self.terms:
+        term_id: dict[tuple[int, ...], int] = {}
+        for t_id, t in enumerate(self.terms):
             if t.indices[-1] >= 2 * self.n_modes:
                 raise FormatError(
                     "index-range",
                     f"index {t.indices[-1]} out of range for {2 * self.n_modes} Majoranas",
                 )
-            if t.indices in seen:
+            if term_id.setdefault(t.indices, t_id) != t_id:
                 raise FormatError("duplicate-term", f"duplicate index set {t.indices}")
-            seen.add(t.indices)
+        object.__setattr__(self, "term_id", MappingProxyType(term_id))
+
+    def __reduce__(self):  # the index is derived: pickle the terms alone
+        return (MajoranaHamiltonian, (self.n_modes, self.terms))
 
     @property
     def n_majoranas(self) -> int:
@@ -130,35 +150,19 @@ class MajoranaHamiltonian:
                 out[mode].append(t_id)
         return tuple(tuple(ids) for ids in out)
 
-    def weights(self) -> set[int]:
-        return {t.weight for t in self.terms}
-
-
-@dataclass(frozen=True)
-class SparsityProfile:
-    """Per-Majorana interaction counts of a Hamiltonian.
-
-    ``max_degree`` is the smallest ``k`` for which the Hamiltonian is
-    k-sparse (no Majorana occurs in more than ``k`` terms).
-    """
-
-    degree: Mapping[int, int]
-    max_degree: int
-    weights_present: frozenset[int] = field(default_factory=frozenset)
+    @cached_property
+    def _profile(self) -> SparsityProfile:
+        degree = MappingProxyType({mode: len(ids) for mode, ids in enumerate(self.mode_terms)})
+        return SparsityProfile(
+            degree=degree,
+            max_degree=max(degree.values()),
+            weights_present=frozenset(t.weight for t in self.terms),
+        )
 
 
 def sparsity_profile(ham: MajoranaHamiltonian) -> SparsityProfile:
-    """Count, for every Majorana mode, the number of terms containing it."""
-    degree = {i: 0 for i in range(ham.n_majoranas)}
-    for t in ham.terms:
-        for i in t.indices:
-            degree[i] += 1
-    max_degree = max(degree.values()) if degree else 0
-    return SparsityProfile(
-        degree=degree,
-        max_degree=max_degree,
-        weights_present=frozenset(t.weight for t in ham.terms),
-    )
+    """Per-mode degrees, max degree and weight set; built once, shared read-only."""
+    return ham._profile
 
 
 def total_strength(ham: MajoranaHamiltonian) -> float:

@@ -201,18 +201,15 @@ def optimize_strict_q(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     certificate guarantees a 1/Q fraction of the total strength whenever the
     size threshold ``n > (q^2 - 1) k`` holds and no fallback was needed.
     """
-    weights = ham.weights()
+    weights = sparsity_profile(ham).weights_present
     if len(weights) > 1:
         raise ValueError(f"strictly local Hamiltonian required, weights {sorted(weights)}")
-    profile = sparsity_profile(ham)
     if not ham.terms:
         bound = part_bound(2, 1)
         return _best_effort(
             ham, PIPELINE_STRICTQ, bound, 1.0 / bound, ["no terms; nothing to certify"]
         )
-    q = next(iter(weights))
-    k_eff = max(k if k is not None else profile.max_degree, 1)
-    partition = diffuse_partition(ham, locality=q, sparsity=k_eff)
+    partition = diffuse_partition(ham, sparsity=k)
 
     def build(key, ids, value, matching):
         signs = assign_signs(matching, [ham.terms[i] for i in ids])
@@ -220,7 +217,7 @@ def optimize_strict_q(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
         assert math.isclose(check, value, rel_tol=1e-9, abs_tol=1e-12), (check, value)
         return matching, signs, value, ()
 
-    limit = (q * q - 1) * k_eff
+    limit = (partition.locality**2 - 1) * partition.sparsity
     below = None if ham.n_modes > limit else f"below size threshold n > (q^2-1)k = {limit}"
     return _certify(ham, PIPELINE_STRICTQ, partition, 1.0 / partition.bound, below, build)
 
@@ -232,8 +229,9 @@ def lift_to_strict4(ham: MajoranaHamiltonian) -> MajoranaHamiltonian:
     Weight-4 terms are copied; term ``i`` of the lift corresponds to term
     ``i`` of ``ham``.
     """
-    if not ham.weights() <= {2, 4}:
-        raise ValueError(f"weights must be 2 and 4, got {sorted(ham.weights())}")
+    weights = sparsity_profile(ham).weights_present
+    if not weights <= {2, 4}:
+        raise ValueError(f"weights must be within {{2, 4}}, got {sorted(weights)}")
     aux = (ham.n_majoranas, ham.n_majoranas + 1)
     lifted_terms = [
         InteractionTerm(term.indices + aux, -term.coeff) if term.weight == 2 else term
@@ -314,7 +312,11 @@ def _repair_two_mode_overlaps(
     pairs, which branch states guarantee.
     """
     sd = signs.as_dict()
-    two_mode = {t.indices: t.coeff for t in ham.terms if t.weight == 2}
+
+    def riding(pair: tuple[int, int]) -> float:
+        t_id = ham.term_id.get(pair)
+        return 0.0 if t_id is None else ham.terms[t_id].coeff * sd[pair]
+
     seen_pairs: set[tuple[int, int]] = set()
     for term in ham.terms:
         if term.weight != 4:
@@ -326,8 +328,7 @@ def _repair_two_mode_overlaps(
         if e1 in seen_pairs or e2 in seen_pairs:
             raise ValueError("consistent quartics share a dimer; not a branch state")
         seen_pairs.update((e1, e2))
-        riding = two_mode.get(e1, 0.0) * sd[e1] + two_mode.get(e2, 0.0) * sd[e2]
-        if riding < 0.0:
+        if riding(e1) + riding(e2) < 0.0:
             sd[e1] = -sd[e1]
             sd[e2] = -sd[e2]
     return SignAssignment.from_dict(sd)
@@ -341,27 +342,22 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     The certificate carries the 1/(2Q) guarantee when ``2n > 15k`` holds and
     the construction stayed on the guaranteed path.
     """
-    if not ham.weights() <= {2, 4}:
-        raise ValueError(f"weights must be within {{2, 4}}, got {sorted(ham.weights())}")
-    profile = sparsity_profile(ham)
+    lifted = lift_to_strict4(ham)  # rejects weights outside {2, 4}
     if not ham.terms:
         bound = part_bound(4, 1)
         return _best_effort(
             ham, PIPELINE_MIXED24, bound, 1.0 / (2 * bound), ["no terms; nothing to certify"]
         )
-    k_eff = max(k if k is not None else profile.max_degree, 1)
-    partition = diffuse_partition(ham, locality=4, sparsity=k_eff)
-    lifted = lift_to_strict4(ham)
+    partition = diffuse_partition(ham, locality=4, sparsity=k)
     aux = (ham.n_majoranas, ham.n_majoranas + 1)
 
     def build(key, ids, value, matching):
-        base_signs = assign_signs(matching, [ham.terms[i] for i in ids])
+        sd = assign_signs(matching, [ham.terms[i] for i in ids]).as_dict()
         if key[0] == 1:
             # weight-2 branch: append the auxiliary dimer in the state
             # that makes every lifted coefficient count positively
             tilde_matching = Matching(matching.pairs + (aux,))
-            tilde_sd = base_signs.as_dict()
-            tilde_sd[aux] = -1
+            sd[aux] = -1
         else:
             # weight-4 branch: re-route a marked outer edge through the
             # auxiliaries so no lifted weight-2 term can stay consistent
@@ -371,20 +367,20 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
                 raise DiracError("no outer edge available to mark")
             i1, i2 = outer[0]
             # outer edges are permitted edges, so never a weight-2 term
-            assert (i1, i2) not in {t.indices for t in ham.terms if t.weight == 2}
+            assert (i1, i2) not in ham.term_id
             kept = tuple(p for p in matching.pairs if p != (i1, i2))
             tilde_matching = Matching(kept + ((i1, aux[0]), (i2, aux[1])))
-            tilde_sd = {p: base_signs.as_dict()[p] for p in kept}
-            tilde_sd[(i1, aux[0])] = 1
-            tilde_sd[(i2, aux[1])] = 1
-        tilde_signs = SignAssignment.from_dict(tilde_sd)
+            sd = {p: sd[p] for p in kept}
+            sd[(i1, aux[0])] = 1
+            sd[(i2, aux[1])] = 1
+        tilde_signs = SignAssignment.from_dict(sd)
         tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
         assert math.isclose(tilde_value, value, rel_tol=1e-9, abs_tol=1e-12), (tilde_value, value)
         matching, signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
         achieved = matching_state_expectation(matching, signs, ham)
         return matching, signs, achieved, (f"winning branch: weight {2 * key[0]} class {key[1]}",)
 
-    limit = 15 * k_eff
+    limit = 15 * partition.sparsity
     below = None if ham.n_majoranas > limit else f"below size threshold 2n > 15k = {limit}"
     return _certify(ham, PIPELINE_MIXED24, partition, 1.0 / (2 * partition.bound), below, build)
 
@@ -433,7 +429,7 @@ def optimize_ssyk(ham: MajoranaHamiltonian, k: int) -> OptimizationResult:
     and the ratio inequality itself (the underlying statement is a
     high-probability one, so a rare draw may miss it).
     """
-    if ham.terms and ham.weights() != {4}:
+    if ham.terms and sparsity_profile(ham).weights_present != {4}:
         raise ValueError("strictly 4-local input required")
     k_prime = 8 * (k + 1)
     bound = ssyk_part_bound(k)
@@ -484,7 +480,7 @@ def optimize(
     """Run the named pipeline.  ``auto`` routes by weight profile: one
     weight -> strict, {2,4} -> mixed.  The diluted pipeline needs ``k``."""
     if pipeline == "auto":
-        weights = ham.weights()
+        weights = sparsity_profile(ham).weights_present
         if len(weights) <= 1:
             pipeline = PIPELINE_STRICTQ
         elif weights <= {2, 4}:

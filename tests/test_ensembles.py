@@ -137,7 +137,7 @@ def test_sparse_random_infeasible_target_errors():
 
 def test_mixed_24_weights_and_sparsity():
     ham = gen_mixed_24(12, 2, seed=0)
-    assert ham.weights() == {2, 4}
+    assert sparsity_profile(ham).weights_present == {2, 4}
     assert sparsity_profile(ham).max_degree <= 2
 
 

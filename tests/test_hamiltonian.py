@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from fermiopt.hamiltonian import (
     total_strength,
 )
 from fermiopt.oracle import lambda_max_exact
-from fermiopt.ensembles import gen_sparse_random, gen_ssyk
+from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
+from fermiopt.optimizer import optimize_strict_q
 
 from bruteforce import sign_by_inversions
 
@@ -84,6 +86,41 @@ def test_sparsity_profile_against_recount():
     assert profile.max_degree == max(recount.values())
     assert profile.max_degree >= 2
     assert sum(profile.degree.values()) == sum(t.weight for t in ham.terms)
+
+
+def test_profile_is_built_once_and_shared():
+    ham = gen_sparse_random(40, 4, 2, "normal", seed=3)
+    profile = sparsity_profile(ham)
+    assert sparsity_profile(ham) is profile
+    optimize_strict_q(ham)
+    assert sparsity_profile(ham) is profile
+
+
+def test_profile_degree_map_is_read_only():
+    ham = gen_ssyk(40, 2, seed=1)
+    profile = sparsity_profile(ham)
+    with pytest.raises(TypeError):
+        profile.degree[0] = 99
+    assert dict(profile.degree) == {m: len(ids) for m, ids in enumerate(ham.mode_terms)}
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [gen_mixed_24(40, 2, seed=s) for s in range(3)]
+    + [gen_sparse_random(30, q, 2, "normal", seed=s) for q in (2, 4) for s in range(3)],
+)
+def test_term_id_agrees_with_a_rescan(ham):
+    assert dict(ham.term_id) == {t.indices: t_id for t_id, t in enumerate(ham.terms)}
+    with pytest.raises(TypeError):
+        ham.term_id[(0, 1)] = 0
+
+
+def test_pickle_rebuilds_the_index():
+    ham = gen_mixed_24(20, 2, seed=0)
+    sparsity_profile(ham)
+    copy = pickle.loads(pickle.dumps(ham))
+    assert copy == ham and dict(copy.term_id) == dict(ham.term_id)
+    assert sparsity_profile(copy) == sparsity_profile(ham)
 
 
 def test_total_strength_absolute_sum():

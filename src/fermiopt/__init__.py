@@ -26,6 +26,7 @@ from .gaussian import (
     pfaffian,
 )
 from .combinatorics import (
+    ContractError,
     DiffusePartition,
     DiracError,
     build_conflict_graph,

@@ -26,7 +26,8 @@ from .gaussian import (
     state_to_json,
 )
 from .hamiltonian import parse_hamiltonian, serialize_hamiltonian
-from .optimizer import optimize
+from .combinatorics import ContractError, DiracError
+from .optimizer import PullBackError, optimize
 from .oracle import (
     DENSE_EIG_MODE_BUDGET,
     dense_expectation,
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
     }[args.verb]
     try:
         return handler(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, DiracError, PullBackError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,11 @@ class DiracError(RuntimeError):
     """The permitted graph is too thin for the cycle construction."""
 
 
+class ContractError(RuntimeError):
+    """A check that a certificate relies on failed.  Raised, never
+    asserted, so that it also runs under ``python -O``."""
+
+
 def conflict_degree_bound(q: int, k: int) -> int:
     """Largest possible conflict-graph degree for a k-sparse q-local set."""
     return q * (q - 1) * (k - 1) ** 2 + q * (k - 1)
@@ -75,8 +80,10 @@ def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
     )
     profile = sparsity_profile(ham)
     if ham.terms:
-        bound = conflict_degree_bound(max(profile.weights_present), max(profile.max_degree, 1))
-        assert graph.max_degree <= bound, (graph.max_degree, bound)
+        q = max(profile.weights_present)
+        bound = conflict_degree_bound(q, max(profile.max_degree, 1))
+        if graph.max_degree > bound:
+            raise ContractError(f"conflict degree {graph.max_degree} exceeds its bound {bound}")
     return graph
 
 
@@ -97,8 +104,8 @@ def greedy_color(graph: ConflictGraph) -> list[int]:
         while c in taken:
             c += 1
         colors[v] = c
-    assert all(c >= 0 for c in colors)
-    assert max(colors, default=-1) <= graph.max_degree
+    if any(c < 0 for c in colors) or max(colors, default=-1) > graph.max_degree:
+        raise ContractError(f"coloring exceeds max degree + 1 = {graph.max_degree + 1} colors")
     return colors
 
 
@@ -323,9 +330,11 @@ def _close_path_to_cycle(path: list[int], graph) -> list[int]:
 
 
 def validate_cycle(cycle: Sequence[int], graph) -> None:
-    assert sorted(cycle) == sorted(graph.vertices), "cycle must visit every vertex once"
+    if sorted(cycle) != sorted(graph.vertices):
+        raise ContractError("cycle must visit every vertex once")
     for i, v in enumerate(cycle):
-        assert graph.has_edge(v, cycle[(i + 1) % len(cycle)]), "cycle uses a non-edge"
+        if not graph.has_edge(v, cycle[(i + 1) % len(cycle)]):
+            raise ContractError("cycle uses a non-edge")
 
 
 def _take_first_neighbor(end: int, outside: list[int], graph) -> int | None:

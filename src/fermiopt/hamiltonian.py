@@ -175,11 +175,18 @@ def strength(terms: Iterable[InteractionTerm]) -> float:
     return float(sum(abs(t.coeff) for t in terms))
 
 
+def _is_int(value) -> bool:
+    # a JSON bool is a Python int; the schema does not accept it as one
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
     """Parse the Hamiltonian JSON document.
 
     Schema: ``{"n_modes": int, "terms": [{"indices": [int...], "coeff": float}...]}``
-    with strictly increasing, even-length index lists.
+    with strictly increasing, even-length index lists.  Counts and indices
+    must be JSON integers and coefficients JSON numbers; bools, strings and
+    fractional indices are rejected, never coerced.
     """
     try:
         doc = json.loads(text)
@@ -188,7 +195,7 @@ def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
     if not isinstance(doc, dict) or "n_modes" not in doc or "terms" not in doc:
         raise FormatError("malformed", "document must carry 'n_modes' and 'terms'")
     n_modes = doc["n_modes"]
-    if not isinstance(n_modes, int) or isinstance(n_modes, bool):
+    if not _is_int(n_modes):
         raise FormatError("malformed", f"n_modes must be an integer, got {n_modes!r}")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):
@@ -197,7 +204,16 @@ def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
     for entry in raw_terms:
         if not isinstance(entry, dict) or "indices" not in entry or "coeff" not in entry:
             raise FormatError("malformed", f"bad term entry {entry!r}")
-        terms.append(InteractionTerm(tuple(entry["indices"]), float(entry["coeff"])))
+        indices, coeff = entry["indices"], entry["coeff"]
+        if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
+            raise FormatError("malformed", f"indices must be a list of integers, got {indices!r}")
+        if not (_is_int(coeff) or isinstance(coeff, float)):
+            raise FormatError("malformed", f"coefficient must be a number, got {coeff!r}")
+        try:
+            coeff = float(coeff)
+        except OverflowError:
+            raise FormatError("malformed", "coefficient out of float range") from None
+        terms.append(InteractionTerm(tuple(indices), coeff))
     return MajoranaHamiltonian(n_modes=n_modes, terms=tuple(terms))
 
 

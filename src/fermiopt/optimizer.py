@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import (
+    ContractError,
     DiffusePartition,
     DiracError,
     diffuse_matching,
@@ -74,7 +75,8 @@ class RatioCertificate:
     def __post_init__(self):
         if self.guarantee_holds:
             floor = self.guaranteed_ratio * self.upper_bound - 1e-9 * self.upper_bound
-            assert self.achieved >= floor, (self.achieved, floor)
+            if not self.achieved >= floor:
+                raise ContractError(f"achieved {self.achieved} below the guaranteed floor {floor}")
 
     def to_json(self) -> str:
         doc = {
@@ -214,7 +216,8 @@ def optimize_strict_q(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     def build(key, ids, value, matching):
         signs = assign_signs(matching, [ham.terms[i] for i in ids])
         check = matching_state_expectation(matching, signs, ham)
-        assert math.isclose(check, value, rel_tol=1e-9, abs_tol=1e-12), (check, value)
+        if not math.isclose(check, value, rel_tol=1e-9, abs_tol=1e-12):
+            raise ContractError(f"closed form {check} disagrees with the part weight {value}")
         return matching, signs, value, ()
 
     limit = (partition.locality**2 - 1) * partition.sparsity
@@ -280,7 +283,8 @@ def pull_back(
     best: tuple[float, Matching, SignAssignment] | None = None
     for outcome in (1, -1):
         prob, reduced = condition_on_dimer(corr, aux_pair[0], aux_pair[1], outcome)
-        assert abs(prob - 0.5) < 1e-12  # auxiliaries sit in different dimers
+        if not abs(prob - 0.5) < 1e-12:  # auxiliaries sit in different dimers
+            raise ContractError(f"auxiliary dimer outcome has probability {prob}, not 1/2")
         base_pairs = [p for p in tilde_matching.pairs if aux_pair[0] not in p and aux_pair[1] not in p]
         new_pair = (min(i1, i2), max(i1, i2))
         cond_signs = {p: sd[p] for p in base_pairs}
@@ -289,7 +293,8 @@ def pull_back(
         matching = Matching(tuple(base_pairs) + (new_pair,))
         signs = SignAssignment.from_dict(cond_signs)
         # the closed form must agree with the Schur-complement update
-        assert (reduced.gamma == correlation_from_matching(matching, signs).gamma).all()
+        if not (reduced.gamma == correlation_from_matching(matching, signs).gamma).all():
+            raise ContractError("pulled-back state disagrees with the Schur complement")
         signs = _repair_two_mode_overlaps(matching, signs, ham)
         value = matching_state_expectation(matching, signs, ham)
         if best is None or value > best[0]:
@@ -367,7 +372,8 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
                 raise DiracError("no outer edge available to mark")
             i1, i2 = outer[0]
             # outer edges are permitted edges, so never a weight-2 term
-            assert (i1, i2) not in ham.term_id
+            if (i1, i2) in ham.term_id:
+                raise ContractError(f"marked outer edge {(i1, i2)} is a weight-2 term")
             kept = tuple(p for p in matching.pairs if p != (i1, i2))
             tilde_matching = Matching(kept + ((i1, aux[0]), (i2, aux[1])))
             sd = {p: sd[p] for p in kept}
@@ -375,7 +381,8 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
             sd[(i2, aux[1])] = 1
         tilde_signs = SignAssignment.from_dict(sd)
         tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
-        assert math.isclose(tilde_value, value, rel_tol=1e-9, abs_tol=1e-12), (tilde_value, value)
+        if not math.isclose(tilde_value, value, rel_tol=1e-9, abs_tol=1e-12):
+            raise ContractError(f"lifted value {tilde_value} disagrees with the class {value}")
         matching, signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
         achieved = matching_state_expectation(matching, signs, ham)
         return matching, signs, achieved, (f"winning branch: weight {2 * key[0]} class {key[1]}",)
@@ -416,7 +423,8 @@ def ssyk_part_bound(k: int) -> int:
     """Class-count bound of the diluted-quartic certificate: twice the
     strict-route bound at the truncation degree 8(k+1)."""
     value = 1236 + 2752 * k + 1536 * k * k
-    assert value == 2 * part_bound(4, 8 * (k + 1))
+    if value != 2 * part_bound(4, 8 * (k + 1)):
+        raise ContractError(f"closed-form bound {value} disagrees with part_bound")
     return value
 
 

@@ -10,7 +10,8 @@ import fermiopt
 from fermiopt.cli import main
 from fermiopt.ensembles import gen_sparse_random
 from fermiopt.hamiltonian import parse_hamiltonian, serialize_hamiltonian, sparsity_profile
-from fermiopt.optimizer import RatioCertificate
+from fermiopt.combinatorics import ContractError, DiracError
+from fermiopt.optimizer import PullBackError, RatioCertificate
 
 
 def run(argv):
@@ -206,25 +207,62 @@ def test_optimize_rejects_boolean_mode_count(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+def _optimize_in_subprocess(tmp_path, h, extra=()):
+    # a separate process, so that an uncaught exception shows as a
+    # traceback on stderr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fermiopt.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "fermiopt.cli", "optimize", "--in", str(h), *extra,
+         "--out-state", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json")],
+        env=env, capture_output=True, text=True,
+    )
+
+
 @pytest.mark.parametrize(
     "n,seed,extra,expected",
     [(6, 2, [], 2), (9, 29, ["--k", "2"], 0)],
     ids=["below-threshold", "above-threshold"],
 )
 def test_optimize_several_support_violators_exits_cleanly(tmp_path, n, seed, extra, expected):
-    # draws with three classes over the support bound; a separate process,
-    # so that an uncaught exception shows as a traceback on stderr
+    # draws with three classes over the support bound
     h = tmp_path / "h.json"
     h.write_text(serialize_hamiltonian(gen_sparse_random(n, 2, 2, "normal", seed=seed)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(fermiopt.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fermiopt.cli", "optimize", "--in", str(h), *extra,
-         "--out-state", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json")],
-        env=env, capture_output=True, text=True,
-    )
+    proc = _optimize_in_subprocess(tmp_path, h, extra)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert RatioCertificate.from_json((tmp_path / "c.json").read_text()).guarantee_holds is (
         expected == 0
     )
+
+
+@pytest.mark.parametrize(
+    "term",
+    ['{"indices": [0.7, 1.2], "coeff": 1.0}', '{"indices": 5, "coeff": 1.0}'],
+    ids=["float-indices", "scalar-indices"],
+)
+def test_optimize_rejects_malformed_terms(tmp_path, term):
+    h = tmp_path / "h.json"
+    h.write_text('{"n_modes": 2, "terms": [%s]}' % term)
+    proc = _optimize_in_subprocess(tmp_path, h)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("error", [DiracError, PullBackError, ContractError])
+def test_optimize_maps_pipeline_errors_to_exit_1(tmp_path, capsys, monkeypatch, error):
+    h = tmp_path / "h.json"
+    h.write_text(serialize_hamiltonian(gen_sparse_random(6, 2, 1, "normal", seed=0)))
+
+    def fail(*args, **kwargs):
+        raise error("construction failed")
+
+    monkeypatch.setattr("fermiopt.cli.optimize", fail)
+    code = run(
+        ["optimize", "--in", str(h), "--out-state", str(tmp_path / "s.json"),
+         "--out-cert", str(tmp_path / "c.json")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: construction failed\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiopt.combinatorics import (
+    ContractError,
     DiracError,
     build_conflict_graph,
     conflict_degree_bound,
@@ -277,6 +278,15 @@ def test_cycle_rejects_thin_graph():
     ring = ToyGraph(range(6), [(i, (i + 1) % 6) for i in range(6)])  # degree 2
     with pytest.raises(DiracError):
         hamiltonian_cycle_dense(ring)
+
+
+@pytest.mark.parametrize(
+    "cycle", [[0, 1, 2, 3, 4], [0, 2, 1, 3, 4, 5]], ids=["misses-a-vertex", "uses-a-non-edge"]
+)
+def test_validate_cycle_raises_on_a_bad_cycle(cycle):
+    ring = ToyGraph(range(6), [(i, (i + 1) % 6) for i in range(6)])
+    with pytest.raises(ContractError):
+        validate_cycle(cycle, ring)
 
 
 @settings(max_examples=20, deadline=None)

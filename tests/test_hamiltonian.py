@@ -172,12 +172,28 @@ def test_serialize_round_trip():
             '{"n_modes": 2, "terms": [{"indices": [0, 0, 1, 2], "coeff": 1.0}]}',
             "repeated-majorana",
         ),
+        # indices must be a list of integers and the coefficient a number;
+        # nothing is coerced
+        ('{"n_modes": 2, "terms": [{"indices": [0.7, 1.2], "coeff": 1.0}]}', "malformed"),
+        ('{"n_modes": 2, "terms": [{"indices": "01", "coeff": 1.0}]}', "malformed"),
+        ('{"n_modes": 2, "terms": [{"indices": [false, true], "coeff": 1.0}]}', "malformed"),
+        ('{"n_modes": 2, "terms": [{"indices": 5, "coeff": 1.0}]}', "malformed"),
+        ('{"n_modes": 2, "terms": [{"indices": [[0, 1]], "coeff": 1.0}]}', "malformed"),
+        ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": true}]}', "malformed"),
+        ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": "2.5"}]}', "malformed"),
+        ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": null}]}', "malformed"),
+        ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": 1%s}]}' % ("0" * 400), "malformed"),
     ],
 )
 def test_parse_errors_carry_codes(doc, code):
     with pytest.raises(FormatError) as err:
         parse_hamiltonian(doc)
     assert err.value.code == code
+
+
+def test_parse_accepts_integer_coefficients():
+    ham = parse_hamiltonian('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": 2}]}')
+    assert ham.terms == (InteractionTerm((0, 1), 2.0),)
 
 
 def test_duplicate_index_sets_rejected_not_merged():

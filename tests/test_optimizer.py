@@ -1,7 +1,13 @@
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from fermiopt.combinatorics import build_conflict_graph, greedy_color
+import fermiopt
+from fermiopt.combinatorics import ContractError, build_conflict_graph, greedy_color
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
 from fermiopt.gaussian import (
     Matching,
@@ -376,6 +382,43 @@ def test_certificate_json_round_trip():
     again = RatioCertificate.from_json(cert.to_json())
     assert again == cert
     assert '"Q": 2' in cert.to_json()
+
+
+def test_forged_certificate_rejected_under_python_O():
+    # the floor check is a raised error, so optimised bytecode keeps it
+    script = (
+        "from fermiopt.combinatorics import ContractError\n"
+        "from fermiopt.optimizer import RatioCertificate\n"
+        "try:\n"
+        "    RatioCertificate(pipeline='strictq', achieved=0.0, upper_bound=1.0, part_bound=2,\n"
+        "                     guaranteed_ratio=0.5, guarantee_holds=True)\n"
+        "except ContractError:\n"
+        "    print('rejected')\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fermiopt.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.stdout == "rejected\n", proc.stderr
+
+
+def test_forged_certificate_file_rejected():
+    honest = RatioCertificate("strictq", 0.0, 1.0, 2, 0.5, False).to_json()
+    forged = honest.replace('"guarantee_holds": false', '"guarantee_holds": true')
+    with pytest.raises(ContractError):
+        RatioCertificate.from_json(forged)
+
+
+def test_failed_recheck_is_not_skipped_as_a_thin_part(monkeypatch):
+    # the certify loop skips a part only on DiracError; a failed closed-form
+    # recheck must end the run
+    ham = gen_sparse_random(16, 4, 1, "normal", seed=0)
+    monkeypatch.setattr("fermiopt.optimizer.matching_state_expectation", lambda *a: -1.0)
+    with pytest.raises(ContractError):
+        optimize_strict_q(ham)
 
 
 # --------------------------------------------------- several support violators

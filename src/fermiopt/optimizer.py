@@ -403,14 +403,10 @@ def truncate_to_sparse(
     """
     if k_prime < 1:
         raise ValueError("k' must be >= 1")
-    order = sorted(range(len(ham.terms)), key=lambda t: ham.terms[t].indices)
-    counts = [0] * ham.n_majoranas
     marked: set[int] = set()
-    for t_id in order:
-        for mode in ham.terms[t_id].indices:
-            if counts[mode] >= k_prime:
-                marked.add(t_id)
-            counts[mode] += 1
+    for ids in ham.mode_terms:
+        if len(ids) > k_prime:
+            marked.update(sorted(ids, key=lambda t: ham.terms[t].indices)[k_prime:])
     core = tuple(t for t_id, t in enumerate(ham.terms) if t_id not in marked)
     residual = tuple(t for t_id, t in enumerate(ham.terms) if t_id in marked)
     return (

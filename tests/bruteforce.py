@@ -197,3 +197,16 @@ def hamiltonian_cycle_sorted_neighbors(graph) -> list[int] | None:
         w, i = attach
         path = [w] + cycle[i:] + cycle[:i]
         in_path = set(path)
+
+
+def truncation_marks_scan(ham, k_prime: int) -> set[int]:
+    """Term ids past the first ``k_prime`` on some Majorana, walking all
+    terms in lexicographic order with a running count per Majorana."""
+    counts = [0] * (2 * ham.n_modes)
+    marked: set[int] = set()
+    for t_id in sorted(range(len(ham.terms)), key=lambda t: ham.terms[t].indices):
+        for mode in ham.terms[t_id].indices:
+            if counts[mode] >= k_prime:
+                marked.add(t_id)
+            counts[mode] += 1
+    return marked

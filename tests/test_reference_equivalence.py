@@ -22,11 +22,13 @@ from fermiopt.combinatorics import (
 )
 from fermiopt.ensembles import _unrank_combination, gen_sparse_random, gen_ssyk
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
+from fermiopt.optimizer import truncate_to_sparse
 
 from bruteforce import (
     dense_permitted_adjacency,
     diffuse_verdict_scan,
     hamiltonian_cycle_sorted_neighbors,
+    truncation_marks_scan,
     unrank_combination_scan,
 )
 
@@ -182,3 +184,16 @@ def test_cycle_matches_reference_on_random_dense_graphs(seed):
             hamiltonian_cycle_dense(graph)
     else:
         assert hamiltonian_cycle_dense(graph) == expected
+
+
+# ---------------------------------------------------------------- truncation
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k_prime", [1, 2, 5, 24])
+def test_truncation_matches_running_count_scan(seed, k_prime):
+    for ham in (gen_ssyk(60, 6, seed=seed), gen_sparse_random(30, 4, 6, "normal", seed=seed)):
+        marked = truncation_marks_scan(ham, k_prime)
+        core, residual = truncate_to_sparse(ham, k_prime)
+        assert residual.terms == tuple(t for i, t in enumerate(ham.terms) if i in marked)
+        assert core.terms == tuple(t for i, t in enumerate(ham.terms) if i not in marked)

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import experiments
+from .combinatorics import ContractError, DiracError
 from .ensembles import FAMILIES, EnsembleSpec, gen_two_colored, generate
 from .gaussian import (
     CorrelationMatrix,
@@ -26,7 +27,6 @@ from .gaussian import (
     state_to_json,
 )
 from .hamiltonian import parse_hamiltonian, serialize_hamiltonian
-from .combinatorics import ContractError, DiracError
 from .optimizer import PullBackError, optimize
 from .oracle import (
     DENSE_EIG_MODE_BUDGET,

@@ -8,9 +8,9 @@ import pytest
 
 import fermiopt
 from fermiopt.cli import main
+from fermiopt.combinatorics import ContractError, DiracError
 from fermiopt.ensembles import gen_sparse_random
 from fermiopt.hamiltonian import parse_hamiltonian, serialize_hamiltonian, sparsity_profile
-from fermiopt.combinatorics import ContractError, DiracError
 from fermiopt.optimizer import PullBackError, RatioCertificate
 
 

@@ -63,7 +63,6 @@ from .oracle import (
     dense_hamiltonian,
     dense_state_from_matching,
     gaussian_numeric_max,
-    jordan_wigner,
     lambda_max_exact,
     rho_theta_sweep,
     sweep_slope,

@@ -120,7 +120,6 @@ class CorrelationMatrix:
         if frob > n + SINGVAL_TOL:
             raise ValueError(f"Frobenius weight {frob:g} exceeds n={n}")
         self.gamma = gamma
-        self._svals = svals
 
     @property
     def n_majoranas(self) -> int:
@@ -129,9 +128,6 @@ class CorrelationMatrix:
     @property
     def n_modes(self) -> int:
         return self.gamma.shape[0] // 2
-
-    def is_pure(self, tol: float = SINGVAL_TOL) -> bool:
-        return bool(np.all(np.abs(self._svals - 1.0) <= tol))
 
 
 def _pfaffian_exact_int(mat: np.ndarray) -> float:

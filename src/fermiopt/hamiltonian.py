@@ -186,17 +186,22 @@ def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
     Schema: ``{"n_modes": int, "terms": [{"indices": [int...], "coeff": float}...]}``
     with strictly increasing, even-length index lists.  Counts and indices
     must be JSON integers and coefficients JSON numbers; bools, strings and
-    fractional indices are rejected, never coerced.
+    fractional indices are rejected, never coerced, and ``n_modes`` is at
+    most ``2**17``.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past Python's digit limit
         raise FormatError("malformed", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n_modes" not in doc or "terms" not in doc:
         raise FormatError("malformed", "document must carry 'n_modes' and 'terms'")
     n_modes = doc["n_modes"]
     if not _is_int(n_modes):
         raise FormatError("malformed", f"n_modes must be an integer, got {n_modes!r}")
+    # above every generator's range (gen_ssyk stops at 60,988 modes); the
+    # per-mode structures of a larger document would not fit in memory
+    if n_modes > 2**17:
+        raise FormatError("malformed", f"n_modes exceeds {2**17}")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):
         raise FormatError("malformed", "'terms' must be a list")

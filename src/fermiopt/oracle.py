@@ -1,9 +1,12 @@
-"""Exact brute-force backends: Jordan-Wigner matrices, eigenvalues, sweeps.
+"""Exact brute-force backends: grouped Pauli sums, eigenvalues, sweeps.
 
 Everything here works at matrix level and exists to check the closed-form
 machinery elsewhere in the package.  Majorana operators are realized as
-Pauli strings; a string is held as ``(x_mask, z_mask, scalar)`` acting on
-basis state ``|b>`` by ``scalar * (-1)^{popcount(b & z)} |b ^ x>``.
+Jordan-Wigner Pauli strings; a string is held as ``(x_mask, z_mask, scalar)``
+acting on basis state ``|b>`` by ``scalar * (-1)^{popcount(b & z)} |b ^ x>``.
+Every operator is built as one Pauli sum: its strings grouped by X mask, with
+each group's phases summed once into a coefficient vector.  Dense matrices,
+matrix-free products, dimer states and traces all read that one form.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ class DenseOperator:
     n_modes: int
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_modes
-
 
 def _majorana_string(i: int, n_modes: int) -> tuple[int, int, complex]:
     """Pauli string of Majorana ``c_i`` under the Jordan-Wigner mapping."""
@@ -77,69 +76,72 @@ def term_string(indices, n_modes: int) -> tuple[int, int, complex]:
     return x, z, s * (1j ** (len(indices) // 2))
 
 
-def _apply_string(
-    string: tuple[int, int, complex], vec: np.ndarray, out: np.ndarray, weight: complex
-) -> None:
-    x, z, s = string
-    dim = vec.shape[0]
-    idx = np.arange(dim, dtype=np.uint32)
-    phase = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint32(z)) & 1).astype(np.float64)
-    # idx ^ x is a permutation, so plain fancy indexing accumulates correctly
-    out[idx ^ np.uint32(x)] += (weight * s) * phase * vec
+def _pauli_sum(weighted_strings, n_modes: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group ``((x, z, s), weight)`` strings by X mask.
+
+    Returns one ``(cols, coef)`` pair per distinct mask, in first-seen order:
+    row ``r`` of the operator holds ``coef[r]`` in column ``cols[r] = r ^ x``.
+    """
+    rows = np.arange(2**n_modes, dtype=np.uint32)
+    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for (x, z, s), weight in weighted_strings:
+        if x not in groups:
+            groups[x] = (rows ^ np.uint32(x), np.zeros(rows.shape[0], dtype=complex))
+        cols, coef = groups[x]
+        phase = 1.0 - 2.0 * (np.bitwise_count(cols & np.uint32(z)) & 1).astype(np.float64)
+        coef += (weight * s) * phase
+    return list(groups.values())
 
 
-def _string_matrix(string: tuple[int, int, complex], n_modes: int) -> np.ndarray:
-    x, z, s = string
+def _hamiltonian_sum(ham: MajoranaHamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
+    n = ham.n_modes
+    return _pauli_sum(((term_string(t.indices, n), t.coeff) for t in ham.terms), n)
+
+
+def _string_matrix(pauli_sum, n_modes: int) -> np.ndarray:
+    """Dense matrix of a Pauli sum on ``n_modes`` qubits."""
     dim = 2**n_modes
-    idx = np.arange(dim, dtype=np.uint32)
-    phase = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint32(z)) & 1).astype(np.float64)
+    rows = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[idx ^ np.uint32(x), idx] = s * phase
+    for cols, coef in pauli_sum:
+        mat[rows, cols] = coef
     return mat
 
 
-def jordan_wigner(i: int, n_modes: int) -> DenseOperator:
-    """Dense matrix of Majorana ``c_i`` on ``n_modes`` qubits."""
-    if n_modes > DENSE_OP_MODE_BUDGET:
-        raise BudgetError(
-            f"dense path capped at {DENSE_OP_MODE_BUDGET} modes; use the iterative path"
-        )
-    if not 0 <= i < 2 * n_modes:
-        raise ValueError(f"Majorana index {i} out of range for {n_modes} modes")
-    return DenseOperator(n_modes, _string_matrix(_majorana_string(i, n_modes), n_modes))
+def _apply_string(pauli_sum, vec: np.ndarray, out: np.ndarray) -> None:
+    """``out += P @ vec`` for the Pauli sum ``P``, one gather per X mask.
+
+    ``vec`` may be a matrix, acted on from the left.  Each gather is a copy
+    taken before ``out`` changes, so a one-group sum may update ``vec`` in place.
+    """
+    for cols, coef in pauli_sum:
+        gathered = vec[cols]
+        gathered *= coef if vec.ndim == 1 else coef[:, None]
+        out += gathered
 
 
 def dense_term(indices, n_modes: int) -> np.ndarray:
     """Dense matrix of the Hermitian monomial ``C_I``."""
     if n_modes > DENSE_OP_MODE_BUDGET:
         raise BudgetError(f"dense path capped at {DENSE_OP_MODE_BUDGET} modes")
-    return _string_matrix(term_string(indices, n_modes), n_modes)
+    return _string_matrix(_pauli_sum([(term_string(indices, n_modes), 1.0)], n_modes), n_modes)
 
 
 def dense_hamiltonian(ham: MajoranaHamiltonian) -> DenseOperator:
     """Dense matrix of the full Hamiltonian."""
     if ham.n_modes > DENSE_OP_MODE_BUDGET:
         raise BudgetError(f"dense path capped at {DENSE_OP_MODE_BUDGET} modes")
-    dim = 2**ham.n_modes
-    mat = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim, dtype=np.uint32)
-    for t in ham.terms:
-        x, z, s = term_string(t.indices, ham.n_modes)
-        phase = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint32(z)) & 1).astype(np.float64)
-        mat[idx ^ np.uint32(x), idx] += (t.coeff * s) * phase
-    return DenseOperator(ham.n_modes, mat)
+    return DenseOperator(ham.n_modes, _string_matrix(_hamiltonian_sum(ham), ham.n_modes))
 
 
 def matvec_operator(ham: MajoranaHamiltonian) -> LinearOperator:
-    """Matrix-free action of H on state vectors, one Pauli string per term."""
+    """Matrix-free action of H on state vectors, from one Pauli sum built up front."""
     dim = 2**ham.n_modes
-    strings = [(term_string(t.indices, ham.n_modes), t.coeff) for t in ham.terms]
+    pauli_sum = _hamiltonian_sum(ham)
 
     def matvec(vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=complex).reshape(dim)
         out = np.zeros(dim, dtype=complex)
-        for string, coeff in strings:
-            _apply_string(string, vec, out, coeff)
+        _apply_string(pauli_sum, np.asarray(vec, dtype=complex).reshape(dim), out)
         return out
 
     return LinearOperator((dim, dim), matvec=matvec, dtype=complex)
@@ -183,7 +185,8 @@ def dense_dimer_state(
     dim = 2**n_modes
     rho = np.eye(dim, dtype=complex) / dim
     for (a, b), sign in dimers:
-        rho = rho + sign * (dense_term((a, b), n_modes) @ rho)
+        # rho += sign * C_(a,b) @ rho, applied in place
+        _apply_string(_pauli_sum([(term_string((a, b), n_modes), sign)], n_modes), rho, rho)
     return DenseOperator(n_modes, rho)
 
 
@@ -197,7 +200,12 @@ def dense_state_from_matching(
 
 
 def dense_expectation(ham: MajoranaHamiltonian, rho: DenseOperator) -> float:
-    return float(np.real(np.trace(dense_hamiltonian(ham).matrix @ rho.matrix)))
+    """``Tr(H rho)``, one gathered diagonal per X mask of H; no dense H is built."""
+    if rho.n_modes != ham.n_modes:
+        raise ValueError(f"state on {rho.n_modes} modes, Hamiltonian on {ham.n_modes}")
+    rows = np.arange(2**ham.n_modes)
+    total = sum(coef @ rho.matrix[cols, rows] for cols, coef in _hamiltonian_sum(ham))
+    return float(np.real(total))
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +213,14 @@ def dense_expectation(ham: MajoranaHamiltonian, rho: DenseOperator) -> float:
 # ---------------------------------------------------------------------------
 
 
-def default_theta_grid(points: int = 64, low: float = 1e-3, high: float = 2.0) -> np.ndarray:
-    return np.geomspace(low, high, points)
-
-
 def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
     """Dense scaffolding shared by the sweep and the slope checks.
 
     Majorana layout: the ``n1`` first-color modes, then the ``n2``
     second-color modes, then ``n2`` fresh auxiliary Majoranas paired with
-    the second color in the reference state.
+    the second color in the reference state.  ``zeta`` is the Pauli sum of
+    the ``coupling * P_phi * sigma_chi`` strings, and ``slope`` is the
+    first-order response ``Tr([zeta, H] rho0)``.
     """
     n1, n2, q = meta.n1, meta.n2, meta.q
     if n1 % 2 != 0:
@@ -223,26 +229,15 @@ def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
     n_modes = total // 2
     if 2**n_modes > SWEEP_DIM_BUDGET:
         raise BudgetError(f"sweep capped at {SWEEP_DIM_BUDGET} dimensions")
-    dim = 2**n_modes
 
-    norm = 1.0 / math.sqrt(math.comb(n1, q - 1))
-    tau_scalar = 1j ** (q // 2 - 1)
-    taus = []
-    for j in range(n2):
-        tau = np.zeros((dim, dim), dtype=complex)
-        for entry in meta.entries:
-            if entry.chi != j:
-                continue
-            prod = (0, 0, 1.0 + 0.0j)
-            for s in entry.phi:
-                prod = _string_product(prod, _majorana_string(s, n_modes))
-            tau += entry.coupling * _string_matrix(prod, n_modes)
-        taus.append(norm * tau_scalar * tau)
-
-    zeta = np.zeros((dim, dim), dtype=complex)
-    for j in range(n2):
-        sigma = _string_matrix(_majorana_string(n1 + n2 + j, n_modes), n_modes)
-        zeta += taus[j] @ sigma
+    scale = (1.0 / math.sqrt(math.comb(n1, q - 1))) * 1j ** (q // 2 - 1)
+    strings = []
+    for entry in meta.entries:
+        prod = (0, 0, 1.0 + 0.0j)
+        for s in (*entry.phi, n1 + n2 + entry.chi):
+            prod = _string_product(prod, _majorana_string(s, n_modes))
+        strings.append((prod, scale * entry.coupling))
+    zeta = _string_matrix(_pauli_sum(strings, n_modes), n_modes)
 
     # the model Hamiltonian acts on the first n1 + n2 Majoranas only
     embedded = MajoranaHamiltonian(n_modes=n_modes, terms=ham2.terms)
@@ -250,7 +245,8 @@ def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
 
     dimers = [((n1 + j, n1 + n2 + j), -1) for j in range(n2)]
     rho0 = dense_dimer_state(n_modes, dimers).matrix
-    return {"zeta": zeta, "h": hmat, "rho0": rho0, "n_modes": n_modes}
+    slope = float(np.real(np.trace((zeta @ hmat - hmat @ zeta) @ rho0)))
+    return {"zeta": zeta, "h": hmat, "rho0": rho0, "slope": slope}
 
 
 def sweep_slope(ham2: MajoranaHamiltonian, meta) -> tuple[float, float]:
@@ -258,15 +254,13 @@ def sweep_slope(ham2: MajoranaHamiltonian, meta) -> tuple[float, float]:
     finite difference of the rotated expectation."""
     pieces = _two_colored_dense(ham2, meta)
     zeta, hmat, rho0 = pieces["zeta"], pieces["h"], pieces["rho0"]
-    commutator = float(np.real(np.trace((zeta @ hmat - hmat @ zeta) @ rho0)))
     eps = 1e-5
     values = []
     for t in (eps, -eps):
         rot = expm(-t * zeta)
         rho_t = rot @ rho0 @ rot.conj().T
         values.append(float(np.real(np.trace(hmat @ rho_t))))
-    finite_difference = (values[0] - values[1]) / (2 * eps)
-    return commutator, finite_difference
+    return pieces["slope"], (values[0] - values[1]) / (2 * eps)
 
 
 def rho_theta_sweep(
@@ -278,13 +272,15 @@ def rho_theta_sweep(
     by ``exp(-theta * zeta)`` trades second-order cost for a first-order
     gain.  The sign of theta is fixed by the measured first-order response
     (a parity rule in ``q/2`` up to operator-ordering conventions), so the
-    swept direction always starts uphill.  Returns the (theta, value) curve.
+    swept direction always starts uphill.  Returns the (theta, value) curve
+    over ``theta_grid``, by default 64 points geometric in ``[1e-3, 2]``.
     """
     pieces = _two_colored_dense(ham2, meta)
     zeta, hmat, rho0 = pieces["zeta"], pieces["h"], pieces["rho0"]
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    slope = float(np.real(np.trace((zeta @ hmat - hmat @ zeta) @ rho0)))
-    orientation = 1.0 if slope >= 0 else -1.0
+    if theta_grid is None:
+        theta_grid = np.geomspace(1e-3, 2.0, 64)
+    grid = np.asarray(theta_grid, dtype=float)
+    orientation = 1.0 if pieces["slope"] >= 0 else -1.0
 
     # zeta is anti-Hermitian: diagonalize i*zeta once, rotations are diagonal
     evals, basis = np.linalg.eigh(1j * zeta)

@@ -210,3 +210,59 @@ def truncation_marks_scan(ham, k_prime: int) -> set[int]:
                 marked.add(t_id)
             counts[mode] += 1
     return marked
+
+
+# ------------------------------------------------ per-string operator builders
+#
+# A Pauli string is ``(x_mask, z_mask, scalar)``, acting on ``|b>`` by
+# ``scalar * (-1)^{popcount(b & z)} |b ^ x>``.  These builders take one
+# string at a time and recompute its phases each time, with no grouping by
+# X mask.
+
+
+def _string_phase(idx: np.ndarray, z: int) -> np.ndarray:
+    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint32(z)) & 1).astype(np.float64)
+
+
+def dense_sum_per_string(weighted_strings, n_modes: int) -> np.ndarray:
+    """Dense ``sum weight * string``, scattering one string at a time."""
+    dim = 2**n_modes
+    idx = np.arange(dim, dtype=np.uint32)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for (x, z, s), weight in weighted_strings:
+        mat[idx ^ np.uint32(x), idx] += (weight * s) * _string_phase(idx, z)
+    return mat
+
+
+def matvec_per_string(weighted_strings, vec: np.ndarray) -> np.ndarray:
+    """``(sum weight * string) @ vec``, scattering one string at a time."""
+    idx = np.arange(vec.shape[0], dtype=np.uint32)
+    out = np.zeros(vec.shape[0], dtype=complex)
+    for (x, z, s), weight in weighted_strings:
+        out[idx ^ np.uint32(x)] += (weight * s) * _string_phase(idx, z) * vec
+    return out
+
+
+def dimer_state_by_matmul(n_modes: int, signed_strings) -> np.ndarray:
+    """``(1/2^n) prod (I + sign * D)`` by dense products, one dimer string
+    ``D`` at a time: ``rho = rho + sign * (D @ rho)``."""
+    dim = 2**n_modes
+    rho = np.eye(dim, dtype=complex) / dim
+    for string, sign in signed_strings:
+        rho = rho + sign * (dense_sum_per_string([(string, 1.0)], n_modes) @ rho)
+    return rho
+
+
+def zeta_by_tau_products(n_modes: int, scale: complex, tau_terms, sigma_strings) -> np.ndarray:
+    """``zeta = sum_j tau_j @ sigma_j`` with one dense ``tau_j`` per second-color
+    mode: ``tau_j = scale * sum coupling * P_phi`` over the ``(chi, P_phi,
+    coupling)`` entries with ``chi = j``, and ``sigma_j`` the j-th auxiliary
+    Majorana string."""
+    dim = 2**n_modes
+    taus = [np.zeros((dim, dim), dtype=complex) for _ in sigma_strings]
+    for chi, string, coupling in tau_terms:
+        taus[chi] += coupling * dense_sum_per_string([(string, 1.0)], n_modes)
+    zeta = np.zeros((dim, dim), dtype=complex)
+    for tau, sigma in zip(taus, sigma_strings):
+        zeta += (scale * tau) @ dense_sum_per_string([(sigma, 1.0)], n_modes)
+    return zeta

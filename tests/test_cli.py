@@ -251,6 +251,18 @@ def test_optimize_rejects_malformed_terms(tmp_path, term):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize(
+    "n_modes", ["100000000", "1" + "0" * 5000], ids=["over-cap", "over-digit-limit"]
+)
+def test_optimize_rejects_oversized_mode_count(tmp_path, n_modes):
+    h = tmp_path / "h.json"
+    h.write_text('{"n_modes": %s, "terms": []}' % n_modes)
+    proc = _optimize_in_subprocess(tmp_path, h)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("error", [DiracError, PullBackError, ContractError])
 def test_optimize_maps_pipeline_errors_to_exit_1(tmp_path, capsys, monkeypatch, error):
     h = tmp_path / "h.json"

@@ -183,12 +183,20 @@ def test_serialize_round_trip():
         ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": "2.5"}]}', "malformed"),
         ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": null}]}', "malformed"),
         ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": 1%s}]}' % ("0" * 400), "malformed"),
+        # mode counts past 2**17, and one past Python's int-parse digit limit
+        ('{"n_modes": 131073, "terms": []}', "malformed"),
+        ('{"n_modes": 100000000, "terms": []}', "malformed"),
+        ('{"n_modes": 1%s, "terms": []}' % ("0" * 5000), "malformed"),
     ],
 )
 def test_parse_errors_carry_codes(doc, code):
     with pytest.raises(FormatError) as err:
         parse_hamiltonian(doc)
     assert err.value.code == code
+
+
+def test_parse_accepts_mode_counts_up_to_the_cap():
+    assert parse_hamiltonian('{"n_modes": 131072, "terms": []}').n_modes == 2**17
 
 
 def test_parse_accepts_integer_coefficients():

@@ -1,4 +1,5 @@
 
+import ast
 import os
 import subprocess
 import sys
@@ -403,6 +404,18 @@ def test_forged_certificate_rejected_under_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.stdout == "rejected\n", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(Path(fermiopt.__file__).parent.rglob("*.py")),
+    ids=lambda path: path.stem,
+)
+def test_package_has_no_assert_statements(module):
+    # python -O strips assert statements; every contract must be a raised error
+    tree = ast.parse(module.read_text(), filename=str(module))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{module.name}: assert statements at lines {lines}"
 
 
 def test_forged_certificate_file_rejected():

@@ -3,7 +3,9 @@
 Each rewritten piece must give exactly the answer of the straightforward
 algorithm it replaced (kept in ``bruteforce``): the same combination for a
 rank, the same diffuse verdict, the same permitted edges and the same
-Hamiltonian cycle.
+Hamiltonian cycle.  The grouped Pauli sums of the exact oracles must give
+the same dense matrices as the per-string builders, and products and the
+sweep generator equal to within rounding.
 """
 
 import itertools
@@ -20,16 +22,38 @@ from fermiopt.combinatorics import (
     is_diffuse,
     permitted_graph,
 )
-from fermiopt.ensembles import _unrank_combination, gen_sparse_random, gen_ssyk
+from fermiopt.ensembles import (
+    _unrank_combination,
+    gen_mixed_24,
+    gen_sparse_random,
+    gen_ssyk,
+    gen_syk_q,
+    gen_two_colored,
+)
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
 from fermiopt.optimizer import truncate_to_sparse
+from fermiopt.oracle import (
+    DenseOperator,
+    _majorana_string,
+    _string_product,
+    _two_colored_dense,
+    dense_dimer_state,
+    dense_expectation,
+    dense_hamiltonian,
+    matvec_operator,
+    term_string,
+)
 
 from bruteforce import (
     dense_permitted_adjacency,
+    dense_sum_per_string,
     diffuse_verdict_scan,
+    dimer_state_by_matmul,
     hamiltonian_cycle_sorted_neighbors,
+    matvec_per_string,
     truncation_marks_scan,
     unrank_combination_scan,
+    zeta_by_tau_products,
 )
 
 
@@ -197,3 +221,84 @@ def test_truncation_matches_running_count_scan(seed, k_prime):
         core, residual = truncate_to_sparse(ham, k_prime)
         assert residual.terms == tuple(t for i, t in enumerate(ham.terms) if i in marked)
         assert core.terms == tuple(t for i, t in enumerate(ham.terms) if i not in marked)
+
+
+# ------------------------------------------------------------- exact oracles
+
+
+def _weighted_strings(ham):
+    return [(term_string(t.indices, ham.n_modes), t.coeff) for t in ham.terms]
+
+
+def _mixed_weight_draws():
+    yield from (gen_mixed_24(n, 2, seed=n) for n in (6, 9, 10))
+    for seed in range(2):
+        terms = gen_syk_q(6, 2, seed=seed).terms + gen_syk_q(6, 6, seed=seed).terms
+        yield MajoranaHamiltonian(n_modes=6, terms=terms)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("seed", range(5))
+def test_dense_hamiltonian_equals_per_string_scatter(n, seed):
+    ham = gen_syk_q(n, 4, seed=seed)
+    expected = dense_sum_per_string(_weighted_strings(ham), n)
+    assert np.array_equal(dense_hamiltonian(ham).matrix, expected)
+
+
+def test_dense_hamiltonian_equals_per_string_scatter_mixed_weights():
+    for ham in _mixed_weight_draws():
+        expected = dense_sum_per_string(_weighted_strings(ham), ham.n_modes)
+        assert np.array_equal(dense_hamiltonian(ham).matrix, expected)
+
+
+@pytest.mark.parametrize("n_modes,seed", [(3, 0), (6, 1), (9, 2)])
+def test_dense_dimer_state_equals_matmul_product(n_modes, seed):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(2 * n_modes).tolist()
+    pairs = [tuple(sorted(order[2 * i : 2 * i + 2])) for i in range(n_modes)]
+    dimers = [(pair, int(sign)) for pair, sign in zip(pairs, rng.choice([-1, 1], n_modes))]
+    for subset in (dimers, dimers[: n_modes // 2 + 1], []):
+        strings = [(term_string(pair, n_modes), sign) for pair, sign in subset]
+        expected = dimer_state_by_matmul(n_modes, strings)
+        assert np.array_equal(dense_dimer_state(n_modes, subset).matrix, expected)
+
+
+@pytest.mark.parametrize("n1,n2,q,seed", [(6, 2, 4, 7), (8, 4, 4, 3), (8, 3, 6, 5)])
+def test_zeta_matches_tau_products(n1, n2, q, seed):
+    ham2, meta = gen_two_colored(n1, n2, q, seed=seed)
+    n_modes = n1 // 2 + n2
+    scale = (1.0 / math.sqrt(math.comb(n1, q - 1))) * 1j ** (q // 2 - 1)
+    tau_terms = []
+    for entry in meta.entries:
+        prod = (0, 0, 1.0 + 0.0j)
+        for s in entry.phi:
+            prod = _string_product(prod, _majorana_string(s, n_modes))
+        tau_terms.append((entry.chi, prod, entry.coupling))
+    sigmas = [_majorana_string(n1 + n2 + j, n_modes) for j in range(n2)]
+    expected = zeta_by_tau_products(n_modes, scale, tau_terms, sigmas)
+    zeta = _two_colored_dense(ham2, meta)["zeta"]
+    assert np.allclose(zeta, expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "ham", [gen_syk_q(9, 4, seed=1), gen_ssyk(11, 2, seed=4)], ids=["syk4-n9", "ssyk-n11"]
+)
+def test_matvec_matches_per_string_scatter(ham):
+    rng = np.random.default_rng(0)
+    dim = 2**ham.n_modes
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    vec /= np.linalg.norm(vec)  # a state vector, as the Lanczos solver passes
+    expected = matvec_per_string(_weighted_strings(ham), vec)
+    assert np.allclose(matvec_operator(ham).matvec(vec), expected, rtol=0.0, atol=1e-14)
+
+
+def test_dense_expectation_matches_dense_trace():
+    for ham in _mixed_weight_draws():
+        n = ham.n_modes
+        rng = np.random.default_rng(n)
+        pairs = [(2 * j, 2 * j + 1) for j in range(n)]
+        rho = dense_dimer_state(n, [(p, int(rng.choice([-1, 1]))) for p in pairs])
+        expected = np.real(np.trace(dense_sum_per_string(_weighted_strings(ham), n) @ rho.matrix))
+        assert dense_expectation(ham, rho) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError):
+        dense_expectation(gen_syk_q(4, 4, seed=0), DenseOperator(3, np.eye(8)))

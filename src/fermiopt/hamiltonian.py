@@ -198,8 +198,8 @@ def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
     n_modes = doc["n_modes"]
     if not _is_int(n_modes):
         raise FormatError("malformed", f"n_modes must be an integer, got {n_modes!r}")
-    # above every generator's range (gen_ssyk stops at 60,988 modes); the
-    # per-mode structures of a larger document would not fit in memory
+    # 2**17 is above every generator's range (gen_ssyk stops at 60,988
+    # modes) and bounds the ~1 KB per mode that the pipelines allocate
     if n_modes > 2**17:
         raise FormatError("malformed", f"n_modes exceeds {2**17}")
     raw_terms = doc["terms"]

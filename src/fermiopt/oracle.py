@@ -185,7 +185,7 @@ def dense_dimer_state(
     dim = 2**n_modes
     rho = np.eye(dim, dtype=complex) / dim
     for (a, b), sign in dimers:
-        # rho += sign * C_(a,b) @ rho, applied in place
+        # rho += sign * C_(a,b) rho in place: one row gather, no dense C_(a,b)
         _apply_string(_pauli_sum([(term_string((a, b), n_modes), sign)], n_modes), rho, rho)
     return DenseOperator(n_modes, rho)
 

@@ -20,6 +20,14 @@ from .hamiltonian import InteractionTerm, MajoranaHamiltonian
 
 FAMILIES = ("sykq", "ssyk", "sparse_random", "two_colored")
 
+# the parameters each family's generator reads from an EnsembleSpec
+_FAMILY_PARAMS = {
+    "sykq": ("n", "q"),
+    "ssyk": ("n", "k"),
+    "sparse_random": ("n", "q", "k"),
+    "two_colored": ("n1", "n2", "q"),
+}
+
 # largest n with binom(2n, 4) < 2^63, the trial-count limit of gen_ssyk's draw
 SSYK_MAX_N = 60988
 
@@ -39,6 +47,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        missing = [name for name in _FAMILY_PARAMS[self.family] if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"family {self.family!r} needs {', '.join(missing)}")
 
     def to_json(self) -> str:
         doc = {"spec": {key: val for key, val in asdict(self).items() if val is not None}}
@@ -49,34 +60,39 @@ class EnsembleSpec:
         return cls(**json.loads(text)["spec"])
 
 
-def _unrank_combination(rank: int, n_items: int, size: int) -> tuple[int, ...]:
-    """Inverse of the lexicographic rank of a ``size``-combination of
-    ``range(n_items)``.
+def _unrank_combination(ranks: np.ndarray, n_items: int, size: int) -> np.ndarray:
+    """Inverse of the lexicographic rank of ``size``-combinations of
+    ``range(n_items)``: row ``i`` of the ``(len(ranks), size)`` result is
+    the combination of rank ``ranks[i]`` in ``itertools.combinations``
+    order.
 
-    Works on the dual rank ``C(n_items, size) - 1 - rank``: the smallest
-    next element ``c`` is the first one with ``C(n_items - 1 - c, r) <=
-    dual`` (``r`` elements still to place), found by binary search since
-    the left side falls as ``c`` grows.
+    Works on the dual rank ``C(n_items, size) - 1 - rank``: with ``r``
+    elements still to place, the next element is ``n_items - 1 - a`` for
+    the largest ``a`` with ``C(a, r) <= dual``, found for the whole batch
+    by one ``searchsorted`` on the exact table of ``C(a, r)``.
     """
     total = math.comb(n_items, size)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} outside [0, {total})")
-    dual = total - 1 - rank
-    out = []
-    low = 0
-    for remaining in range(size, 0, -1):
-        # C(remaining - 1, remaining) = 0 <= dual, so ``high`` always qualifies
-        high = n_items - remaining
-        while low < high:
-            mid = (low + high) // 2
-            if math.comb(n_items - 1 - mid, remaining) <= dual:
-                high = mid
-            else:
-                low = mid + 1
-        out.append(low)
-        dual -= math.comb(n_items - 1 - low, remaining)
-        low += 1
-    return tuple(out)
+    if total >= 2**63:
+        raise ValueError(
+            f"C({n_items}, {size}) = {total} is not below 2^63, the limit of int64 ranks"
+        )
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size and not (0 <= ranks.min() and ranks.max() < total):
+        raise ValueError(f"ranks outside [0, {total})")
+    # tables[r][a] = C(a, r) for a up to n_items - size + r - 1, the largest
+    # a visited with r elements still to place; Pascal's rule as cumulative
+    # sums keeps every entry exact
+    tables = [np.ones(n_items - size, dtype=np.int64)]
+    for _ in range(size):
+        tables.append(np.concatenate(([0], np.cumsum(tables[-1]))))
+    dual = (total - 1) - ranks
+    out = np.empty((ranks.size, size), dtype=np.int64)
+    for position, remaining in enumerate(range(size, 0, -1)):
+        table = tables[remaining]
+        a = np.searchsorted(table, dual, side="right") - 1
+        out[:, position] = n_items - 1 - a
+        dual = dual - table[a]
+    return out
 
 
 def gen_syk_q(n: int, q: int, seed: int) -> MajoranaHamiltonian:
@@ -104,11 +120,12 @@ def gen_ssyk(n: int, k: int, seed: int) -> MajoranaHamiltonian:
     distinct-rank draw, which is distributionally identical to independent
     per-quartet trials but runs in O(#kept) instead of O(binom(2n, 4)).
 
-    Size limits: the binomial count takes a 64-bit trial count, so
-    ``binom(2n, 4)`` must stay below 2^63, i.e. ``n <= 60988``.  Ranks come
-    from ``rng.integers_below``, which scales 53-bit uniforms; above
-    ``n = 10782`` ``binom(2n, 4)`` exceeds 2^53 and not every quartet rank
-    is reachable, so the draw is only approximately uniform there.
+    Size limits: ``1 <= k <= binom(2n-1, 3)``, so that p is a probability.
+    The binomial count takes a 64-bit trial count and ranks are unranked in
+    int64, so ``binom(2n, 4)`` must stay below 2^63, i.e. ``n <= 60988``.
+    Ranks come from ``rng.integers_below``, which scales 53-bit uniforms;
+    above ``n = 10782`` ``binom(2n, 4)`` exceeds 2^53 and not every quartet
+    rank is reachable, so the draw is only approximately uniform there.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -118,31 +135,26 @@ def gen_ssyk(n: int, k: int, seed: int) -> MajoranaHamiltonian:
             f"gen_ssyk supports n <= {SSYK_MAX_N}: binom(2n, 4) = {total} "
             "is not below 2^63, the limit of the binomial count draw"
         )
-    p = k / math.comb(2 * n - 1, 3)
-    count = int(rng.generator(seed, "ssyk-count").binomial(total, p))
-    ranks: list[int] = []
-    seen: set[int] = set()
+    per_majorana = math.comb(2 * n - 1, 3)
+    if not 1 <= k <= per_majorana:
+        raise ValueError(f"need 1 <= k <= binom(2n-1, 3) = {per_majorana}, got k = {k}")
+    count = int(rng.generator(seed, "ssyk-count").binomial(total, k / per_majorana))
+    # the first ``count`` distinct ranks in stream order, batch by batch
+    kept = np.empty(0, dtype=np.int64)
     position = 0
-    while len(ranks) < count:
-        need = count - len(ranks)
+    while kept.size < count:
+        need = count - kept.size
         batch = rng.integers_below(seed, "ssyk-select", need + 8, total, index=position)
         position += 1
-        for r in batch:
-            r = int(r)
-            if r not in seen:
-                seen.add(r)
-                ranks.append(r)
-                if len(ranks) == count:
-                    break
-    ranks.sort()
+        first = np.sort(np.unique(batch, return_index=True)[1])
+        fresh = batch[first]
+        fresh = fresh[~np.isin(fresh, kept)]
+        kept = np.concatenate((kept, fresh[:need]))
+    ranks = np.sort(kept)
     scale = 1.0 / math.sqrt(2 * k * n)
-    terms = tuple(
-        InteractionTerm(
-            _unrank_combination(r, 2 * n, 4),
-            scale * rng.normal_at(seed, "ssyk-coeff", r),
-        )
-        for r in ranks
-    )
+    rows = _unrank_combination(ranks, 2 * n, 4).tolist()
+    coeffs = (scale * rng.normals_at(seed, "ssyk-coeff", ranks)).tolist()
+    terms = tuple(InteractionTerm(tuple(idx), c) for idx, c in zip(rows, coeffs))
     return MajoranaHamiltonian(n_modes=n, terms=terms)
 
 
@@ -158,6 +170,11 @@ def gen_sparse_random(
 
     Candidate supports stream in uniformly at random and are kept greedily
     while they respect the degree budget; coefficients are normal or +-1.
+
+    Size limits: candidate ranks are drawn and unranked in int64, so
+    ``binom(2n, q)`` must stay below 2^63 (``n <= 60988`` at q = 4).  They
+    come from ``rng.integers_below``, which scales 53-bit uniforms, so above
+    ``binom(2n, q) = 2^53`` not every support is reachable.
     """
     if q % 2 != 0 or q < 2:
         raise ValueError("q must be even and >= 2")
@@ -166,42 +183,42 @@ def gen_sparse_random(
     if coeff_dist not in ("normal", "pm1"):
         raise ValueError(f"unknown coefficient distribution {coeff_dist!r}")
     total = math.comb(2 * n, q)
+    if total >= 2**63:
+        raise ValueError(
+            f"gen_sparse_random needs binom(2n, q) below 2^63, the limit of its "
+            f"rank draw; binom({2 * n}, {q}) = {total}"
+        )
     target = n_terms if n_terms is not None else (2 * n * k) // q
-    degree = np.zeros(2 * n, dtype=int)
-    chosen: list[int] = []
-    seen: set[int] = set()
+    load = [0] * (2 * n)
+    kept: dict[int, tuple[int, ...]] = {}
     max_batches = 60
     position = 0
-    while len(chosen) < target and position < max_batches:
-        batch = rng.integers_below(
+    while len(kept) < target and position < max_batches:
+        ranks = rng.integers_below(
             seed, "sparse-select", max(4 * target, 64), total, index=position
         )
         position += 1
-        for r in batch:
-            r = int(r)
-            if r in seen:
-                continue
-            seen.add(r)
-            idx = _unrank_combination(r, 2 * n, q)
-            if any(degree[i] >= k for i in idx):
+        rows = _unrank_combination(ranks, 2 * n, q)
+        # loads only grow, so a candidate that touches a full Majorana now
+        # would be rejected in order too; only kept ranks need remembering
+        open_ = (np.array(load)[rows] < k).all(axis=1)
+        for r, idx in zip(ranks[open_].tolist(), rows[open_].tolist()):
+            if r in kept or any(load[i] >= k for i in idx):
                 continue
             for i in idx:
-                degree[i] += 1
-            chosen.append(r)
-            if len(chosen) == target:
+                load[i] += 1
+            kept[r] = tuple(idx)
+            if len(kept) == target:
                 break
-    if n_terms is not None and len(chosen) < n_terms:
+    if n_terms is not None and len(kept) < n_terms:
         raise ValueError(f"could not place {n_terms} terms after bounded retries")
-    chosen.sort()
-    terms = []
-    for r in chosen:
-        idx = _unrank_combination(r, 2 * n, q)
-        if coeff_dist == "normal":
-            coeff = rng.normal_at(seed, "sparse-coeff", r)
-        else:
-            coeff = 1.0 if rng.uniforms(seed, "sparse-coeff", 1, index=r)[0] < 0.5 else -1.0
-        terms.append(InteractionTerm(idx, coeff))
-    return MajoranaHamiltonian(n_modes=n, terms=tuple(terms))
+    ranks = np.array(sorted(kept), dtype=np.int64)
+    if coeff_dist == "normal":
+        coeffs = rng.normals_at(seed, "sparse-coeff", ranks)
+    else:
+        coeffs = np.where(rng.uniforms_at(seed, "sparse-coeff", ranks) < 0.5, 1.0, -1.0)
+    terms = tuple(InteractionTerm(kept[r], c) for r, c in zip(ranks.tolist(), coeffs.tolist()))
+    return MajoranaHamiltonian(n_modes=n, terms=terms)
 
 
 def gen_mixed_24(n: int, k: int, seed: int) -> MajoranaHamiltonian:
@@ -251,15 +268,12 @@ def gen_two_colored(
         raise ValueError("need 1 <= n2 <= n1")
     subsets = list(itertools.combinations(range(n1), q - 1))
     norm = 1.0 / math.sqrt(n2 * math.comb(n1, q - 1))
+    couplings = rng.normals_at(seed, "twocolor-coeff", np.arange(n2 * len(subsets))).tolist()
     terms = []
     entries = []
-    rank = 0
-    for j in range(n2):
-        for subset in subsets:
-            coupling = rng.normal_at(seed, "twocolor-coeff", rank)
-            rank += 1
-            entries.append(TwoColoredEntry(phi=subset, chi=j, coupling=coupling))
-            terms.append(InteractionTerm(subset + (n1 + j,), norm * coupling))
+    for (j, subset), coupling in zip(itertools.product(range(n2), subsets), couplings):
+        entries.append(TwoColoredEntry(phi=subset, chi=j, coupling=coupling))
+        terms.append(InteractionTerm(subset + (n1 + j,), norm * coupling))
     n_modes = (n1 + n2 + 1) // 2
     ham = MajoranaHamiltonian(n_modes=n_modes, terms=tuple(terms))
     return ham, TwoColoredMeta(n1=n1, n2=n2, q=q, entries=tuple(entries))

@@ -2,6 +2,9 @@
 
 Everything here is deliberately naive: enumeration, inversion counting,
 exhaustive search.  Nothing imports the algorithms it is meant to check.
+The reference samplers draw through the package's single-stream
+primitives (``rng.stream_key``, ``rng.integers_below``, ``rng.generator``),
+one stream per value, and replace only the batched draws.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from fermiopt import rng
 
 
 def sign_by_inversions(seq) -> int:
@@ -110,6 +115,83 @@ def unrank_combination_scan(rank: int, n_items: int, size: int) -> tuple[int, ..
         else:
             raise ValueError("rank out of range")
     return tuple(out)
+
+
+def normal_at(seed: int, tag: str, index: int) -> float:
+    """One standard normal from a fresh Philox bit generator on the
+    substream ``(seed, tag, index)``."""
+    return float(rng.normals(seed, tag, 1, index=index)[0])
+
+
+def sign_at(seed: int, tag: str, index: int) -> float:
+    """+1 or -1 from the first uniform of the substream ``(seed, tag, index)``."""
+    return 1.0 if rng.uniforms(seed, tag, 1, index=index)[0] < 0.5 else -1.0
+
+
+def ssyk_terms_per_rank(n: int, k: int, seed: int) -> list[tuple[tuple[int, ...], float]]:
+    """The diluted quartic draw one rank at a time: distinct ranks kept in
+    stream order through a set, then a scan unranking and one ``normal_at``
+    per kept quartet.  Returns ``(indices, coeff)`` in rank order."""
+    total = math.comb(2 * n, 4)
+    p = k / math.comb(2 * n - 1, 3)
+    count = int(rng.generator(seed, "ssyk-count").binomial(total, p))
+    ranks: list[int] = []
+    seen: set[int] = set()
+    position = 0
+    while len(ranks) < count:
+        need = count - len(ranks)
+        batch = rng.integers_below(seed, "ssyk-select", need + 8, total, index=position)
+        position += 1
+        for r in batch:
+            r = int(r)
+            if r not in seen:
+                seen.add(r)
+                ranks.append(r)
+                if len(ranks) == count:
+                    break
+    scale = 1.0 / math.sqrt(2 * k * n)
+    return [
+        (unrank_combination_scan(r, 2 * n, 4), scale * normal_at(seed, "ssyk-coeff", r))
+        for r in sorted(ranks)
+    ]
+
+
+def sparse_random_per_candidate(
+    n: int, q: int, k: int, coeff_dist: str, seed: int, n_terms: int | None = None
+) -> list[tuple[tuple[int, ...], float]] | None:
+    """The greedy degree-budget placement one candidate at a time: every
+    streamed rank is remembered, unranked by a scan and kept while all its
+    Majoranas are below ``k``.  Returns ``(indices, coeff)`` in rank order,
+    or None when ``n_terms`` terms could not be placed."""
+    total = math.comb(2 * n, q)
+    target = n_terms if n_terms is not None else (2 * n * k) // q
+    degree = [0] * (2 * n)
+    chosen: list[int] = []
+    seen: set[int] = set()
+    position = 0
+    while len(chosen) < target and position < 60:
+        batch = rng.integers_below(seed, "sparse-select", max(4 * target, 64), total, index=position)
+        position += 1
+        for r in batch:
+            r = int(r)
+            if r in seen:
+                continue
+            seen.add(r)
+            idx = unrank_combination_scan(r, 2 * n, q)
+            if any(degree[i] >= k for i in idx):
+                continue
+            for i in idx:
+                degree[i] += 1
+            chosen.append(r)
+            if len(chosen) == target:
+                break
+    if n_terms is not None and len(chosen) < n_terms:
+        return None
+    draw = normal_at if coeff_dist == "normal" else sign_at
+    return [
+        (unrank_combination_scan(r, 2 * n, q), draw(seed, "sparse-coeff", r))
+        for r in sorted(chosen)
+    ]
 
 
 def diffuse_verdict_scan(subset_ids, ham, locality=None) -> tuple[bool, int | None]:

@@ -278,3 +278,31 @@ def test_optimize_maps_pipeline_errors_to_exit_1(tmp_path, capsys, monkeypatch, 
     )
     assert code == 1
     assert capsys.readouterr().err == "error: construction failed\n"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--family", "ssyk", "--n", "10", "--k", "0"], "1 <= k <= binom"),
+        (["--family", "ssyk", "--n", "10", "--k", "-1"], "1 <= k <= binom"),
+        (["--family", "ssyk", "--n", "2", "--k", "2"], "1 <= k <= binom"),
+        (["--family", "sparse_random", "--n", "600", "--q", "8", "--k", "1"], "below 2^63"),
+        (["--family", "ssyk", "--n", "10"], "needs k"),
+        (["--family", "two_colored", "--n1", "6", "--q", "4"], "needs n2"),
+    ],
+    ids=["ssyk-k0", "ssyk-negative-k", "ssyk-k-above-range", "sparse-past-int64",
+         "ssyk-no-k", "two-colored-no-n2"],
+)
+def test_gen_rejects_bad_parameters(tmp_path, args, message):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fermiopt.__file__).resolve().parent.parent)
+    out = tmp_path / "h.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fermiopt.cli", "gen", *args, "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -96,6 +96,23 @@ def test_ssyk_size_limit_is_explicit():
         gen_ssyk(SSYK_MAX_N + 1, 2, seed=0)
 
 
+@pytest.mark.parametrize("n,k", [(10, 0), (10, -1), (2, 2), (10, math.comb(19, 3) + 1)])
+def test_ssyk_rejects_k_outside_its_range(n, k, monkeypatch):
+    # p = k / binom(2n-1, 3) must be a probability, and k = 0 divides by zero
+    monkeypatch.setattr("fermiopt.rng.generator", _no_draw)
+    with pytest.raises(ValueError, match="1 <= k <= binom"):
+        gen_ssyk(n, k, seed=0)
+
+
+def test_ssyk_accepts_the_ends_of_the_k_range():
+    assert len(gen_ssyk(2, 1, seed=0).terms) == 1  # p = 1: the one quartet
+    assert len(gen_ssyk(4, math.comb(7, 3), seed=0).terms) == math.comb(8, 4)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("drew before the input was checked")
+
+
 def test_ssyk_deterministic():
     a = gen_ssyk(60, 2, seed=3)
     b = gen_ssyk(60, 2, seed=3)
@@ -133,6 +150,19 @@ def test_sparse_random_deterministic():
 def test_sparse_random_infeasible_target_errors():
     with pytest.raises(ValueError):
         gen_sparse_random(10, 4, 1, "normal", seed=0, n_terms=500)
+
+
+def test_sparse_random_rejects_rank_counts_past_int64(monkeypatch):
+    # binom(1200, 8) > 2^63: the rank draw and the unranker work in int64
+    monkeypatch.setattr("fermiopt.rng.integers_below", _no_draw)
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        gen_sparse_random(600, 8, 1, "normal", seed=0)
+    # at q = 8 the limit falls between n = 443 and 444
+    assert math.comb(886, 8) < 2**63 <= math.comb(888, 8)
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        gen_sparse_random(444, 8, 1, "normal", seed=0)
+    monkeypatch.undo()
+    assert len(gen_sparse_random(443, 8, 1, "normal", seed=0).terms) > 0
 
 
 def test_mixed_24_weights_and_sparsity():
@@ -194,6 +224,20 @@ def test_fuzzed_specs_emit_valid_hamiltonians(family, seed):
     from fermiopt.hamiltonian import parse_hamiltonian
 
     assert parse_hamiltonian(serialize_hamiltonian(ham)) == ham
+
+
+@pytest.mark.parametrize(
+    "fields,missing",
+    [
+        ({"family": "ssyk", "n": 10}, "k"),
+        ({"family": "sykq", "q": 4}, "n"),
+        ({"family": "sparse_random", "n": 10, "k": 2}, "q"),
+        ({"family": "two_colored", "n1": 6, "q": 4}, "n2"),
+    ],
+)
+def test_spec_names_missing_family_parameters(fields, missing):
+    with pytest.raises(ValueError, match=f"needs {missing}"):
+        EnsembleSpec(seed=0, **fields)
 
 
 def test_spec_json_round_trip():

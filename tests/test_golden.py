@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
+from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk, gen_two_colored
 from fermiopt.gaussian import state_to_json
 from fermiopt.hamiltonian import serialize_hamiltonian
 from fermiopt.optimizer import optimize_mixed_24, optimize_ssyk, optimize_strict_q
@@ -96,6 +96,64 @@ def test_golden_digest(build, notes, expected):
     for fragment in notes:
         assert any(fragment in note for note in result.certificate.notes), fragment
     assert artifact_digest(ham, result) == expected
+
+
+# ---------------------------------------------------------- generator outputs
+#
+# Draws that no pipeline case above reaches: the two-colored family, +-1
+# coefficients, weights 2 and 6 at sizes where the greedy placement runs
+# many batches, an explicit term count, and a diluted model large enough
+# that its quartet ranks pass 2^53.  Recorded before the samplers were
+# batched; each digest covers the serialized Hamiltonian only.
+
+# (id, Hamiltonian, sha256 of serialize_hamiltonian)
+GENERATOR_CASES = [
+    (
+        "two-colored-q4", lambda: gen_two_colored(8, 4, 4, seed=3)[0],
+        "4ebb1f6b2895a57703bc252205d8e7e64f58c0a78a3bfd6950d919ba9247fff2",
+    ),
+    (
+        "two-colored-q6", lambda: gen_two_colored(9, 3, 6, seed=5)[0],
+        "c2afd906fa8607f7bb2bbf51f5b54f584c44431d25bf9adb9612e3cbcadc3472",
+    ),
+    (
+        "sparse-pm1-q4-n40", lambda: gen_sparse_random(40, 4, 2, "pm1", seed=21),
+        "cd428b5db84eafdd299ff9ec37728e0b79026ae2cad8ab540de10b1754d938c8",
+    ),
+    (
+        "sparse-pm1-q4-n120-k3", lambda: gen_sparse_random(120, 4, 3, "pm1", seed=22),
+        "1b26e378d937636e3c62186625c846cc1d5444ebb1328ec7328cdeef56a88b9e",
+    ),
+    (
+        "sparse-q2-n60-k3", lambda: gen_sparse_random(60, 2, 3, "normal", seed=23),
+        "4ecb5c5099e2ec67420413dbefb05c660c015b57638a5b015b2ff1c8d5d59913",
+    ),
+    (
+        "sparse-q6-n60-k2", lambda: gen_sparse_random(60, 6, 2, "normal", seed=24),
+        "f4be68bcf2c2500feea416224e5adcd79afadd74489d9a349cfa290d771fb3c5",
+    ),
+    (
+        "sparse-pm1-q6-n40", lambda: gen_sparse_random(40, 6, 1, "pm1", seed=25),
+        "dd451c193b7ef0ffeffe26c6ccb9aa47bc7dbdb089da1a5bc55a440dc44672ef",
+    ),
+    (
+        "sparse-n-terms",
+        lambda: gen_sparse_random(30, 4, 2, "normal", seed=26, n_terms=20),
+        "511efeaa0e1b6fdb19d25628232c3683f6054ff1c17a603d2e98e6cd793155f8",
+    ),
+    (
+        "ssyk-n12800", lambda: gen_ssyk(12800, 2, seed=27),
+        "fe16281d9f1884a67a5e0b14dc573cf5c79a18ef786577e92608fd644f287d61",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build,expected", [c[1:] for c in GENERATOR_CASES], ids=[c[0] for c in GENERATOR_CASES]
+)
+def test_golden_generator_output(build, expected):
+    blob = serialize_hamiltonian(build())
+    assert hashlib.sha256(blob.encode()).hexdigest() == expected
 
 
 # ------------------------------------------------------ command-line artifacts

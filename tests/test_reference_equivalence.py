@@ -1,8 +1,10 @@
-"""The indexed and sparse certify steps against their plain-scan versions.
+"""The batched samplers and the indexed and sparse certify steps against
+their plain-scan versions.
 
 Each rewritten piece must give exactly the answer of the straightforward
-algorithm it replaced (kept in ``bruteforce``): the same combination for a
-rank, the same diffuse verdict, the same permitted edges and the same
+algorithm it replaced (kept in ``bruteforce``): the same combinations for
+a batch of ranks, the same terms and coefficient bits from each generator,
+the same diffuse verdict, the same permitted edges and the same
 Hamiltonian cycle.  The grouped Pauli sums of the exact oracles must give
 the same dense matrices as the per-string builders, and products and the
 sweep generator equal to within rounding.
@@ -23,6 +25,7 @@ from fermiopt.combinatorics import (
     permitted_graph,
 )
 from fermiopt.ensembles import (
+    SSYK_MAX_N,
     _unrank_combination,
     gen_mixed_24,
     gen_sparse_random,
@@ -51,6 +54,9 @@ from bruteforce import (
     dimer_state_by_matmul,
     hamiltonian_cycle_sorted_neighbors,
     matvec_per_string,
+    normal_at,
+    sparse_random_per_candidate,
+    ssyk_terms_per_rank,
     truncation_marks_scan,
     unrank_combination_scan,
     zeta_by_tau_products,
@@ -60,20 +66,29 @@ from bruteforce import (
 # ---------------------------------------------------------------- unranking
 
 
-@pytest.mark.parametrize("size", [2, 4, 6])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
 def test_unrank_follows_itertools_order(size):
     for n_items in range(size, 13):
-        for rank, combo in enumerate(itertools.combinations(range(n_items), size)):
-            assert _unrank_combination(rank, n_items, size) == combo
+        expected = list(itertools.combinations(range(n_items), size))
+        got = _unrank_combination(np.arange(len(expected)), n_items, size)
+        assert got.shape == (len(expected), size)
+        assert [tuple(row) for row in got.tolist()] == expected
 
 
 @pytest.mark.parametrize("size", [2, 4, 6])
 def test_unrank_rejects_ranks_outside_range(size):
     for n_items in range(size, 13):
         with pytest.raises(ValueError):
-            _unrank_combination(-1, n_items, size)
+            _unrank_combination(np.array([0, -1]), n_items, size)
         with pytest.raises(ValueError):
-            _unrank_combination(math.comb(n_items, size), n_items, size)
+            _unrank_combination(np.array([math.comb(n_items, size)]), n_items, size)
+
+
+def test_unrank_rejects_counts_past_int64():
+    # binom(2n, 4) first reaches 2^63 one mode above SSYK_MAX_N
+    with pytest.raises(ValueError, match="2\\^63"):
+        _unrank_combination(np.array([0]), 2 * SSYK_MAX_N + 2, 4)
+    assert _unrank_combination(np.array([], dtype=np.int64), 12, 4).shape == (0, 4)
 
 
 def test_unrank_matches_scan_at_large_sizes():
@@ -82,9 +97,68 @@ def test_unrank_matches_scan_at_large_sizes():
         n_items = int(rng.integers(8, 6000))
         size = int(rng.choice([2, 4, 6]))
         rank = int(rng.integers(0, 2**62)) % math.comb(n_items, size)
-        assert _unrank_combination(rank, n_items, size) == unrank_combination_scan(
-            rank, n_items, size
-        )
+        if math.comb(n_items, size) >= 2**63:  # past the int64 ranks, e.g. C(5579, 6)
+            with pytest.raises(ValueError):
+                _unrank_combination(np.array([rank]), n_items, size)
+            continue
+        got = _unrank_combination(np.array([rank]), n_items, size)
+        assert tuple(got[0].tolist()) == unrank_combination_scan(rank, n_items, size)
+
+
+def test_unrank_matches_scan_at_the_ssyk_size_limit():
+    n_items = 2 * SSYK_MAX_N
+    last = math.comb(n_items, 4) - 1
+    got = _unrank_combination(np.array([0, last, last - 1, last // 2]), n_items, 4)
+    for row, rank in zip(got.tolist(), (0, last, last - 1, last // 2)):
+        assert tuple(row) == unrank_combination_scan(rank, n_items, 4)
+    assert got[1].tolist() == [n_items - 4, n_items - 3, n_items - 2, n_items - 1]
+
+
+# ----------------------------------------------------------------- samplers
+
+
+def _pairs(ham):
+    return [(t.indices, t.coeff) for t in ham.terms]
+
+
+SPARSE_GRID = [
+    (n, q, k, dist)
+    for n, q, k in [(5, 2, 2), (9, 2, 2), (13, 6, 2), (20, 4, 2), (20, 2, 3), (30, 4, 3), (40, 6, 1)]
+    for dist in ("normal", "pm1")
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("n,q,k,dist", SPARSE_GRID)
+def test_sparse_random_matches_per_candidate_loop(n, q, k, dist, seed):
+    ham = gen_sparse_random(n, q, k, dist, seed=seed)
+    assert _pairs(ham) == sparse_random_per_candidate(n, q, k, dist, seed)
+
+
+@pytest.mark.parametrize("n_terms", [0, 3, 5, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_random_term_count_matches_per_candidate_loop(n_terms, seed):
+    # n = 10, q = 4, k = 1 has room for at most 5 disjoint quartets
+    expected = sparse_random_per_candidate(10, 4, 1, "normal", seed, n_terms)
+    if expected is None:
+        with pytest.raises(ValueError, match="could not place"):
+            gen_sparse_random(10, 4, 1, "normal", seed=seed, n_terms=n_terms)
+    else:
+        assert _pairs(gen_sparse_random(10, 4, 1, "normal", seed=seed, n_terms=n_terms)) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 10), (12, 2), (60, 5), (400, 2)])
+def test_ssyk_matches_per_rank_draws(n, k, seed):
+    assert _pairs(gen_ssyk(n, k, seed=seed)) == ssyk_terms_per_rank(n, k, seed)
+
+
+@pytest.mark.parametrize("n1,n2,q,seed", [(3, 1, 4, 0), (8, 4, 4, 3), (9, 3, 6, 2**64 - 1)])
+def test_two_colored_couplings_match_per_rank_draws(n1, n2, q, seed):
+    _, meta = gen_two_colored(n1, n2, q, seed=seed)
+    assert [e.coupling for e in meta.entries] == [
+        normal_at(seed, "twocolor-coeff", rank) for rank in range(len(meta.entries))
+    ]
 
 
 # --------------------------------------------------------------- is_diffuse

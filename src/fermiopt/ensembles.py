@@ -8,6 +8,7 @@ follow the lexicographic order of ``itertools.combinations``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -60,6 +61,23 @@ class EnsembleSpec:
         return cls(**json.loads(text)["spec"])
 
 
+@functools.lru_cache(maxsize=8)
+def _binomial_tables(n_items: int, size: int) -> tuple[np.ndarray, ...]:
+    """``tables[r][a] = C(a, r)`` for ``a`` up to ``n_items - size + r - 1``,
+    the largest ``a`` unranking visits with ``r`` elements still to place.
+
+    Pascal's rule as cumulative sums keeps every entry exact.  Built once
+    per ``(n_items, size)``; the arrays are read-only because every caller
+    shares them.
+    """
+    tables = [np.ones(n_items - size, dtype=np.int64)]
+    for _ in range(size):
+        tables.append(np.concatenate(([0], np.cumsum(tables[-1]))))
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
 def _unrank_combination(ranks: np.ndarray, n_items: int, size: int) -> np.ndarray:
     """Inverse of the lexicographic rank of ``size``-combinations of
     ``range(n_items)``: row ``i`` of the ``(len(ranks), size)`` result is
@@ -79,12 +97,7 @@ def _unrank_combination(ranks: np.ndarray, n_items: int, size: int) -> np.ndarra
     ranks = np.asarray(ranks, dtype=np.int64)
     if ranks.size and not (0 <= ranks.min() and ranks.max() < total):
         raise ValueError(f"ranks outside [0, {total})")
-    # tables[r][a] = C(a, r) for a up to n_items - size + r - 1, the largest
-    # a visited with r elements still to place; Pascal's rule as cumulative
-    # sums keeps every entry exact
-    tables = [np.ones(n_items - size, dtype=np.int64)]
-    for _ in range(size):
-        tables.append(np.concatenate(([0], np.cumsum(tables[-1]))))
+    tables = _binomial_tables(n_items, size)
     dual = (total - 1) - ranks
     out = np.empty((ranks.size, size), dtype=np.int64)
     for position, remaining in enumerate(range(size, 0, -1)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -70,16 +71,16 @@ class InteractionTerm:
     coeff: float
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(map(int, self.indices))
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "coeff", float(self.coeff))
         if len(idx) == 0 or len(idx) % 2 != 0:
             raise FormatError("odd-weight", f"term weight must be even and >= 2, got {idx}")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if any(map(operator.le, idx[1:], idx)):
             if len(set(idx)) != len(idx):
                 raise FormatError("repeated-majorana", f"repeated Majorana in {idx}")
             raise FormatError("malformed", f"indices must be strictly increasing, got {idx}")
-        if any(i < 0 for i in idx):
+        if idx[0] < 0:  # strictly increasing, so the first index is the least
             raise FormatError("index-range", f"negative Majorana index in {idx}")
         if not math.isfinite(self.coeff):
             raise FormatError("malformed", f"non-finite coefficient {self.coeff}")

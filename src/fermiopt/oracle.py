@@ -23,7 +23,6 @@ from .gaussian import (
     Matching,
     SignAssignment,
     correlation_from_matching,
-    pfaffian,
 )
 from .hamiltonian import InteractionTerm, MajoranaHamiltonian
 
@@ -310,61 +309,61 @@ class GaussianSearchResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _pair_positions(weight: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(weight) for b in range(a + 1, weight)]
+def _signed_matchings(q: int) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+    """The ``(q-1)!!`` perfect matchings of positions ``0..q-1`` with their
+    Pfaffian signs, position 0 paired with 1, 2, ... in turn."""
+    if q == 0:
+        return [(1.0, ())]
+    out = []
+    for j in range(1, q):
+        rest = [p for p in range(1, q) if p != j]
+        for sign, pairs in _signed_matchings(q - 2):
+            matched = tuple((rest[a], rest[b]) for a, b in pairs)
+            out.append(((-1.0) ** (j - 1) * sign, ((0, j), *matched)))
+    return out
 
 
 class _TermEvaluator:
-    """Vectorized E = sum_I J_I Pf(gamma_I) with its gradient.
+    """E = sum_T J_T Pf(gamma_T) with its gradient, for terms of any even weight.
 
-    Weight-2 and weight-4 terms take batched index paths; higher weights go
-    through a per-term cofactor loop.  Gradients use
-    d Pf(A)/d A_{ij} = (-1)^{i+j+1} Pf(A with rows/cols i,j removed),
-    which stays finite where Pf vanishes (the resolvent form does not).
+    ``Pf(gamma_T) = sum_M sgn(M) prod_{(a,b) in M} gamma_ab`` over the perfect
+    matchings M of T, so ``d Pf / d gamma_ab`` is ``sgn(M)`` times the product
+    over M's other pairs, finite where Pf vanishes.  Per weight, every pair of
+    every matching of every term is one flat index into gamma: a call gathers
+    each weight once and scatters the whole gradient with one bincount, in
+    the order (weight, matching, pair, term).
     """
 
-    def __init__(self, terms: tuple[InteractionTerm, ...]):
-        quadratic = [t for t in terms if t.weight == 2]
-        quartic = [t for t in terms if t.weight == 4]
-        self.other = tuple(t for t in terms if t.weight not in (2, 4))
-        self.idx2 = (
-            np.array([t.indices for t in quadratic], dtype=int) if quadratic else None
-        )
-        self.c2 = np.array([t.coeff for t in quadratic]) if quadratic else None
-        self.idx4 = (
-            np.array([t.indices for t in quartic], dtype=int) if quartic else None
-        )
-        self.c4 = np.array([t.coeff for t in quartic]) if quartic else None
+    def __init__(self, terms: tuple[InteractionTerm, ...], n_majoranas: int):
+        self.m = n_majoranas
+        self.blocks = []
+        for q in sorted({t.weight for t in terms}):
+            chosen = [t for t in terms if t.weight == q]
+            idx = np.array([t.indices for t in chosen], dtype=np.intp)
+            coeff = np.array([t.coeff for t in chosen])
+            signs, pairs = zip(*_signed_matchings(q))
+            signs = np.array(signs)[:, None]
+            pos = np.array(pairs)  # (matching, pair, 2) positions in a term
+            flat = (idx[:, pos[..., 0]] * self.m + idx[:, pos[..., 1]]).transpose(1, 2, 0)
+            half = range(q // 2)
+            others = np.array([[j for j in half if j != k] for k in half], dtype=np.intp)
+            self.blocks.append((flat, coeff, signs, signs * coeff, others))
+        self.flat = np.concatenate([b[0].ravel() for b in self.blocks] + [np.zeros(0, np.intp)])
 
     def __call__(self, gamma: np.ndarray) -> tuple[float, np.ndarray]:
-        grad = np.zeros_like(gamma)
         energy = 0.0
-        if self.idx2 is not None:
-            a, b = self.idx2[:, 0], self.idx2[:, 1]
-            energy += float(self.c2 @ gamma[a, b])
-            np.add.at(grad, (a, b), self.c2)
-        if self.idx4 is not None:
-            i0, i1, i2, i3 = (self.idx4[:, c] for c in range(4))
-            g01, g23 = gamma[i0, i1], gamma[i2, i3]
-            g02, g13 = gamma[i0, i2], gamma[i1, i3]
-            g03, g12 = gamma[i0, i3], gamma[i1, i2]
-            energy += float(self.c4 @ (g01 * g23 - g02 * g13 + g03 * g12))
-            np.add.at(grad, (i0, i1), self.c4 * g23)
-            np.add.at(grad, (i2, i3), self.c4 * g01)
-            np.add.at(grad, (i0, i2), -self.c4 * g13)
-            np.add.at(grad, (i1, i3), -self.c4 * g02)
-            np.add.at(grad, (i0, i3), self.c4 * g12)
-            np.add.at(grad, (i1, i2), self.c4 * g03)
-        for t in self.other:
-            idx = list(t.indices)
-            q = len(idx)
-            sub = gamma[np.ix_(idx, idx)]
-            energy += t.coeff * pfaffian(sub)
-            for a, b in _pair_positions(q):
-                keep = [p for p in range(q) if p not in (a, b)]
-                minor = pfaffian(sub[np.ix_(keep, keep)]) if keep else 1.0
-                sign = -1.0 if (a + b + 1) % 2 else 1.0
-                grad[idx[a], idx[b]] += t.coeff * sign * minor
+        weights = np.empty(self.flat.size)
+        start = 0
+        for flat, coeff, signs, signed_coeff, others in self.blocks:
+            g = gamma.take(flat)  # (matching, pair, term)
+            # signs before coefficients: at weight 4 this is the arithmetic of
+            # c @ (g01*g23 - g02*g13 + g03*g12), bit for bit
+            energy += float(coeff @ (signs * g.prod(axis=1)).sum(axis=0))
+            partner = g[:, others].prod(axis=2)  # product over the matching's other pairs
+            weights[start : start + g.size] = (signed_coeff[:, None, :] * partner).ravel()
+            start += g.size
+        grad = np.bincount(self.flat, weights=weights, minlength=self.m * self.m)
+        grad = grad.reshape(self.m, self.m)
         return energy, grad - grad.T
 
 
@@ -394,7 +393,7 @@ def gaussian_numeric_max(
     """
     m = ham.n_majoranas
     rng = np.random.default_rng(seed)
-    evaluate = _TermEvaluator(ham.terms)
+    evaluate = _TermEvaluator(ham.terms, m)
     starts: list[np.ndarray] = []
     if initial:
         starts.extend(c.gamma.copy() for c in initial)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from fermiopt import rng
+from fermiopt.gaussian import pfaffian
 
 
 def sign_by_inversions(seq) -> int:
@@ -348,3 +349,67 @@ def zeta_by_tau_products(n_modes: int, scale: complex, tau_terms, sigma_strings)
     for tau, sigma in zip(taus, sigma_strings):
         zeta += (scale * tau) @ dense_sum_per_string([(sigma, 1.0)], n_modes)
     return zeta
+
+
+# -------------------------------------------------------------------------
+# The Gaussian ascent's energy and gradient, term by term: batched index
+# paths at weights 2 and 4 in the ascent's scatter order, and a cofactor
+# loop above, on the package's ``pfaffian`` (itself checked against
+# ``pfaffian_matching_sum``).
+
+
+def _pair_positions(weight: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(weight) for b in range(a + 1, weight)]
+
+
+class CofactorTermEvaluator:
+    """E = sum_I J_I Pf(gamma_I) with its gradient.
+
+    Weight-2 and weight-4 terms take batched index paths; higher weights go
+    through a per-term cofactor loop.  Gradients use
+    d Pf(A)/d A_{ij} = (-1)^{i+j+1} Pf(A with rows/cols i,j removed).
+    """
+
+    def __init__(self, terms):
+        quadratic = [t for t in terms if t.weight == 2]
+        quartic = [t for t in terms if t.weight == 4]
+        self.other = tuple(t for t in terms if t.weight not in (2, 4))
+        self.idx2 = (
+            np.array([t.indices for t in quadratic], dtype=int) if quadratic else None
+        )
+        self.c2 = np.array([t.coeff for t in quadratic]) if quadratic else None
+        self.idx4 = (
+            np.array([t.indices for t in quartic], dtype=int) if quartic else None
+        )
+        self.c4 = np.array([t.coeff for t in quartic]) if quartic else None
+
+    def __call__(self, gamma: np.ndarray) -> tuple[float, np.ndarray]:
+        grad = np.zeros_like(gamma)
+        energy = 0.0
+        if self.idx2 is not None:
+            a, b = self.idx2[:, 0], self.idx2[:, 1]
+            energy += float(self.c2 @ gamma[a, b])
+            np.add.at(grad, (a, b), self.c2)
+        if self.idx4 is not None:
+            i0, i1, i2, i3 = (self.idx4[:, c] for c in range(4))
+            g01, g23 = gamma[i0, i1], gamma[i2, i3]
+            g02, g13 = gamma[i0, i2], gamma[i1, i3]
+            g03, g12 = gamma[i0, i3], gamma[i1, i2]
+            energy += float(self.c4 @ (g01 * g23 - g02 * g13 + g03 * g12))
+            np.add.at(grad, (i0, i1), self.c4 * g23)
+            np.add.at(grad, (i2, i3), self.c4 * g01)
+            np.add.at(grad, (i0, i2), -self.c4 * g13)
+            np.add.at(grad, (i1, i3), -self.c4 * g02)
+            np.add.at(grad, (i0, i3), self.c4 * g12)
+            np.add.at(grad, (i1, i2), self.c4 * g03)
+        for t in self.other:
+            idx = list(t.indices)
+            q = len(idx)
+            sub = gamma[np.ix_(idx, idx)]
+            energy += t.coeff * pfaffian(sub)
+            for a, b in _pair_positions(q):
+                keep = [p for p in range(q) if p not in (a, b)]
+                minor = pfaffian(sub[np.ix_(keep, keep)]) if keep else 1.0
+                sign = -1.0 if (a + b + 1) % 2 else 1.0
+                grad[idx[a], idx[b]] += t.coeff * sign * minor
+        return energy, grad - grad.T

@@ -241,3 +241,34 @@ def test_golden_ratio_bench_study(tmp_path, capsys, pipeline, sizes, expected):
     sidecar = out.with_name(out.name + ".config.json")
     blob = "\n".join([str(code), out.read_text(), sidecar.read_text()])
     assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
+# --------------------------------------------------------- the Gaussian ascent
+#
+# The ascent's trajectory depends on the last bit of every energy and
+# gradient it evaluates, so this pins the evaluator's arithmetic and its
+# scatter order at weights 2 and 4, alone and mixed.  Recorded before the
+# evaluator became one matching expansion for every weight.
+
+from fermiopt.ensembles import gen_syk_q  # noqa: E402
+from fermiopt.oracle import gaussian_numeric_max  # noqa: E402
+
+# (Hamiltonian, ascent seed), each searched with four restarts
+ASCENT_CASES = [
+    (lambda: gen_syk_q(5, 4, seed=1), 1),
+    (lambda: gen_syk_q(6, 4, seed=2), 2),
+    (lambda: gen_syk_q(4, 2, seed=3), 3),
+    (lambda: gen_mixed_24(6, 2, 4), 4),
+]
+
+
+def test_golden_gaussian_ascent():
+    digest = hashlib.sha256()
+    for build, seed in ASCENT_CASES:
+        result = gaussian_numeric_max(build(), restarts=4, seed=seed)
+        digest.update(repr(result.value).encode())
+        digest.update(str(result.converged).encode())
+        digest.update(result.corr.gamma.tobytes())
+    assert digest.hexdigest() == (
+        "056cb21db3e610c0525f7dc50bb121c380d68045bd35279dac725016ae62e4c7"
+    )

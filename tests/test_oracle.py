@@ -162,16 +162,21 @@ def test_single_quartic_term_saturates():
     assert result.value == pytest.approx(1.0, rel=1e-7)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gradient_matches_finite_differences(seed):
+GRADIENT_CASES = [(seed, q) for q in (4, 2, 6) for seed in range(4)]
+
+
+@pytest.mark.parametrize(
+    "seed,q", GRADIENT_CASES, ids=[f"{s}" if q == 4 else f"{s}-q{q}" for s, q in GRADIENT_CASES]
+)
+def test_gradient_matches_finite_differences(seed, q):
     rng = np.random.default_rng(40 + seed)
-    ham = gen_syk_q(4, 4, seed=seed)
+    ham = gen_syk_q(4, q, seed=seed)
     basis, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     ref = np.zeros((8, 8))
     for j in range(0, 8, 2):
         ref[j, j + 1], ref[j + 1, j] = 1.0, -1.0
     gamma = basis @ ref @ basis.T
-    evaluate = _TermEvaluator(ham.terms)
+    evaluate = _TermEvaluator(ham.terms, ham.n_majoranas)
     value, grad = evaluate(gamma)
     flow = rng.standard_normal((8, 8))
     flow = flow - flow.T

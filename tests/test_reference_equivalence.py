@@ -7,7 +7,9 @@ a batch of ranks, the same terms and coefficient bits from each generator,
 the same diffuse verdict, the same permitted edges and the same
 Hamiltonian cycle.  The grouped Pauli sums of the exact oracles must give
 the same dense matrices as the per-string builders, and products and the
-sweep generator equal to within rounding.
+sweep generator equal to within rounding.  The ascent's matching-expansion
+evaluator must repeat the reference's bits at weights 2 and 4 and agree
+with its Pfaffian cofactors to within rounding above.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from fermiopt.combinatorics import (
 )
 from fermiopt.ensembles import (
     SSYK_MAX_N,
+    _binomial_tables,
     _unrank_combination,
     gen_mixed_24,
     gen_sparse_random,
@@ -37,10 +40,13 @@ from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
 from fermiopt.optimizer import truncate_to_sparse
 from fermiopt.oracle import (
     DenseOperator,
+    _TermEvaluator,
     _majorana_string,
+    _reference_gamma,
     _string_product,
     _two_colored_dense,
     dense_dimer_state,
+    gaussian_numeric_max,
     dense_expectation,
     dense_hamiltonian,
     matvec_operator,
@@ -48,6 +54,7 @@ from fermiopt.oracle import (
 )
 
 from bruteforce import (
+    CofactorTermEvaluator,
     dense_permitted_adjacency,
     dense_sum_per_string,
     diffuse_verdict_scan,
@@ -55,6 +62,7 @@ from bruteforce import (
     hamiltonian_cycle_sorted_neighbors,
     matvec_per_string,
     normal_at,
+    random_antisymmetric,
     sparse_random_per_candidate,
     ssyk_terms_per_rank,
     truncation_marks_scan,
@@ -89,6 +97,14 @@ def test_unrank_rejects_counts_past_int64():
     with pytest.raises(ValueError, match="2\\^63"):
         _unrank_combination(np.array([0]), 2 * SSYK_MAX_N + 2, 4)
     assert _unrank_combination(np.array([], dtype=np.int64), 12, 4).shape == (0, 4)
+
+
+def test_unrank_tables_are_built_once_and_read_only():
+    tables = _binomial_tables(12, 4)
+    assert _binomial_tables(12, 4) is tables
+    assert not any(table.flags.writeable for table in tables)
+    ranks = np.arange(math.comb(12, 4))
+    assert np.array_equal(_unrank_combination(ranks, 12, 4), _unrank_combination(ranks, 12, 4))
 
 
 def test_unrank_matches_scan_at_large_sizes():
@@ -376,3 +392,59 @@ def test_dense_expectation_matches_dense_trace():
         assert dense_expectation(ham, rho) == pytest.approx(expected, rel=1e-12, abs=1e-12)
     with pytest.raises(ValueError):
         dense_expectation(gen_syk_q(4, 4, seed=0), DenseOperator(3, np.eye(8)))
+
+
+# ------------------------------------------------------------ the Gaussian ascent
+
+
+def _syk_sum(n, weights, seed):
+    terms = sum((gen_syk_q(n, q, seed=seed + q).terms for q in weights), ())
+    return MajoranaHamiltonian(n_modes=n, terms=terms)
+
+
+def _evaluation_points(m, seed, count):
+    """Random points of the pure-state orbit, then random antisymmetric matrices."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        yield basis @ _reference_gamma(m) @ basis.T
+    for _ in range(count // 5):
+        yield random_antisymmetric(rng, m)
+
+
+@pytest.mark.parametrize("weights", [(2,), (4,), (2, 4)])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_ascent_evaluator_repeats_reference_bits(weights, n):
+    hams = [_syk_sum(n, weights, seed=n)]
+    if weights == (2, 4):
+        hams.append(gen_mixed_24(n, 2, seed=n))  # interleaved weights, sparse supports
+    for ham in hams:
+        evaluate = _TermEvaluator(ham.terms, ham.n_majoranas)
+        reference = CofactorTermEvaluator(ham.terms)
+        for gamma in _evaluation_points(ham.n_majoranas, seed=n, count=50):
+            energy, grad = evaluate(gamma)
+            ref_energy, ref_grad = reference(gamma)
+            assert repr(energy) == repr(ref_energy)
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n,weights", [(5, (6,)), (4, (8,)), (5, (8,)), (5, (2, 4, 6)), (5, (4, 8))]
+)
+def test_ascent_evaluator_matches_cofactors_above_weight_four(n, weights):
+    ham = _syk_sum(n, weights, seed=3)
+    evaluate = _TermEvaluator(ham.terms, ham.n_majoranas)
+    reference = CofactorTermEvaluator(ham.terms)
+    for gamma in _evaluation_points(ham.n_majoranas, seed=n, count=5):
+        energy, grad = evaluate(gamma)
+        ref_energy, ref_grad = reference(gamma)
+        assert energy == pytest.approx(ref_energy, rel=1e-12)
+        assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+
+
+def test_ascent_evaluator_on_empty_hamiltonian():
+    gamma = _reference_gamma(6)
+    energy, grad = _TermEvaluator((), 6)(gamma)
+    assert energy == 0.0
+    assert grad.shape == (6, 6) and not grad.any()
+    assert gaussian_numeric_max(MajoranaHamiltonian(n_modes=3, terms=()), restarts=2).value == 0.0

@@ -46,9 +46,9 @@ from fermiopt.oracle import (
     _string_product,
     _two_colored_dense,
     dense_dimer_state,
-    gaussian_numeric_max,
     dense_expectation,
     dense_hamiltonian,
+    gaussian_numeric_max,
     matvec_operator,
     term_string,
 )

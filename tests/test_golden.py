@@ -272,3 +272,36 @@ def test_golden_gaussian_ascent():
     assert digest.hexdigest() == (
         "056cb21db3e610c0525f7dc50bb121c380d68045bd35279dac725016ae62e4c7"
     )
+
+
+# ------------------------------------------------------------- the theta curve
+#
+# The sweep sums zeta and diagonalizes it through BLAS, whose thread count
+# moves the curve's last bits, so the CLI runs in a child process with one
+# BLAS thread.  Recorded before the correlation-matrix state form was removed.
+
+import os  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import fermiopt  # noqa: E402
+
+
+def test_golden_theta_sweep_csv(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    pkg_root = str(Path(fermiopt.__file__).resolve().parent.parent)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = pkg_root + (os.pathsep + inherited if inherited else "")
+    for args in (
+        ["gen", "--family", "two_colored", "--n1", "8", "--n2", "4", "--q", "4",
+         "--seed", "3", "--out", "h.json"],
+        ["sweep-theta", "--in", "h.json", "--out", "curve.csv"],
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "fermiopt.cli", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest()
+    assert digest == "df4fd95fbb597a8f699ec356dc4ae5ed1e16956641d0f44872842fd392d3cd2f"

@@ -19,7 +19,6 @@ from . import experiments
 from .combinatorics import ContractError, DiracError
 from .ensembles import FAMILIES, EnsembleSpec, gen_two_colored, generate
 from .gaussian import (
-    CorrelationMatrix,
     hamiltonian_expectation,
     correlation_from_matching,
     matching_state_expectation,
@@ -133,19 +132,16 @@ def _cmd_verify(args) -> int:
     with open(args.infile) as fh:
         ham = parse_hamiltonian(fh.read())
     with open(args.state) as fh:
-        state = state_from_json(fh.read())
-    values: dict[str, float] = {}
-    if isinstance(state, CorrelationMatrix):
-        values["wick"] = hamiltonian_expectation(state, ham)
-    else:
-        matching, signs = state
-        values["closed_form"] = matching_state_expectation(matching, signs, ham)
-        values["wick"] = hamiltonian_expectation(
-            correlation_from_matching(matching, signs), ham
-        )
-        if ham.n_modes <= DENSE_EIG_MODE_BUDGET:
-            rho = dense_state_from_matching(matching, signs, n_modes=ham.n_modes)
-            values["dense"] = dense_expectation(ham, rho)
+        matching, signs = state_from_json(fh.read())
+    if matching.n_majoranas != ham.n_majoranas:
+        raise ValueError(f"state on {matching.n_majoranas} Majoranas, H on {ham.n_majoranas}")
+    values = {
+        "closed_form": matching_state_expectation(matching, signs, ham),
+        "wick": hamiltonian_expectation(correlation_from_matching(matching, signs), ham),
+    }
+    if ham.n_modes <= DENSE_EIG_MODE_BUDGET:
+        rho = dense_state_from_matching(matching, signs, n_modes=ham.n_modes)
+        values["dense"] = dense_expectation(ham, rho)
     for name, value in values.items():
         print(f"{name}: {value!r}")
     reference = values["wick"]

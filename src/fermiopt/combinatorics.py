@@ -10,7 +10,6 @@ dimer sits inside any interaction.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
@@ -58,24 +57,19 @@ class ConflictGraph:
 
 
 def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
-    """Connect terms that overlap or are bridged by a third term."""
-    n_terms = len(ham.terms)
-    direct: list[set[int]] = [set() for _ in range(n_terms)]
+    """Connect terms that overlap or are bridged by a third term: with
+    ``near[t]`` the terms sharing a mode with ``t`` (``t`` included), the
+    neighbors of ``t`` are the union of ``near[b]`` over ``near[t]``, less ``t``."""
+    near: list[set[int]] = [set() for _ in ham.terms]
     for members in ham.mode_terms:
-        for a in members:
-            for b in members:
-                if a != b:
-                    direct[a].add(b)
-    adjacency = [set(direct[t]) for t in range(n_terms)]
-    for bridge in range(n_terms):
-        around = sorted(direct[bridge])
-        for i, a in enumerate(around):
-            for b in around[i + 1 :]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+        for t in members:
+            near[t].update(members)
     graph = ConflictGraph(
-        n_vertices=n_terms,
-        adjacency=tuple(frozenset(a) for a in adjacency),
+        n_vertices=len(ham.terms),
+        adjacency=tuple(
+            frozenset(set().union(*(near[b] for b in around)) - {t})
+            for t, around in enumerate(near)
+        ),
         term_keys=tuple(t.indices for t in ham.terms),
     )
     profile = sparsity_profile(ham)
@@ -181,13 +175,6 @@ class DiffusePartition:
         for (q_half, _alpha) in self.parts:
             per_weight[q_half] = per_weight.get(q_half, 0) + 1
         return all(count <= self.bound for count in per_weight.values())
-
-    def to_json(self) -> str:
-        doc = {
-            "bound": self.bound,
-            "parts": {f"({qh},{a})": list(ids) for (qh, a), ids in sorted(self.parts.items())},
-        }
-        return json.dumps(doc, indent=1)
 
 
 def diffuse_partition(

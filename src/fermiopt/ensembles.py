@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import rng
-from .hamiltonian import InteractionTerm, MajoranaHamiltonian
+from .hamiltonian import InteractionTerm, MajoranaHamiltonian, dataclass_fields_from_json
 
 FAMILIES = ("sykq", "ssyk", "sparse_random", "two_colored")
 
@@ -58,7 +58,9 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "EnsembleSpec":
-        return cls(**json.loads(text)["spec"])
+        doc = json.loads(text)
+        spec = doc.get("spec") if isinstance(doc, dict) else None
+        return cls(**dataclass_fields_from_json(cls, spec, ("seed", "n", "q", "k", "n1", "n2")))
 
 
 @functools.lru_cache(maxsize=8)

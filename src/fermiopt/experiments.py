@@ -16,10 +16,9 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import ensembles
-from .hamiltonian import total_strength, strength
+from .hamiltonian import _is_int, dataclass_fields_from_json, strength, total_strength
 from .optimizer import optimize, truncate_to_sparse
 from .oracle import (
-    DENSE_EIG_MODE_BUDGET,
     ITER_EIG_MODE_BUDGET,
     gaussian_numeric_max,
     lambda_max_exact,
@@ -36,7 +35,6 @@ class StudyConfig:
     trials: int
     base_seed: int
     out: str | None = None
-    family: str | None = None
     pipeline: str | None = None
     n: int | None = None
     q: int | None = None
@@ -63,9 +61,13 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
-        doc = json.loads(text)
-        if "size_grid" in doc:
-            doc["size_grid"] = tuple(doc["size_grid"])
+        ints = ("trials", "base_seed", "n", "q", "k", "k_prime", "n1", "n2", "restarts")
+        doc = dataclass_fields_from_json(cls, json.loads(text), ints)
+        grid = doc.get("size_grid", [])
+        if not isinstance(grid, list) or not all(map(_is_int, grid)):
+            raise ValueError(f"field 'size_grid' must be a list of integers, got {grid!r}")
+        if not isinstance(doc.get("out", ""), str):
+            raise ValueError(f"field 'out' must be a string, got {doc['out']!r}")
         return cls(**doc)
 
 
@@ -269,8 +271,7 @@ def run_syk_scaling(cfg: StudyConfig) -> StudyResult:
             counter += 1
             ham = ensembles.gen_syk_q(n, q, seed)
             search = gaussian_numeric_max(ham, restarts=cfg.restarts, seed=seed)
-            method = "dense" if n <= DENSE_EIG_MODE_BUDGET else "iterative"
-            lam = lambda_max_exact(ham, method=method)
+            lam = lambda_max_exact(ham)
             ratio = search.value / lam if lam > 0 else float("nan")
             per_size[n].append(ratio)
             lam_per_size[n].append(lam)

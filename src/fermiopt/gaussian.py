@@ -21,6 +21,7 @@ from .hamiltonian import (
     FormatError,
     InteractionTerm,
     MajoranaHamiltonian,
+    _is_int,
     canonical_sign,
 )
 
@@ -125,10 +126,6 @@ class CorrelationMatrix:
     def n_majoranas(self) -> int:
         return self.gamma.shape[0]
 
-    @property
-    def n_modes(self) -> int:
-        return self.gamma.shape[0] // 2
-
 
 def _pfaffian_exact_int(mat: np.ndarray) -> float:
     """Same elimination over exact rationals; for integer-valued inputs."""
@@ -159,7 +156,7 @@ def _pfaffian_exact_int(mat: np.ndarray) -> float:
     return float(value * a[m - 2][m - 1])
 
 
-def pfaffian(mat: np.ndarray, overwrite: bool = False) -> float:
+def pfaffian(mat: np.ndarray) -> float:
     """Pfaffian of a real antisymmetric matrix of even dimension.
 
     Skew-symmetric tridiagonalization with partial pivoting; each 2x2
@@ -180,8 +177,7 @@ def pfaffian(mat: np.ndarray, overwrite: bool = False) -> float:
         raise PfaffianError("matrix is not antisymmetric")
     if m <= 24 and scale <= 2**26 and np.all(mat == np.rint(mat)):
         return _pfaffian_exact_int(mat)
-    a = mat if overwrite else mat.copy()
-    a = (a - a.T) / 2.0
+    a = (mat - mat.T) / 2.0
     value = 1.0
     for k in range(0, m - 2, 2):
         col = np.abs(a[k + 1 :, k])
@@ -228,7 +224,7 @@ def monomial_expectation(corr: CorrelationMatrix, indices: Sequence[int]) -> flo
     if len(idx) == 0:
         return 1.0
     sub = corr.gamma[np.ix_(idx, idx)]
-    return pfaffian(sub, overwrite=True)
+    return pfaffian(sub)
 
 
 def hamiltonian_expectation(corr: CorrelationMatrix, ham: MajoranaHamiltonian) -> float:
@@ -285,18 +281,14 @@ def matching_state_expectation(
     return total
 
 
-def assign_signs(
-    matching: Matching,
-    targets: Iterable[InteractionTerm],
-    base: SignAssignment | None = None,
-) -> SignAssignment:
+def assign_signs(matching: Matching, targets: Iterable[InteractionTerm]) -> SignAssignment:
     """Pick dimer signs so every target term contributes ``+|J|``.
 
     Target supports must be pairwise disjoint and each consistent with the
     matching; at most one dimer per target is flipped (its lowest pair).
-    Pairs not touched by any target keep their ``base`` sign (default +1).
+    Pairs not touched by any target keep the sign +1.
     """
-    sd = SignAssignment.all_plus(matching).as_dict() if base is None else base.as_dict()
+    sd = SignAssignment.all_plus(matching).as_dict()
     used: set[int] = set()
     for term in targets:
         if used & set(term.indices):
@@ -328,33 +320,26 @@ def state_to_json(matching: Matching, signs: SignAssignment) -> str:
     return json.dumps(doc, indent=1)
 
 
-def correlation_to_json(corr: CorrelationMatrix) -> str:
-    """General-form state document: the full correlation matrix, row-major."""
-    doc = {
-        "n_modes": corr.n_modes,
-        "gamma": [[float(v) for v in row] for row in corr.gamma],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def state_from_json(text: str):
-    """Parse either state form.
-
-    Returns ``(matching, signs)`` for the matching form and a
-    ``CorrelationMatrix`` for the general form.
-    """
+def state_from_json(text: str) -> tuple[Matching, SignAssignment]:
+    """Parse what ``state_to_json`` writes: a JSON integer ``n_modes``, pairs
+    of JSON integers in increasing order and one sign per pair, the integer
+    1 or -1 (a bool is not an integer here); else ``FormatError("malformed")``."""
     doc = json.loads(text)
-    if "pairs" in doc:
-        matching = Matching(tuple(tuple(p) for p in doc["pairs"]))
-        signs = SignAssignment.from_dict(
-            {tuple(p): int(s) for p, s in zip(doc["pairs"], doc["signs"])}
-        )
-        if matching.n_majoranas != 2 * doc["n_modes"]:
-            raise ValueError("pairs do not cover the declared mode count")
-        return matching, signs
-    if "gamma" in doc:
-        return CorrelationMatrix(np.array(doc["gamma"], dtype=float))
-    raise ValueError("state document carries neither 'pairs' nor 'gamma'")
+    if not (
+        isinstance(doc, dict)
+        and _is_int(n_modes := doc.get("n_modes"))
+        and isinstance(pairs := doc.get("pairs"), list)
+        and isinstance(signs := doc.get("signs"), list)
+        and len(pairs) == len(signs)
+        and all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs)
+        and all(p[0] < p[1] for p in pairs)
+        and all(_is_int(s) and s in (-1, 1) for s in signs)
+    ):
+        raise FormatError("malformed", "need integer n_modes, increasing pairs, a sign +-1 each")
+    matching = Matching(tuple(map(tuple, pairs)))
+    if matching.n_majoranas != 2 * n_modes:
+        raise FormatError("malformed", "pairs do not cover the declared mode count")
+    return matching, SignAssignment.from_dict(dict(zip(map(tuple, pairs), signs)))
 
 
 def condition_on_dimer(

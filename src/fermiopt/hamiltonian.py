@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -179,6 +179,24 @@ def strength(terms: Iterable[InteractionTerm]) -> float:
 def _is_int(value) -> bool:
     # a JSON bool is a Python int; the schema does not accept it as one
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def dataclass_fields_from_json(cls, doc, int_fields: Iterable[str]) -> dict:
+    """Return the JSON object ``doc`` once ``cls(**doc)`` is safe: every key
+    a field of the dataclass ``cls``, every field without a default present,
+    and a JSON integer in each of ``int_fields``.  Else a ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} document must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    for name, value in doc.items():
+        if name not in known:
+            raise ValueError(f"unknown field {name!r}")
+        if name in int_fields and not _is_int(value):
+            raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    for name, f in known.items():
+        if f.default is MISSING and name not in doc:
+            raise ValueError(f"missing field {name!r}")
+    return doc
 
 
 def parse_hamiltonian(text: str) -> MajoranaHamiltonian:

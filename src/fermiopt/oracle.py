@@ -12,18 +12,13 @@ matrix-free products, dimer states and traces all read that one form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .gaussian import (
-    CorrelationMatrix,
-    Matching,
-    SignAssignment,
-    correlation_from_matching,
-)
+from .gaussian import CorrelationMatrix, Matching, SignAssignment
 from .hamiltonian import InteractionTerm, MajoranaHamiltonian
 
 DENSE_OP_MODE_BUDGET = 13
@@ -305,8 +300,6 @@ class GaussianSearchResult:
     corr: CorrelationMatrix
     value: float
     converged: bool
-    restarts: int
-    notes: list[str] = field(default_factory=list)
 
 
 def _signed_matchings(q: int) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
@@ -376,12 +369,7 @@ def _reference_gamma(m: int) -> np.ndarray:
 
 
 def gaussian_numeric_max(
-    ham: MajoranaHamiltonian,
-    restarts: int = 8,
-    seed: int = 0,
-    initial: list[CorrelationMatrix] | None = None,
-    max_iters: int = 400,
-    grad_tol: float = 1e-9,
+    ham: MajoranaHamiltonian, restarts: int = 8, seed: int = 0
 ) -> GaussianSearchResult:
     """Ascend Tr(H rho_Gamma) over pure correlation matrices.
 
@@ -394,26 +382,22 @@ def gaussian_numeric_max(
     m = ham.n_majoranas
     rng = np.random.default_rng(seed)
     evaluate = _TermEvaluator(ham.terms, m)
-    starts: list[np.ndarray] = []
-    if initial:
-        starts.extend(c.gamma.copy() for c in initial)
-    starts.append(_reference_gamma(m))
-    while len(starts) < max(restarts, 1 + (1 if initial else 0)):
+    starts = [_reference_gamma(m)]
+    while len(starts) < restarts:
         basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
         starts.append(basis @ _reference_gamma(m) @ basis.T)
 
     best_gamma = None
     best_value = -np.inf
     converged_any = False
-    notes: list[str] = []
     for gamma in starts:
         value, grad = evaluate(gamma)
         eta = 0.1
         converged = False
-        for _ in range(max_iters):
+        for _ in range(400):  # iterations per restart
             direction = gamma @ grad - grad @ gamma  # [Gamma, G]
             slope = 0.5 * float(np.sum(direction * direction))  # dE/deta at eta=0
-            if slope <= grad_tol * max(1.0, abs(value)):
+            if slope <= 1e-9 * max(1.0, abs(value)):  # gradient tolerance
                 converged = True
                 break
             stepped = False
@@ -435,17 +419,9 @@ def gaussian_numeric_max(
         if value > best_value:
             best_value = value
             best_gamma = gamma
-    if not converged_any:
-        notes.append("no restart reached the gradient tolerance")
     # orbit drift is below validation tolerances at these sizes; re-orthogonalize
     u, _, vt = np.linalg.svd(best_gamma)
     best_gamma = u @ vt
     best_gamma = (best_gamma - best_gamma.T) / 2.0
     best_value = float(evaluate(best_gamma)[0])
-    return GaussianSearchResult(
-        corr=CorrelationMatrix(best_gamma),
-        value=best_value,
-        converged=converged_any,
-        restarts=len(starts),
-        notes=notes,
-    )
+    return GaussianSearchResult(CorrelationMatrix(best_gamma), best_value, converged_any)

@@ -217,6 +217,26 @@ def diffuse_verdict_scan(subset_ids, ham, locality=None) -> tuple[bool, int | No
     return True, None
 
 
+def conflict_adjacency_by_bridges(ham) -> tuple[frozenset[int], ...]:
+    """Conflict-graph neighbor sets: direct overlaps, then every pair of
+    terms around each bridge term joined by a double loop."""
+    n_terms = len(ham.terms)
+    direct: list[set[int]] = [set() for _ in range(n_terms)]
+    for members in ham.mode_terms:
+        for a in members:
+            for b in members:
+                if a != b:
+                    direct[a].add(b)
+    adjacency = [set(direct[t]) for t in range(n_terms)]
+    for bridge in range(n_terms):
+        around = sorted(direct[bridge])
+        for i, a in enumerate(around):
+            for b in around[i + 1 :]:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    return tuple(frozenset(a) for a in adjacency)
+
+
 def dense_permitted_adjacency(ham, excluded) -> dict[int, frozenset[int]]:
     """Permitted-edge graph as the explicit complement of term co-membership."""
     verts = set(range(2 * ham.n_modes)) - set(excluded)

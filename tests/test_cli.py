@@ -306,3 +306,144 @@ def test_gen_rejects_bad_parameters(tmp_path, args, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# ------------------------------------------------ documents read at the boundary
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err
+    return captured
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("drew an instance before rejecting the document")
+
+
+_PAIRS = [[0, 1], [2, 3]]
+
+BAD_STATES = {
+    "gamma-form": {
+        "n_modes": 2,
+        "gamma": [[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]],
+    },
+    "sign-zero": {"n_modes": 2, "pairs": _PAIRS, "signs": [0, 1]},
+    "sign-fraction": {"n_modes": 2, "pairs": _PAIRS, "signs": [1.7, 1]},
+    "sign-true": {"n_modes": 2, "pairs": _PAIRS, "signs": [True, 1]},
+    "sign-string": {"n_modes": 2, "pairs": _PAIRS, "signs": ["1", 1]},
+    "sign-float-one": {"n_modes": 2, "pairs": _PAIRS, "signs": [1.0, 1]},
+    "sign-two": {"n_modes": 2, "pairs": _PAIRS, "signs": [2, 1]},
+    "signs-short": {"n_modes": 2, "pairs": _PAIRS, "signs": [1]},
+    "signs-missing": {"n_modes": 2, "pairs": _PAIRS},
+    "pair-floats": {"n_modes": 2, "pairs": [[0.0, 1.0], [2, 3]], "signs": [1, 1]},
+    "pair-bools": {"n_modes": 2, "pairs": [[False, True], [2, 3]], "signs": [1, 1]},
+    "pair-triple": {"n_modes": 2, "pairs": [[0, 1, 2], [2, 3]], "signs": [1, 1]},
+    "pair-decreasing": {"n_modes": 2, "pairs": [[1, 0], [2, 3]], "signs": [1, 1]},
+    "n-modes-float": {"n_modes": 2.0, "pairs": _PAIRS, "signs": [1, 1]},
+    "n-modes-true": {"n_modes": True, "pairs": [[0, 1]], "signs": [1]},
+    "n-modes-undercovered": {"n_modes": 3, "pairs": _PAIRS, "signs": [1, 1]},
+    "other-size": {"n_modes": 3, "pairs": [*_PAIRS, [4, 5]], "signs": [1, 1, 1]},
+    "not-an-object": [_PAIRS, [1, 1]],
+}
+
+
+def _verify(tmp_path, state_text):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": 2.0}]}))
+    state = tmp_path / "s.json"
+    state.write_text(state_text)
+    return run(["verify", "--in", str(h), "--state", str(state)])
+
+
+@pytest.mark.parametrize("doc", BAD_STATES.values(), ids=BAD_STATES.keys())
+def test_verify_rejects_malformed_state(tmp_path, capsys, doc):
+    assert _verify(tmp_path, json.dumps(doc)) == 1
+    assert _one_error_line(capsys).out == ""  # no route ran
+
+
+def test_verify_rejects_state_that_is_not_json(tmp_path, capsys):
+    assert _verify(tmp_path, '{"n_modes": 2, "pairs": ') == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("signs", [[1, 1], [-1, 1], [1, -1]])
+def test_verify_accepts_matching_state(tmp_path, capsys, signs):
+    assert _verify(tmp_path, json.dumps({"n_modes": 2, "pairs": _PAIRS, "signs": signs})) == 0
+    assert f"closed_form: {2.0 * signs[0]!r}" in capsys.readouterr().out
+
+
+class _Dropped:
+    def __repr__(self):
+        return "dropped"
+
+
+_DROP = _Dropped()  # a field left out of the document
+
+BAD_CONFIGS = [
+    ("family", {"family": "sparse_random"}),
+    ("trial", {"trial": 3}),
+    ("trials", {"trials": "3"}),
+    ("trials", {"trials": True}),
+    ("trials", {"trials": _DROP}),
+    ("base_seed", {"base_seed": 2.0}),
+    ("'n'", {"n": 20.5}),
+    ("'k'", {"k": None}),
+    ("restarts", {"restarts": False}),
+    ("size_grid", {"size_grid": [4, "5"]}),
+    ("size_grid", {"size_grid": 4}),
+    ("out", {"out": 3}),
+]
+
+
+@pytest.mark.parametrize("field,change", BAD_CONFIGS, ids=[repr(c) for _, c in BAD_CONFIGS])
+def test_study_rejects_malformed_config(tmp_path, capsys, monkeypatch, field, change):
+    monkeypatch.setattr("fermiopt.experiments.run_study", _never)
+    cfg = {
+        "study": "ratio_bench", "trials": 3, "base_seed": 2, "pipeline": "strictq",
+        "n": 20, "q": 4, "k": 2, "out": str(tmp_path / "bench.csv"), **change,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not _DROP}))
+    assert run(["study", "--config", str(cfg_path)]) == 1
+    assert field in _one_error_line(capsys).err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+BAD_SPECS = [
+    ("colors", {"colors": 2}),
+    ("seed", {"seed": "5"}),
+    ("n1", {"n1": True}),
+    ("'q'", {"q": 4.0}),
+    ("family", {"family": _DROP}),
+]
+
+
+@pytest.mark.parametrize("field,change", BAD_SPECS, ids=[repr(c) for _, c in BAD_SPECS])
+def test_sweep_theta_rejects_malformed_sidecar(tmp_path, capsys, monkeypatch, field, change):
+    h = tmp_path / "h2.json"
+    run(
+        ["gen", "--family", "two_colored", "--n1", "6", "--n2", "2", "--q", "4",
+         "--seed", "5", "--out", str(h)]
+    )
+    capsys.readouterr()
+    sidecar = tmp_path / "h2.json.spec.json"
+    spec = {**json.loads(sidecar.read_text())["spec"], **change}
+    sidecar.write_text(json.dumps({"spec": {k: v for k, v in spec.items() if v is not _DROP}}))
+    monkeypatch.setattr("fermiopt.cli.gen_two_colored", _never)
+    assert run(["sweep-theta", "--in", str(h), "--out", str(tmp_path / "c.csv")]) == 1
+    assert field in _one_error_line(capsys).err
+
+
+@pytest.mark.parametrize("text", ['{"spec": [5]}', "[]", '{"seed": 5}'])
+def test_sweep_theta_rejects_sidecar_without_spec_object(tmp_path, capsys, text):
+    h = tmp_path / "h2.json"
+    run(
+        ["gen", "--family", "two_colored", "--n1", "6", "--n2", "2", "--q", "4",
+         "--seed", "5", "--out", str(h)]
+    )
+    capsys.readouterr()
+    (tmp_path / "h2.json.spec.json").write_text(text)
+    assert run(["sweep-theta", "--in", str(h), "--out", str(tmp_path / "c.csv")]) == 1
+    _one_error_line(capsys)

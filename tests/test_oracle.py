@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from fermiopt.ensembles import gen_sparse_random, gen_syk_q, gen_two_colored
-from fermiopt.gaussian import (
-    CorrelationMatrix,
-    Matching,
-    SignAssignment,
-    correlation_from_matching,
-    hamiltonian_expectation,
-)
+from fermiopt.gaussian import Matching, SignAssignment
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
 from fermiopt.oracle import (
     BudgetError,
@@ -202,16 +196,6 @@ def test_numeric_max_never_exceeds_lambda_max():
         ham = gen_syk_q(4, 4, seed=100 + seed)
         result = gaussian_numeric_max(ham, restarts=4, seed=seed)
         assert result.value <= lambda_max_exact(ham) + 1e-8
-
-
-def test_numeric_max_respects_warm_start():
-    ham = gen_sparse_random(6, 4, 1, "normal", seed=2)
-    matching = Matching(tuple((2 * j, 2 * j + 1) for j in range(6)))
-    signs = SignAssignment.all_plus(matching)
-    corr = correlation_from_matching(matching, signs)
-    warm_value = hamiltonian_expectation(corr, ham)
-    result = gaussian_numeric_max(ham, restarts=2, seed=0, initial=[corr])
-    assert result.value >= warm_value - 1e-8
 
 
 # ------------------------------------------------------------- the sweep

@@ -21,6 +21,7 @@ import pytest
 from fermiopt.combinatorics import (
     DiffuseCheck,
     DiracError,
+    build_conflict_graph,
     diffuse_partition,
     hamiltonian_cycle_dense,
     is_diffuse,
@@ -55,6 +56,7 @@ from fermiopt.oracle import (
 
 from bruteforce import (
     CofactorTermEvaluator,
+    conflict_adjacency_by_bridges,
     dense_permitted_adjacency,
     dense_sum_per_string,
     diffuse_verdict_scan,
@@ -175,6 +177,25 @@ def test_two_colored_couplings_match_per_rank_draws(n1, n2, q, seed):
     assert [e.coupling for e in meta.entries] == [
         normal_at(seed, "twocolor-coeff", rank) for rank in range(len(meta.entries))
     ]
+
+
+# ------------------------------------------------------------ conflict graph
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        *(gen_ssyk(n, 2, seed=seed) for n in (400, 1600) for seed in (3, 4, 5)),
+        gen_mixed_24(120, 2, 8),
+        *(gen_sparse_random(60, q, 3, "normal", seed=q) for q in (2, 4, 6)),
+        MajoranaHamiltonian(3, ()),
+    ],
+    ids=lambda ham: f"{len(ham.terms)}-terms-n{ham.n_modes}",
+)
+def test_conflict_graph_equals_bridge_loop(ham):
+    graph = build_conflict_graph(ham)
+    assert graph.adjacency == conflict_adjacency_by_bridges(ham)
+    assert graph.n_vertices == len(ham.terms)
 
 
 # --------------------------------------------------------------- is_diffuse

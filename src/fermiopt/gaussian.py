@@ -335,7 +335,7 @@ def state_from_json(text: str) -> tuple[Matching, SignAssignment]:
         and all(p[0] < p[1] for p in pairs)
         and all(_is_int(s) and s in (-1, 1) for s in signs)
     ):
-        raise FormatError("malformed", "need integer n_modes, increasing pairs, a sign +-1 each")
+        raise FormatError("malformed", "a state needs integer n_modes, pairs a<b, one sign +-1 each")
     matching = Matching(tuple(map(tuple, pairs)))
     if matching.n_majoranas != 2 * n_modes:
         raise FormatError("malformed", "pairs do not cover the declared mode count")

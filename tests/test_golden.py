@@ -15,7 +15,7 @@ import pytest
 
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk, gen_two_colored
 from fermiopt.gaussian import state_to_json
-from fermiopt.hamiltonian import serialize_hamiltonian
+from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian, serialize_hamiltonian
 from fermiopt.optimizer import optimize_mixed_24, optimize_ssyk, optimize_strict_q
 
 
@@ -31,6 +31,17 @@ def _strictq(n, q, k, seed):
 
 def _mixed24(n, k, seed):
     ham = gen_mixed_24(n, k, seed=seed)
+    return ham, optimize_mixed_24(ham)
+
+
+def _mixed24_quartic_x10(n, k, seed):
+    """A ``gen_mixed_24`` draw with its quartic coefficients scaled by 10, so
+    the weight-4 branch wins at sizes where plain draws take the weight-2 one."""
+    ham = gen_mixed_24(n, k, seed=seed)
+    terms = tuple(
+        InteractionTerm(t.indices, 10 * t.coeff) if t.weight == 4 else t for t in ham.terms
+    )
+    ham = MajoranaHamiltonian(n_modes=n, terms=terms)
     return ham, optimize_mixed_24(ham)
 
 
@@ -59,6 +70,16 @@ CASES = [
     (
         "mixed24-k2-n120", lambda: _mixed24(120, 2, 8), ("winning branch",),
         "906ac0bd8cd0560d7af324f39710624f0f33d1a7bb8eac0a2ad1986e11e075b3",
+    ),
+    # the weight-4 branch, whose pull-back conditions on the auxiliary dimer
+    (
+        "mixed24-k2-n10-weight4", lambda: _mixed24(10, 2, 1), ("winning branch: weight 4",),
+        "95424e3d8810801d0b877e639e96deaf4b69c98e3623e6d67e5aa80fc1c2b099",
+    ),
+    (
+        "mixed24-quartic-x10-n200-weight4", lambda: _mixed24_quartic_x10(200, 2, 1),
+        ("winning branch: weight 4",),
+        "292a9fe3cc2d175491823b9652aa347be696de51e19f2ee6f8fc8ef231a54fa2",
     ),
     (
         "strictq-q2-fallback-below", lambda: _strictq(5, 2, 2, 0), ("fallback", "below"),

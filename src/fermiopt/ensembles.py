@@ -80,7 +80,9 @@ def _binomial_tables(n_items: int, size: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _unrank_combination(ranks: np.ndarray, n_items: int, size: int) -> np.ndarray:
+def _unrank_combination(
+    ranks: np.ndarray, n_items: int, size: int, allowed: np.ndarray | None = None
+) -> np.ndarray:
     """Inverse of the lexicographic rank of ``size``-combinations of
     ``range(n_items)``: row ``i`` of the ``(len(ranks), size)`` result is
     the combination of rank ``ranks[i]`` in ``itertools.combinations``
@@ -90,6 +92,11 @@ def _unrank_combination(ranks: np.ndarray, n_items: int, size: int) -> np.ndarra
     elements still to place, the next element is ``n_items - 1 - a`` for
     the largest ``a`` with ``C(a, r) <= dual``, found for the whole batch
     by one ``searchsorted`` on the exact table of ``C(a, r)``.
+
+    With ``allowed``, a boolean mask over the items, a combination is
+    dropped at its first item outside the mask: only the survivors go on
+    to the next position, and a dropped row holds -1 from there on, so it
+    ends in -1.
     """
     total = math.comb(n_items, size)
     if total >= 2**63:
@@ -101,12 +108,17 @@ def _unrank_combination(ranks: np.ndarray, n_items: int, size: int) -> np.ndarra
         raise ValueError(f"ranks outside [0, {total})")
     tables = _binomial_tables(n_items, size)
     dual = (total - 1) - ranks
-    out = np.empty((ranks.size, size), dtype=np.int64)
+    out = np.full((ranks.size, size), -1, dtype=np.int64)
+    alive = slice(None) if allowed is None else np.arange(ranks.size)
     for position, remaining in enumerate(range(size, 0, -1)):
         table = tables[remaining]
         a = np.searchsorted(table, dual, side="right") - 1
-        out[:, position] = n_items - 1 - a
+        item = n_items - 1 - a
         dual = dual - table[a]
+        if allowed is not None:
+            keep = allowed[item]
+            alive, item, dual = alive[keep], item[keep], dual[keep]
+        out[alive, position] = item
     return out
 
 
@@ -213,10 +225,11 @@ def gen_sparse_random(
             seed, "sparse-select", max(4 * target, 64), total, index=position
         )
         position += 1
-        rows = _unrank_combination(ranks, 2 * n, q)
         # loads only grow, so a candidate that touches a full Majorana now
-        # would be rejected in order too; only kept ranks need remembering
-        open_ = (np.array(load)[rows] < k).all(axis=1)
+        # would be rejected in order too: it is dropped while unranking, and
+        # only kept ranks need remembering
+        rows = _unrank_combination(ranks, 2 * n, q, allowed=np.array(load) < k)
+        open_ = rows[:, -1] >= 0
         for r, idx in zip(ranks[open_].tolist(), rows[open_].tolist()):
             if r in kept or any(load[i] >= k for i in idx):
                 continue

@@ -26,7 +26,14 @@ from .oracle import (
     sweep_slope,
 )
 
-STUDIES = ("ssyk_concentration", "ratio_bench", "syk_scaling", "theta_sweep")
+# the sizes each study's draws read from a StudyConfig, checked before any draw
+_STUDY_PARAMS = {
+    "ssyk_concentration": ("n", "k"),
+    "ratio_bench": ("n", "k"),
+    "syk_scaling": (),
+    "theta_sweep": ("n1", "n2"),
+}
+STUDIES = tuple(_STUDY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,9 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}")
+        missing = [name for name in _STUDY_PARAMS[self.study] if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"study {self.study!r} needs {', '.join(map(repr, missing))}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.size_grid is not None:

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .gaussian import CorrelationMatrix, Matching, SignAssignment
-from .hamiltonian import InteractionTerm, MajoranaHamiltonian
+from .gaussian import CorrelationMatrix, Matching, SignAssignment, _TermEvaluator
+from .hamiltonian import MajoranaHamiltonian
 
 DENSE_OP_MODE_BUDGET = 13
 DENSE_EIG_MODE_BUDGET = 10
@@ -300,64 +300,6 @@ class GaussianSearchResult:
     corr: CorrelationMatrix
     value: float
     converged: bool
-
-
-def _signed_matchings(q: int) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
-    """The ``(q-1)!!`` perfect matchings of positions ``0..q-1`` with their
-    Pfaffian signs, position 0 paired with 1, 2, ... in turn."""
-    if q == 0:
-        return [(1.0, ())]
-    out = []
-    for j in range(1, q):
-        rest = [p for p in range(1, q) if p != j]
-        for sign, pairs in _signed_matchings(q - 2):
-            matched = tuple((rest[a], rest[b]) for a, b in pairs)
-            out.append(((-1.0) ** (j - 1) * sign, ((0, j), *matched)))
-    return out
-
-
-class _TermEvaluator:
-    """E = sum_T J_T Pf(gamma_T) with its gradient, for terms of any even weight.
-
-    ``Pf(gamma_T) = sum_M sgn(M) prod_{(a,b) in M} gamma_ab`` over the perfect
-    matchings M of T, so ``d Pf / d gamma_ab`` is ``sgn(M)`` times the product
-    over M's other pairs, finite where Pf vanishes.  Per weight, every pair of
-    every matching of every term is one flat index into gamma: a call gathers
-    each weight once and scatters the whole gradient with one bincount, in
-    the order (weight, matching, pair, term).
-    """
-
-    def __init__(self, terms: tuple[InteractionTerm, ...], n_majoranas: int):
-        self.m = n_majoranas
-        self.blocks = []
-        for q in sorted({t.weight for t in terms}):
-            chosen = [t for t in terms if t.weight == q]
-            idx = np.array([t.indices for t in chosen], dtype=np.intp)
-            coeff = np.array([t.coeff for t in chosen])
-            signs, pairs = zip(*_signed_matchings(q))
-            signs = np.array(signs)[:, None]
-            pos = np.array(pairs)  # (matching, pair, 2) positions in a term
-            flat = (idx[:, pos[..., 0]] * self.m + idx[:, pos[..., 1]]).transpose(1, 2, 0)
-            half = range(q // 2)
-            others = np.array([[j for j in half if j != k] for k in half], dtype=np.intp)
-            self.blocks.append((flat, coeff, signs, signs * coeff, others))
-        self.flat = np.concatenate([b[0].ravel() for b in self.blocks] + [np.zeros(0, np.intp)])
-
-    def __call__(self, gamma: np.ndarray) -> tuple[float, np.ndarray]:
-        energy = 0.0
-        weights = np.empty(self.flat.size)
-        start = 0
-        for flat, coeff, signs, signed_coeff, others in self.blocks:
-            g = gamma.take(flat)  # (matching, pair, term)
-            # signs before coefficients: at weight 4 this is the arithmetic of
-            # c @ (g01*g23 - g02*g13 + g03*g12), bit for bit
-            energy += float(coeff @ (signs * g.prod(axis=1)).sum(axis=0))
-            partner = g[:, others].prod(axis=2)  # product over the matching's other pairs
-            weights[start : start + g.size] = (signed_coeff[:, None, :] * partner).ravel()
-            start += g.size
-        grad = np.bincount(self.flat, weights=weights, minlength=self.m * self.m)
-        grad = grad.reshape(self.m, self.m)
-        return energy, grad - grad.T
 
 
 def _reference_gamma(m: int) -> np.ndarray:

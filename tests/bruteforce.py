@@ -63,6 +63,16 @@ def pfaffian_matching_sum(mat: np.ndarray) -> float:
     return total
 
 
+def hamiltonian_expectation_per_term(corr, ham) -> float:
+    """Tr(H rho) = sum_I J_I Pf(gamma_I), one ``pfaffian`` per term, summed
+    in term order."""
+    total = 0.0
+    for t in ham.terms:
+        idx = list(t.indices)
+        total += t.coeff * pfaffian(corr.gamma[np.ix_(idx, idx)])
+    return total
+
+
 def enumerate_hamiltonian_cycles(vertices, has_edge):
     """All Hamiltonian cycles of a small graph, up to rotation/reflection."""
     vertices = sorted(vertices)

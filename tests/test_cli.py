@@ -411,6 +411,26 @@ def test_study_rejects_malformed_config(tmp_path, capsys, monkeypatch, field, ch
     assert not (tmp_path / "bench.csv").exists()
 
 
+COMPLETE_CONFIGS = {
+    "ratio_bench": {"n": 20, "k": 2},
+    "ssyk_concentration": {"n": 40, "k": 2},
+    "theta_sweep": {"n1": 6, "n2": 2},
+}
+MISSING_SIZES = [(study, field) for study, sizes in COMPLETE_CONFIGS.items() for field in sizes]
+
+
+@pytest.mark.parametrize("study,field", MISSING_SIZES)
+def test_study_rejects_config_without_a_size_it_needs(tmp_path, capsys, monkeypatch, study, field):
+    monkeypatch.setattr("fermiopt.experiments.run_study", _never)
+    cfg = {"study": study, "trials": 100, "base_seed": 1, "out": str(tmp_path / "s.csv")}
+    cfg.update((key, val) for key, val in COMPLETE_CONFIGS[study].items() if key != field)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["study", "--config", str(cfg_path)]) == 1
+    assert f"needs {field!r}" in _one_error_line(capsys).err
+    assert not (tmp_path / "s.csv").exists()
+
+
 BAD_SPECS = [
     ("colors", {"colors": 2}),
     ("seed", {"seed": "5"}),

@@ -38,6 +38,17 @@ def test_config_round_trip():
     assert StudyConfig.from_json(cfg.to_json()) == cfg
 
 
+def test_each_study_needs_its_sizes():
+    StudyConfig(study="syk_scaling", trials=1, base_seed=0)  # sizes default to a grid
+    for study, needed in (
+        ("ratio_bench", "'n', 'k'"),
+        ("ssyk_concentration", "'n', 'k'"),
+        ("theta_sweep", "'n1', 'n2'"),
+    ):
+        with pytest.raises(ValueError, match=f"needs {needed}$"):
+            StudyConfig(study=study, trials=1, base_seed=0)
+
+
 def test_unknown_study_rejected():
     with pytest.raises(ValueError):
         StudyConfig(study="nope", trials=1, base_seed=0)

@@ -1,9 +1,14 @@
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermiopt import gaussian
 from fermiopt.gaussian import (
     CorrelationMatrix,
     Matching,
@@ -178,6 +183,36 @@ def test_hamiltonian_expectation_single_dimer_against_dense():
     assert hamiltonian_expectation(corr, ham) == 2.0
     rho = dense_state_from_matching(matching, signs)
     assert dense_expectation(ham, rho) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_hamiltonian_expectation_takes_no_pfaffian_up_to_weight_eight(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("per-term pfaffian called")
+
+    monkeypatch.setattr("fermiopt.gaussian.pfaffian", refuse)
+    rng = np.random.default_rng(8)
+    ham = random_hamiltonian(rng, 5, n_terms=12, weights=(2, 4))
+    basis, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    gamma = basis @ correlation_from_matching(*random_matching_state(rng, 5)).gamma @ basis.T
+    assert np.isfinite(hamiltonian_expectation(CorrelationMatrix((gamma - gamma.T) / 2), ham))
+    matching, signs = random_matching_state(rng, 5)
+    wick = hamiltonian_expectation(correlation_from_matching(matching, signs), ham)
+    assert wick == matching_state_expectation(matching, signs, ham)
+
+
+def test_gaussian_module_imports_neither_oracle_nor_scipy():
+    # load fermiopt.gaussian under a bare package, without fermiopt/__init__.py
+    package = str(Path(gaussian.__file__).parent)
+    probe = (
+        "import sys, types\n"
+        f"pkg = types.ModuleType('fermiopt'); pkg.__path__ = [{package!r}]\n"
+        "sys.modules['fermiopt'] = pkg\n"
+        "import fermiopt.gaussian\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fermiopt')))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["fermiopt", "fermiopt.gaussian", "fermiopt.hamiltonian"]
 
 
 @pytest.mark.parametrize("seed", range(25))

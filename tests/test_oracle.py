@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from fermiopt.ensembles import gen_sparse_random, gen_syk_q, gen_two_colored
-from fermiopt.gaussian import Matching, SignAssignment
+from fermiopt.gaussian import Matching, SignAssignment, _TermEvaluator
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
 from fermiopt.oracle import (
     BudgetError,
     GaussianSearchResult,
-    _TermEvaluator,
     dense_hamiltonian,
     dense_state_from_matching,
     dense_term,

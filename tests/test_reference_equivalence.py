@@ -9,7 +9,9 @@ Hamiltonian cycle.  The grouped Pauli sums of the exact oracles must give
 the same dense matrices as the per-string builders, and products and the
 sweep generator equal to within rounding.  The ascent's matching-expansion
 evaluator must repeat the reference's bits at weights 2 and 4 and agree
-with its Pfaffian cofactors to within rounding above.
+with its Pfaffian cofactors to within rounding above.  The batched Wick
+route must repeat the per-term Pfaffian loop's bits on matching states and
+agree with it to within rounding on any other state.
 """
 
 import itertools
@@ -37,11 +39,21 @@ from fermiopt.ensembles import (
     gen_syk_q,
     gen_two_colored,
 )
-from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
-from fermiopt.optimizer import truncate_to_sparse
+from fermiopt.gaussian import (
+    CorrelationMatrix,
+    _TermEvaluator,
+    correlation_from_matching,
+    hamiltonian_expectation,
+)
+from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian, total_strength
+from fermiopt.optimizer import (
+    optimize_mixed_24,
+    optimize_ssyk,
+    optimize_strict_q,
+    truncate_to_sparse,
+)
 from fermiopt.oracle import (
     DenseOperator,
-    _TermEvaluator,
     _majorana_string,
     _reference_gamma,
     _string_product,
@@ -62,6 +74,7 @@ from bruteforce import (
     diffuse_verdict_scan,
     dimer_state_by_matmul,
     hamiltonian_cycle_sorted_neighbors,
+    hamiltonian_expectation_per_term,
     matvec_per_string,
     normal_at,
     random_antisymmetric,
@@ -130,6 +143,21 @@ def test_unrank_matches_scan_at_the_ssyk_size_limit():
     for row, rank in zip(got.tolist(), (0, last, last - 1, last // 2)):
         assert tuple(row) == unrank_combination_scan(rank, n_items, 4)
     assert got[1].tolist() == [n_items - 4, n_items - 3, n_items - 2, n_items - 1]
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 6])
+def test_unrank_with_allowed_items_drops_at_the_first_blocked_item(size):
+    rng = np.random.default_rng(30 + size)
+    n_items = 14
+    ranks = np.arange(math.comb(n_items, size))
+    full = _unrank_combination(ranks, n_items, size)
+    for share in (0.0, 0.3, 0.7, 1.0):
+        allowed = rng.random(n_items) < share
+        got = _unrank_combination(ranks, n_items, size, allowed=allowed)
+        for row, expected in zip(got.tolist(), full.tolist()):
+            blocked = [p for p, item in enumerate(expected) if not allowed[item]]
+            cut = blocked[0] if blocked else size
+            assert row == expected[:cut] + [-1] * (size - cut)
 
 
 # ----------------------------------------------------------------- samplers
@@ -469,3 +497,69 @@ def test_ascent_evaluator_on_empty_hamiltonian():
     assert energy == 0.0
     assert grad.shape == (6, 6) and not grad.any()
     assert gaussian_numeric_max(MajoranaHamiltonian(n_modes=3, terms=()), restarts=2).value == 0.0
+
+
+# ------------------------------------------------------------ the Wick route
+
+
+def _certified_states():
+    """Matching states from every pipeline, each with its Hamiltonian."""
+    for seed in range(3):
+        ham = gen_sparse_random(40, 4, 2, "normal", seed=seed)
+        yield ham, optimize_strict_q(ham, k=2)
+        ham = gen_sparse_random(30, 6, 1, "normal", seed=seed)
+        yield ham, optimize_strict_q(ham, k=1)
+        for n in (10, 40):  # at n = 10 the weight-4 branch wins some draws
+            ham = gen_mixed_24(n, 2, seed=seed)
+            yield ham, optimize_mixed_24(ham, k=2)
+        ham = gen_ssyk(100, 2, seed=seed)
+        yield ham, optimize_ssyk(ham, 2)
+
+
+def test_wick_route_repeats_per_term_bits_on_matching_states():
+    for ham, result in _certified_states():
+        corr = correlation_from_matching(result.matching, result.signs)
+        assert hamiltonian_expectation(corr, ham) == hamiltonian_expectation_per_term(corr, ham)
+
+
+def _wick_states(m, seed):
+    """Random pure states (orthogonal orbit) and mixed states: a pure state
+    shrunk toward zero and a random antisymmetric matrix below norm one."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        pure = basis @ _reference_gamma(m) @ basis.T
+        yield CorrelationMatrix((pure - pure.T) / 2.0)
+    yield CorrelationMatrix(0.6 * (pure - pure.T) / 2.0)
+    raw = random_antisymmetric(rng, m)
+    yield CorrelationMatrix(0.9 * raw / np.linalg.norm(raw, 2))
+
+
+@pytest.mark.parametrize(
+    "n,weights", [(5, (2,)), (5, (4,)), (5, (6,)), (5, (2, 4, 6)), (4, (4, 8)), (5, (10,))]
+)
+def test_wick_route_matches_per_term_pfaffians(n, weights):
+    ham = _syk_sum(n, weights, seed=11)  # at weight 10: one term, past the expansion
+    scale = total_strength(ham)
+    for corr in _wick_states(ham.n_majoranas, seed=n + len(weights)):
+        reference = hamiltonian_expectation_per_term(corr, ham)
+        assert hamiltonian_expectation(corr, ham) == pytest.approx(
+            reference, rel=1e-12, abs=1e-12 * scale
+        )
+
+
+def test_wick_route_rejects_a_hamiltonian_wider_than_the_state():
+    ham = MajoranaHamiltonian(n_modes=3, terms=(InteractionTerm((0, 1), 1.0),))
+    with pytest.raises(ValueError, match="6 Majoranas"):
+        hamiltonian_expectation(CorrelationMatrix(_reference_gamma(4)), ham)
+
+
+def test_correlation_matrix_takes_the_svd_past_unit_row_sums():
+    rng = np.random.default_rng(4)
+    basis, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    pure = basis @ _reference_gamma(8) @ basis.T
+    pure = (pure - pure.T) / 2.0
+    assert np.abs(pure).sum(axis=1).max() > 1.5  # the row-sum test cannot pass it
+    CorrelationMatrix(pure)
+    with pytest.raises(ValueError, match="singular value"):
+        CorrelationMatrix(1.01 * pure)

@@ -116,12 +116,17 @@ class CorrelationMatrix:
             raise ValueError(f"correlation matrix must be square, got {gamma.shape}")
         if gamma.shape[0] % 2 != 0:
             raise ValueError("correlation matrix needs an even number of Majoranas")
-        defect = np.max(np.abs(gamma + gamma.T)) if gamma.size else 0.0
-        if defect > ANTISYM_TOL:
+        # gamma.T is read once and the passes reuse its buffer: at m in the
+        # hundreds a strided read or a fresh temporary costs more than the arithmetic
+        transposed = gamma.T.copy()
+        scratch = gamma + transposed
+        defect = np.abs(scratch, out=scratch).max() if gamma.size else 0.0
+        if not defect <= ANTISYM_TOL:  # NaN fails too
             raise ValueError(f"antisymmetry defect {defect:g} exceeds {ANTISYM_TOL:g}")
-        gamma = (gamma - gamma.T) / 2.0
+        gamma = np.subtract(gamma, transposed, out=scratch)
+        gamma /= 2.0
         # ||g||_1 = ||g||_inf for antisymmetric g, so sigma_max <= max row sum
-        if gamma.size and np.abs(gamma).sum(axis=1).max() > 1.0 + SINGVAL_TOL:
+        if gamma.size and np.abs(gamma, out=transposed).sum(axis=1).max() > 1.0 + SINGVAL_TOL:
             svals = np.linalg.svd(gamma, compute_uv=False)
             if svals[0] > 1.0 + SINGVAL_TOL:
                 raise ValueError(f"singular value {svals[0]:.12g} exceeds 1")

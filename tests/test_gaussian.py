@@ -142,6 +142,24 @@ def test_correlation_validation_rejects_overweight():
         CorrelationMatrix(bad)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_correlation_validation_rejects_non_finite_entries(value):
+    bad = np.zeros((4, 4))
+    bad[0, 1], bad[1, 0] = value, -value
+    with pytest.raises(ValueError, match="antisymmetry defect"):
+        CorrelationMatrix(bad)
+
+
+def test_correlation_validation_leaves_its_input_alone():
+    raw = random_antisymmetric(np.random.default_rng(2), 6) / 10.0
+    raw[0, 1] += 1e-13  # within the antisymmetry tolerance
+    before = raw.copy()
+    corr = CorrelationMatrix(raw)
+    assert np.array_equal(raw, before)
+    assert np.array_equal(corr.gamma, (before - before.T) / 2.0)
+
+
 # ------------------------------------------------------------ expectations
 
 

@@ -131,7 +131,9 @@ class CorrelationMatrix:
             if svals[0] > 1.0 + SINGVAL_TOL:
                 raise ValueError(f"singular value {svals[0]:.12g} exceeds 1")
         n = gamma.shape[0] // 2
-        frob = float(np.sum(np.triu(gamma, 1) ** 2))
+        del transposed  # before the Frobenius pass takes its own buffer
+        upper = np.triu(gamma, 1)
+        frob = float(np.sum(np.square(upper, out=upper)))
         if frob > n + SINGVAL_TOL:
             raise ValueError(f"Frobenius weight {frob:g} exceeds n={n}")
         self.gamma = gamma

@@ -162,6 +162,19 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    grid = None
+    if args.grid is not None:
+        try:
+            low, high, points = args.grid.split(",")
+            low, high, points = float(low), float(high), int(points)
+            valid = points >= 1 and np.isfinite([low, high]).all()
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"--grid {args.grid!r} is not low,high,points with finite bounds, points >= 1"
+            )
+        grid = np.geomspace(low, high, points)
     with open(args.infile) as fh:
         ham = parse_hamiltonian(fh.read())
     spec_path = args.spec or args.infile + ".spec.json"
@@ -172,11 +185,6 @@ def _cmd_sweep(args) -> int:
     ham2, meta = gen_two_colored(spec.n1, spec.n2, spec.q, spec.seed)
     if ham2 != ham:
         raise ValueError("input Hamiltonian does not match its provenance sidecar")
-    if args.grid:
-        low, high, points = args.grid.split(",")
-        grid = np.geomspace(float(low), float(high), int(points))
-    else:
-        grid = None
     curve = rho_theta_sweep(ham2, meta, theta_grid=grid)
     with open(args.out, "w") as fh:
         fh.write("theta,value\n")

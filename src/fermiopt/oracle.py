@@ -24,7 +24,6 @@ from .hamiltonian import MajoranaHamiltonian
 DENSE_OP_MODE_BUDGET = 13
 DENSE_EIG_MODE_BUDGET = 10
 ITER_EIG_MODE_BUDGET = 16
-SWEEP_DIM_BUDGET = 2**13
 
 
 class BudgetError(ValueError):
@@ -114,13 +113,6 @@ def _apply_string(pauli_sum, vec: np.ndarray, out: np.ndarray) -> None:
         out += gathered
 
 
-def dense_term(indices, n_modes: int) -> np.ndarray:
-    """Dense matrix of the Hermitian monomial ``C_I``."""
-    if n_modes > DENSE_OP_MODE_BUDGET:
-        raise BudgetError(f"dense path capped at {DENSE_OP_MODE_BUDGET} modes")
-    return _string_matrix(_pauli_sum([(term_string(indices, n_modes), 1.0)], n_modes), n_modes)
-
-
 def dense_hamiltonian(ham: MajoranaHamiltonian) -> DenseOperator:
     """Dense matrix of the full Hamiltonian."""
     if ham.n_modes > DENSE_OP_MODE_BUDGET:
@@ -189,7 +181,8 @@ def dense_state_from_matching(
 ) -> DenseOperator:
     """Dense density matrix of the pure matching state."""
     n_modes = matching.n_majoranas // 2 if n_modes is None else n_modes
-    dimers = [(pair, signs.as_dict()[pair]) for pair in matching.pairs]
+    sign_of = signs.as_dict()
+    dimers = [(pair, sign_of[pair]) for pair in matching.pairs]
     return dense_dimer_state(n_modes, dimers)
 
 
@@ -214,15 +207,15 @@ def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
     second-color modes, then ``n2`` fresh auxiliary Majoranas paired with
     the second color in the reference state.  ``zeta`` is the Pauli sum of
     the ``coupling * P_phi * sigma_chi`` strings, and ``slope`` is the
-    first-order response ``Tr([zeta, H] rho0)``.
+    first-order response ``Tr([zeta, H] rho0)``.  ``evals`` and ``kernel``
+    hold every rotated expectation (see ``_rotated_value``).
     """
     n1, n2, q = meta.n1, meta.n2, meta.q
     if n1 % 2 != 0:
         raise ValueError("sweep needs an even first-color count")
-    total = n1 + 2 * n2
-    n_modes = total // 2
-    if 2**n_modes > SWEEP_DIM_BUDGET:
-        raise BudgetError(f"sweep capped at {SWEEP_DIM_BUDGET} dimensions")
+    n_modes = (n1 + 2 * n2) // 2
+    if n_modes > DENSE_OP_MODE_BUDGET:
+        raise BudgetError(f"dense path capped at {DENSE_OP_MODE_BUDGET} modes")
 
     scale = (1.0 / math.sqrt(math.comb(n1, q - 1))) * 1j ** (q // 2 - 1)
     strings = []
@@ -240,21 +233,28 @@ def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
     dimers = [((n1 + j, n1 + n2 + j), -1) for j in range(n2)]
     rho0 = dense_dimer_state(n_modes, dimers).matrix
     slope = float(np.real(np.trace((zeta @ hmat - hmat @ zeta) @ rho0)))
-    return {"zeta": zeta, "h": hmat, "rho0": rho0, "slope": slope}
+
+    # zeta is anti-Hermitian: diagonalize i*zeta once, rotations are diagonal
+    evals, basis = np.linalg.eigh(1j * zeta)
+    h_rot = basis.conj().T @ hmat @ basis
+    rho_rot = basis.conj().T @ rho0 @ basis
+    kernel = h_rot.T * rho_rot  # Tr(H E rho E^+) = sum_ab kernel_ab d_a conj(d_b)
+    return dict(zeta=zeta, h=hmat, rho0=rho0, slope=slope, evals=evals, kernel=kernel)
+
+
+def _rotated_value(evals: np.ndarray, kernel: np.ndarray, t: float) -> float:
+    """``Tr(H exp(-t zeta) rho0 exp(t zeta))`` on the eigen-data of ``i*zeta``."""
+    d = np.exp(1j * t * evals)
+    return float(np.real(d @ kernel @ d.conj()))
 
 
 def sweep_slope(ham2: MajoranaHamiltonian, meta) -> tuple[float, float]:
     """First-order response at theta = 0: commutator form and a central
     finite difference of the rotated expectation."""
     pieces = _two_colored_dense(ham2, meta)
-    zeta, hmat, rho0 = pieces["zeta"], pieces["h"], pieces["rho0"]
     eps = 1e-5
-    values = []
-    for t in (eps, -eps):
-        rot = expm(-t * zeta)
-        rho_t = rot @ rho0 @ rot.conj().T
-        values.append(float(np.real(np.trace(hmat @ rho_t))))
-    return pieces["slope"], (values[0] - values[1]) / (2 * eps)
+    plus, minus = (_rotated_value(pieces["evals"], pieces["kernel"], t) for t in (eps, -eps))
+    return pieces["slope"], (plus - minus) / (2 * eps)
 
 
 def rho_theta_sweep(
@@ -270,24 +270,12 @@ def rho_theta_sweep(
     over ``theta_grid``, by default 64 points geometric in ``[1e-3, 2]``.
     """
     pieces = _two_colored_dense(ham2, meta)
-    zeta, hmat, rho0 = pieces["zeta"], pieces["h"], pieces["rho0"]
     if theta_grid is None:
         theta_grid = np.geomspace(1e-3, 2.0, 64)
     grid = np.asarray(theta_grid, dtype=float)
     orientation = 1.0 if pieces["slope"] >= 0 else -1.0
-
-    # zeta is anti-Hermitian: diagonalize i*zeta once, rotations are diagonal
-    evals, basis = np.linalg.eigh(1j * zeta)
-    h_rot = basis.conj().T @ hmat @ basis
-    rho_rot = basis.conj().T @ rho0 @ basis
-    kernel = h_rot.T * rho_rot  # Tr(H E rho E^+) = sum_ab kernel_ab d_a conj(d_b)
-
-    curve = []
-    for theta in grid:
-        d = np.exp(1j * theta * orientation * evals)
-        value = float(np.real(d @ kernel @ d.conj()))
-        curve.append((float(theta * orientation), value))
-    return curve
+    evals, kernel = pieces["evals"], pieces["kernel"]
+    return [(float(t), _rotated_value(evals, kernel, t)) for t in grid * orientation]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
 Everything here is deliberately naive: enumeration, inversion counting,
-exhaustive search.  Nothing imports the algorithms it is meant to check.
+exhaustive search.  Nothing imports the algorithms it is meant to check;
+``dense_term`` alone reads the oracle's string builders, because the
+Majorana-algebra tests that use it check exactly those.
 The reference samplers draw through the package's single-stream
 primitives (``rng.stream_key``, ``rng.integers_below``, ``rng.generator``),
 one stream per value, and replace only the batched draws.
@@ -13,9 +15,11 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from fermiopt import rng
 from fermiopt.gaussian import pfaffian
+from fermiopt.oracle import _pauli_sum, _string_matrix, term_string
 
 
 def sign_by_inversions(seq) -> int:
@@ -364,6 +368,23 @@ def dimer_state_by_matmul(n_modes: int, signed_strings) -> np.ndarray:
     for string, sign in signed_strings:
         rho = rho + sign * (dense_sum_per_string([(string, 1.0)], n_modes) @ rho)
     return rho
+
+
+def dense_term(indices, n_modes: int) -> np.ndarray:
+    """Dense matrix of the Hermitian monomial ``C_I``, read from the oracle's
+    own string and Pauli-sum builders, which the Majorana-algebra tests check."""
+    return _string_matrix(_pauli_sum([(term_string(indices, n_modes), 1.0)], n_modes), n_modes)
+
+
+def slope_fd_by_expm(zeta: np.ndarray, hmat: np.ndarray, rho0: np.ndarray) -> float:
+    """Central finite difference at t = +-1e-5 of ``Tr(H exp(-t zeta) rho0
+    exp(t zeta))``, by scipy's ``expm`` and dense products."""
+    eps = 1e-5
+    values = []
+    for t in (eps, -eps):
+        rot = expm(-t * zeta)
+        values.append(float(np.real(np.trace(hmat @ (rot @ rho0 @ rot.conj().T)))))
+    return (values[0] - values[1]) / (2 * eps)
 
 
 def zeta_by_tau_products(n_modes: int, scale: complex, tau_terms, sigma_strings) -> np.ndarray:

@@ -1,5 +1,12 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the caller exports a count: the dense oracles run
+# faster on small matrices without threading, and the golden digests are
+# recorded at one thread.  OpenBLAS reads these only when numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(Path(__file__).parent))
 

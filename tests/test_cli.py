@@ -151,6 +151,46 @@ def test_sweep_theta_rejects_mismatched_sidecar(tmp_path):
     assert code == 1
 
 
+BAD_GRIDS = ["nan,2,4", "1e-3,inf,4", "1e-3,2,0", "1e-3,2,-3", "1e-3,2,2.5", "1e-3,2",
+             "1e-3,2,4,8", "a,2,4", ""]
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_sweep_theta_rejects_bad_grid_before_reading(tmp_path, capsys, monkeypatch, grid):
+    monkeypatch.setattr("fermiopt.cli.rho_theta_sweep", _never)
+    out = tmp_path / "c.csv"
+    # the input does not exist: only a grid check that runs first names --grid
+    code = run(["sweep-theta", "--in", str(tmp_path / "missing.json"), "--grid", grid,
+                "--out", str(out)])
+    assert code == 1
+    assert "--grid" in _one_error_line(capsys).err
+    assert not out.exists()
+
+
+def test_sweep_theta_accepts_descending_grid(tmp_path):
+    h = tmp_path / "h2.json"
+    run(
+        ["gen", "--family", "two_colored", "--n1", "6", "--n2", "2", "--q", "4",
+         "--seed", "5", "--out", str(h)]
+    )
+    out = tmp_path / "c.csv"
+    assert run(["sweep-theta", "--in", str(h), "--grid", "2,1e-3,4", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
+
+
+def test_sweep_theta_over_the_dense_budget_exits_one(tmp_path, capsys):
+    h = tmp_path / "h2.json"
+    run(
+        ["gen", "--family", "two_colored", "--n1", "20", "--n2", "4", "--q", "4",
+         "--seed", "1", "--out", str(h)]
+    )
+    capsys.readouterr()
+    out = tmp_path / "c.csv"
+    assert run(["sweep-theta", "--in", str(h), "--out", str(out)]) == 1
+    assert "13 modes" in _one_error_line(capsys).err
+    assert not out.exists()
+
+
 def test_study_runs_from_config(tmp_path, capsys):
     cfg = {
         "study": "ratio_bench",

@@ -24,14 +24,9 @@ from fermiopt.gaussian import (
     pfaffian,
 )
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
-from fermiopt.oracle import (
-    dense_dimer_state,
-    dense_expectation,
-    dense_state_from_matching,
-    dense_term,
-)
+from fermiopt.oracle import dense_dimer_state, dense_expectation, dense_state_from_matching
 
-from bruteforce import pfaffian_matching_sum, random_antisymmetric
+from bruteforce import dense_term, pfaffian_matching_sum, random_antisymmetric
 
 
 def random_matching_state(rng, n_modes):

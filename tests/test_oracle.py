@@ -12,14 +12,13 @@ from fermiopt.oracle import (
     GaussianSearchResult,
     dense_hamiltonian,
     dense_state_from_matching,
-    dense_term,
     gaussian_numeric_max,
     lambda_max_exact,
     rho_theta_sweep,
     sweep_slope,
 )
 
-from bruteforce import quadratic_gaussian_max
+from bruteforce import dense_term, quadratic_gaussian_max
 
 
 def test_single_mode_majorana_is_first_pauli():
@@ -228,6 +227,18 @@ def test_sweep_reference_state_checks():
     assert np.real(np.trace(quad @ pieces["rho0"])) == pytest.approx(
         math.sqrt(n2), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("sweep", [sweep_slope, rho_theta_sweep])
+def test_sweep_over_the_dense_budget_raises_before_any_matrix(monkeypatch, sweep):
+    ham2, meta = gen_two_colored(20, 4, 4, seed=1)  # 14 modes
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a dense matrix past the budget")
+
+    monkeypatch.setattr("fermiopt.oracle._string_matrix", never)
+    with pytest.raises(BudgetError, match="13 modes"):
+        sweep(ham2, meta)
 
 
 def test_sweep_finds_positive_value():

@@ -7,11 +7,13 @@ a batch of ranks, the same terms and coefficient bits from each generator,
 the same diffuse verdict, the same permitted edges and the same
 Hamiltonian cycle.  The grouped Pauli sums of the exact oracles must give
 the same dense matrices as the per-string builders, and products and the
-sweep generator equal to within rounding.  The ascent's matching-expansion
-evaluator must repeat the reference's bits at weights 2 and 4 and agree
-with its Pfaffian cofactors to within rounding above.  The batched Wick
-route must repeat the per-term Pfaffian loop's bits on matching states and
-agree with it to within rounding on any other state.
+sweep generator equal to within rounding.  The sweep's eigenbasis slope
+must agree with a finite difference through ``expm`` to within rounding.
+The ascent's matching-expansion evaluator must repeat the reference's bits
+at weights 2 and 4 and agree with its Pfaffian cofactors to within
+rounding above.  The batched Wick route must repeat the per-term Pfaffian
+loop's bits on matching states and agree with it to within rounding on
+any other state.
 """
 
 import itertools
@@ -63,6 +65,7 @@ from fermiopt.oracle import (
     dense_hamiltonian,
     gaussian_numeric_max,
     matvec_operator,
+    sweep_slope,
     term_string,
 )
 
@@ -78,6 +81,7 @@ from bruteforce import (
     matvec_per_string,
     normal_at,
     random_antisymmetric,
+    slope_fd_by_expm,
     sparse_random_per_candidate,
     ssyk_terms_per_rank,
     truncation_marks_scan,
@@ -417,6 +421,17 @@ def test_zeta_matches_tau_products(n1, n2, q, seed):
     expected = zeta_by_tau_products(n_modes, scale, tau_terms, sigmas)
     zeta = _two_colored_dense(ham2, meta)["zeta"]
     assert np.allclose(zeta, expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n1,n2", [(6, 2), (6, 3), (8, 2), (8, 4)])
+def test_sweep_slope_matches_expm_finite_difference(n1, n2, seed):
+    ham2, meta = gen_two_colored(n1, n2, 4, seed=seed)
+    pieces = _two_colored_dense(ham2, meta)
+    commutator, finite_difference = sweep_slope(ham2, meta)
+    assert commutator == pieces["slope"]
+    expected = slope_fd_by_expm(pieces["zeta"], pieces["h"], pieces["rho0"])
+    assert finite_difference == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
 
 @pytest.mark.parametrize(

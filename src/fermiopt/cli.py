@@ -167,12 +167,13 @@ def _cmd_sweep(args) -> int:
         try:
             low, high, points = args.grid.split(",")
             low, high, points = float(low), float(high), int(points)
-            valid = points >= 1 and np.isfinite([low, high]).all()
+            valid = points >= 1 and np.isfinite([low, high]).all() and low * high > 0
         except ValueError:
             valid = False
         if not valid:
             raise ValueError(
-                f"--grid {args.grid!r} is not low,high,points with finite bounds, points >= 1"
+                f"--grid {args.grid!r} is not low,high,points with finite nonzero bounds "
+                "of one sign, points >= 1"
             )
         grid = np.geomspace(low, high, points)
     with open(args.infile) as fh:

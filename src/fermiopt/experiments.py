@@ -61,7 +61,14 @@ class StudyConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.size_grid is not None:
-            object.__setattr__(self, "size_grid", tuple(int(v) for v in self.size_grid))
+            grid = tuple(int(v) for v in self.size_grid)
+            increasing = all(a < b for a, b in zip(grid, grid[1:]))
+            if len(grid) < 2 or not increasing or grid[-1] > ITER_EIG_MODE_BUDGET:
+                raise ValueError(
+                    f"field 'size_grid' needs at least two strictly increasing sizes, "
+                    f"each at most {ITER_EIG_MODE_BUDGET}, got {list(grid)}"
+                )
+            object.__setattr__(self, "size_grid", grid)
 
     def to_json(self) -> str:
         doc = {key: val for key, val in asdict(self).items() if val is not None}
@@ -274,8 +281,6 @@ def run_syk_scaling(cfg: StudyConfig) -> StudyResult:
     lam_per_size: dict[int, list[float]] = {n: [] for n in sizes}
     counter = 0
     for n in sizes:
-        if n > ITER_EIG_MODE_BUDGET:
-            raise ValueError(f"size {n} beyond the eigensolver budget")
         for trial in range(cfg.trials):
             seed = trial_seed(cfg.base_seed, counter)
             counter += 1

@@ -62,9 +62,6 @@ class Matching:
             out[b] = a
         return out
 
-    def partner_map(self) -> dict[int, int]:
-        return dict(self._partners)
-
 
 @dataclass(frozen=True)
 class SignAssignment:

@@ -32,8 +32,6 @@ from .gaussian import (
     SignAssignment,
     assign_signs,
     classify_consistency,
-    condition_on_dimer,
-    correlation_from_matching,
     matching_state_expectation,
 )
 from .hamiltonian import (
@@ -274,32 +272,27 @@ def pull_back(
             raise PullBackError(f"pull-back lost energy: {value} < {tilde_value}")
         return matching, signs
 
-    partner = tilde_matching.partner_map()
+    # the auxiliaries are the two highest Majoranas: each ends its sorted pair
+    partner = {b: a for a, b in tilde_matching.pairs if b in aux_pair}
     i1, i2 = partner[aux_pair[0]], partner[aux_pair[1]]
-    corr = correlation_from_matching(tilde_matching, tilde_signs)
-    lam1 = sd[tuple(sorted((i1, aux_pair[0])))]
-    lam2 = sd[tuple(sorted((i2, aux_pair[1])))]
+    lam1, lam2 = sd[(i1, aux_pair[0])], sd[(i2, aux_pair[1])]
+    base_pairs = [p for p in tilde_matching.pairs if p[1] not in aux_pair]
+    new_pair = (min(i1, i2), max(i1, i2))
+    orient = -1 if i1 < i2 else 1
+    matching = Matching(tuple(base_pairs) + (new_pair,))
 
-    best: tuple[float, Matching, SignAssignment] | None = None
+    # each outcome of the auxiliary dimer has probability 1/2, and its
+    # conditioned state carries this sign on the re-paired dimer
+    best: tuple[float, SignAssignment] | None = None
     for outcome in (1, -1):
-        prob, reduced = condition_on_dimer(corr, aux_pair[0], aux_pair[1], outcome)
-        if not abs(prob - 0.5) < 1e-12:  # auxiliaries sit in different dimers
-            raise ContractError(f"auxiliary dimer outcome has probability {prob}, not 1/2")
-        base_pairs = [p for p in tilde_matching.pairs if aux_pair[0] not in p and aux_pair[1] not in p]
-        new_pair = (min(i1, i2), max(i1, i2))
         cond_signs = {p: sd[p] for p in base_pairs}
-        orient = -1 if i1 < i2 else 1
         cond_signs[new_pair] = orient * outcome * lam1 * lam2
-        matching = Matching(tuple(base_pairs) + (new_pair,))
         signs = SignAssignment.from_dict(cond_signs)
-        # the closed form must agree with the Schur-complement update
-        if not (reduced.gamma == correlation_from_matching(matching, signs).gamma).all():
-            raise ContractError("pulled-back state disagrees with the Schur complement")
         signs = _repair_two_mode_overlaps(matching, signs, ham)
         value = matching_state_expectation(matching, signs, ham)
         if best is None or value > best[0]:
-            best = (value, matching, signs)
-    value, matching, signs = best
+            best = (value, signs)
+    value, signs = best
     if value < tilde_value - slack:
         raise PullBackError(f"pull-back lost energy: {value} < {tilde_value}")
     return matching, signs

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from fermiopt import rng
-from fermiopt.gaussian import pfaffian
+from fermiopt.gaussian import condition_on_dimer, correlation_from_matching, pfaffian
 from fermiopt.oracle import _pauli_sum, _string_matrix, term_string
 
 
@@ -464,3 +464,22 @@ class CofactorTermEvaluator:
                 sign = -1.0 if (a + b + 1) % 2 else 1.0
                 grad[idx[a], idx[b]] += t.coeff * sign * minor
         return energy, grad - grad.T
+
+
+# -------------------------------------------------------------------------
+# The mixed pull-back's conditioned states by the skew Schur complement:
+# measure the auxiliary dimer of a weight-4 branch state on its dense
+# correlation matrix.  The pull-back's matching-form signs must give these
+# matrices exactly.
+
+
+def conditioned_by_schur(tilde_matching, tilde_signs) -> list[tuple[float, np.ndarray]]:
+    """``(probability, conditioned gamma)`` at outcomes 1 and -1 of the dimer
+    on the two highest Majoranas (the auxiliaries)."""
+    corr = correlation_from_matching(tilde_matching, tilde_signs)
+    m = corr.n_majoranas
+    out = []
+    for outcome in (1, -1):
+        prob, reduced = condition_on_dimer(corr, m - 2, m - 1, outcome)
+        out.append((prob, reduced.gamma))
+    return out

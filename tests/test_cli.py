@@ -152,7 +152,7 @@ def test_sweep_theta_rejects_mismatched_sidecar(tmp_path):
 
 
 BAD_GRIDS = ["nan,2,4", "1e-3,inf,4", "1e-3,2,0", "1e-3,2,-3", "1e-3,2,2.5", "1e-3,2",
-             "1e-3,2,4,8", "a,2,4", ""]
+             "1e-3,2,4,8", "a,2,4", "", "-1,2,4", "1e-3,-2,4", "0,2,4"]
 
 
 @pytest.mark.parametrize("grid", BAD_GRIDS)
@@ -160,7 +160,8 @@ def test_sweep_theta_rejects_bad_grid_before_reading(tmp_path, capsys, monkeypat
     monkeypatch.setattr("fermiopt.cli.rho_theta_sweep", _never)
     out = tmp_path / "c.csv"
     # the input does not exist: only a grid check that runs first names --grid
-    code = run(["sweep-theta", "--in", str(tmp_path / "missing.json"), "--grid", grid,
+    # one token, so that a grid starting with "-" is not read as an option
+    code = run(["sweep-theta", "--in", str(tmp_path / "missing.json"), f"--grid={grid}",
                 "--out", str(out)])
     assert code == 1
     assert "--grid" in _one_error_line(capsys).err
@@ -433,6 +434,12 @@ BAD_CONFIGS = [
     ("restarts", {"restarts": False}),
     ("size_grid", {"size_grid": [4, "5"]}),
     ("size_grid", {"size_grid": 4}),
+    ("size_grid", {"size_grid": [4]}),
+    ("size_grid", {"size_grid": [4, 4]}),
+    ("size_grid", {"size_grid": []}),
+    ("size_grid", {"size_grid": [4, 17]}),
+    ("size_grid", {"size_grid": [17, 18]}),
+    ("size_grid", {"size_grid": [5, 4]}),
     ("out", {"out": 3}),
 ]
 

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from fermiopt import gaussian
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk, gen_two_colored
 from fermiopt.gaussian import state_to_json
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian, serialize_hamiltonian
@@ -82,6 +83,11 @@ CASES = [
         "292a9fe3cc2d175491823b9652aa347be696de51e19f2ee6f8fc8ef231a54fa2",
     ),
     (
+        "mixed24-quartic-x10-n1600-weight4", lambda: _mixed24_quartic_x10(1600, 2, 1),
+        ("winning branch: weight 4",),
+        "56750ba0acb94738ef9687679ebc052c99132e34b996b801dfd3ede66ba8df39",
+    ),
+    (
         "strictq-q2-fallback-below", lambda: _strictq(5, 2, 2, 0), ("fallback", "below"),
         "f68c084d2f06bab2da1c34db034d3f04c10c133f70c2c7980aaa2524f7a70e93",
     ),
@@ -116,6 +122,19 @@ def test_golden_digest(build, notes, expected):
     ham, result = build()
     for fragment in notes:
         assert any(fragment in note for note in result.certificate.notes), fragment
+    assert artifact_digest(ham, result) == expected
+
+
+@pytest.mark.parametrize(
+    "case_id", ["mixed24-k2-n10-weight4", "mixed24-quartic-x10-n200-weight4"]
+)
+def test_weight4_pull_back_builds_no_correlation_matrix(monkeypatch, case_id):
+    def refuse(self, gamma):
+        raise RuntimeError("the certified route built a correlation matrix")
+
+    monkeypatch.setattr(gaussian.CorrelationMatrix, "__init__", refuse)
+    build, _, expected = next(case[1:] for case in CASES if case[0] == case_id)
+    ham, result = build()
     assert artifact_digest(ham, result) == expected
 
 

@@ -240,11 +240,47 @@ def test_pull_back_weight2_branch_is_exact():
     assert dense_expectation(ham, rho) == pytest.approx(value, abs=1e-10)
 
 
-def test_pull_back_weight4_branch_no_overlap():
+def marked_edge(ham, quartic_ids):
+    from fermiopt.combinatorics import diffuse_matching
+
+    matching, _ = diffuse_matching(ham, quartic_ids)
+    support = set()
+    for i in quartic_ids:
+        support |= set(ham.terms[i].indices)
+    return next(p for p in matching.pairs if not set(p) & support)
+
+
+def no_overlap_branch_state():
     ham = ham_of(4, ((0, 1, 2, 3), -2.0), ((4, 6), 0.7))
-    lifted = lift_to_strict4(ham)
+    _, tilde_matching, _ = branch_b_state(ham, [0], marked_edge(ham, [0]), (8, 9))
+    return ham, tilde_matching, assign_signs(tilde_matching, [ham.terms[0]])
+
+
+def adversarial_branch_state(two_mode_coeffs):
+    terms = [((0, 1, 2, 3), 1.0)] + [(idx, c) for idx, c in two_mode_coeffs.items()]
+    ham = ham_of(4, *terms)
     _, tilde_matching, tilde_signs = branch_b_state(ham, [0], marked_edge(ham, [0]), (8, 9))
-    tilde_signs = assign_signs(tilde_matching, [ham.terms[0]])
+    return ham, tilde_matching, tilde_signs
+
+
+ADVERSARIAL_OVERLAPS = [
+    {(0, 1): -2.0},
+    {(0, 1): -2.0, (2, 3): 0.5},
+    {(0, 1): 3.0, (2, 3): -1.0},
+    {(0, 1): -0.25, (2, 3): -0.75},
+]
+
+
+def hand_built_branch_states():
+    """The weight-4 branch states below, each with its Hamiltonian."""
+    yield no_overlap_branch_state()
+    for two_mode_coeffs in ADVERSARIAL_OVERLAPS:
+        yield adversarial_branch_state(two_mode_coeffs)
+
+
+def test_pull_back_weight4_branch_no_overlap():
+    ham, tilde_matching, tilde_signs = no_overlap_branch_state()
+    lifted = lift_to_strict4(ham)
     tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
     assert tilde_value == pytest.approx(2.0, abs=1e-12)
     back_matching, back_signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
@@ -258,31 +294,10 @@ def test_pull_back_weight4_branch_no_overlap():
     assert dense_expectation(ham, rho) == pytest.approx(value, abs=1e-10)
 
 
-def marked_edge(ham, quartic_ids):
-    from fermiopt.combinatorics import diffuse_matching
-
-    matching, _ = diffuse_matching(ham, quartic_ids)
-    support = set()
-    for i in quartic_ids:
-        support |= set(ham.terms[i].indices)
-    return next(p for p in matching.pairs if not set(p) & support)
-
-
-@pytest.mark.parametrize(
-    "two_mode_coeffs",
-    [
-        {(0, 1): -2.0},
-        {(0, 1): -2.0, (2, 3): 0.5},
-        {(0, 1): 3.0, (2, 3): -1.0},
-        {(0, 1): -0.25, (2, 3): -0.75},
-    ],
-)
+@pytest.mark.parametrize("two_mode_coeffs", ADVERSARIAL_OVERLAPS)
 def test_pull_back_adversarial_overlaps(two_mode_coeffs):
-    terms = [((0, 1, 2, 3), 1.0)] + [(idx, c) for idx, c in two_mode_coeffs.items()]
-    ham = ham_of(4, *terms)
+    ham, tilde_matching, tilde_signs = adversarial_branch_state(two_mode_coeffs)
     lifted = lift_to_strict4(ham)
-    edge = marked_edge(ham, [0])
-    _, tilde_matching, tilde_signs = branch_b_state(ham, [0], edge, (8, 9))
     tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
     assert tilde_value == pytest.approx(1.0, abs=1e-12)  # overlapping terms drop out
     back_matching, back_signs = pull_back(tilde_matching, tilde_signs, ham, lifted)

@@ -13,7 +13,9 @@ The ascent's matching-expansion evaluator must repeat the reference's bits
 at weights 2 and 4 and agree with its Pfaffian cofactors to within
 rounding above.  The batched Wick route must repeat the per-term Pfaffian
 loop's bits on matching states and agree with it to within rounding on
-any other state.
+any other state.  The mixed pull-back's conditioned states, built from the
+matching form, must give exactly the Schur complement of the branch
+state's correlation matrix at each outcome of the auxiliary dimer.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import math
 import numpy as np
 import pytest
 
+from fermiopt import optimizer
 from fermiopt.combinatorics import (
     DiffuseCheck,
     DiracError,
@@ -49,6 +52,7 @@ from fermiopt.gaussian import (
 )
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian, total_strength
 from fermiopt.optimizer import (
+    lift_to_strict4,
     optimize_mixed_24,
     optimize_ssyk,
     optimize_strict_q,
@@ -71,6 +75,7 @@ from fermiopt.oracle import (
 
 from bruteforce import (
     CofactorTermEvaluator,
+    conditioned_by_schur,
     conflict_adjacency_by_bridges,
     dense_permitted_adjacency,
     dense_sum_per_string,
@@ -88,6 +93,8 @@ from bruteforce import (
     unrank_combination_scan,
     zeta_by_tau_products,
 )
+from test_golden import _mixed24_quartic_x10
+from test_optimizer import hand_built_branch_states
 
 
 # ---------------------------------------------------------------- unranking
@@ -578,3 +585,60 @@ def test_correlation_matrix_takes_the_svd_past_unit_row_sums():
     CorrelationMatrix(pure)
     with pytest.raises(ValueError, match="singular value"):
         CorrelationMatrix(1.01 * pure)
+
+
+# --------------------------------------------------------- the mixed pull-back
+
+
+@pytest.fixture
+def weight4_pull_backs(monkeypatch):
+    """Each ``pull_back`` call's branch state with the conditioned states it
+    hands to the overlap repair, in outcome order (1, -1)."""
+    calls = []
+    pull_back, repair = optimizer.pull_back, optimizer._repair_two_mode_overlaps
+
+    def recording_pull_back(tilde_matching, tilde_signs, ham, lifted):
+        calls.append((tilde_matching, tilde_signs, []))
+        return pull_back(tilde_matching, tilde_signs, ham, lifted)
+
+    def recording_repair(matching, signs, ham):
+        calls[-1][2].append((matching, signs))
+        return repair(matching, signs, ham)
+
+    monkeypatch.setattr(optimizer, "pull_back", recording_pull_back)
+    monkeypatch.setattr(optimizer, "_repair_two_mode_overlaps", recording_repair)
+    return calls
+
+
+def _assert_schur_agreement(calls) -> int:
+    """Compare per outcome, not as a set: when both outcomes tie in energy
+    the first is returned, so the labels decide the state's bytes."""
+    weight4 = [call for call in calls if call[2]]
+    for tilde_matching, tilde_signs, conditioned in weight4:
+        reference = conditioned_by_schur(tilde_matching, tilde_signs)
+        assert [prob for prob, _ in reference] == [0.5, 0.5]
+        assert len(conditioned) == 2
+        for (matching, signs), (_, gamma) in zip(conditioned, reference):
+            assert np.array_equal(correlation_from_matching(matching, signs).gamma, gamma)
+    return len(weight4)
+
+
+def test_pull_back_matches_schur_on_hand_built_branch_states(weight4_pull_backs):
+    for ham, tilde_matching, tilde_signs in hand_built_branch_states():
+        optimizer.pull_back(tilde_matching, tilde_signs, ham, lift_to_strict4(ham))
+    assert _assert_schur_agreement(weight4_pull_backs) == 5
+
+
+def test_pull_back_matches_schur_on_small_mixed_draws(weight4_pull_backs):
+    winners = 0
+    for seed in range(40):
+        result = optimize_mixed_24(gen_mixed_24(10, 2, seed=seed))
+        winners += any("weight 4" in note for note in result.certificate.notes)
+    assert winners == 11
+    assert _assert_schur_agreement(weight4_pull_backs) == winners
+
+
+def test_pull_back_matches_schur_on_the_scaled_fixture(weight4_pull_backs):
+    _, result = _mixed24_quartic_x10(200, 2, 1)
+    assert any("weight 4" in note for note in result.certificate.notes)
+    assert _assert_schur_agreement(weight4_pull_backs) == 1

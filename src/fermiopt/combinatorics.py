@@ -13,6 +13,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
+from scipy import sparse
 
 from .gaussian import Matching
 from .hamiltonian import MajoranaHamiltonian, sparsity_profile
@@ -40,37 +44,75 @@ def part_bound(q: int, k: int) -> int:
     return conflict_degree_bound(q, k) + 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConflictGraph:
-    """Terms as vertices; edges mark pairs that cannot share a diffuse set."""
+    """Terms as vertices; edges mark pairs that cannot share a diffuse set.
+
+    A CSR graph: the neighbors of ``v`` are ``indices[indptr[v]:indptr[v + 1]]``,
+    ascending.  ``term_rank[v]`` is the rank of term ``v``'s index tuple
+    among all terms.
+    """
 
     n_vertices: int
-    adjacency: tuple[frozenset[int], ...]
-    term_keys: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    term_rank: np.ndarray
 
     @property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return int(np.diff(self.indptr).max(initial=0))
+
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        row = self.neighbors(u)
+        at = int(np.searchsorted(row, v))
+        return at < row.size and row[at] == v
+
+
+# below this many incidence cells (terms x Majoranas) the conflict graph is
+# built by dense products, which cost less than the sparse ones' set-up
+DENSE_CONFLICT_CELLS = 2**15
 
 
 def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
-    """Connect terms that overlap or are bridged by a third term: with
-    ``near[t]`` the terms sharing a mode with ``t`` (``t`` included), the
-    neighbors of ``t`` are the union of ``near[b]`` over ``near[t]``, less ``t``."""
-    near: list[set[int]] = [set() for _ in ham.terms]
-    for members in ham.mode_terms:
-        for t in members:
-            near[t].update(members)
+    """Connect terms that overlap or are bridged by a third term: the
+    pattern of ``(A A^T)^2`` less its diagonal, ``A`` being the term x
+    Majorana incidence matrix (``A A^T`` has an entry wherever two terms
+    share a Majorana, its square wherever they do or a third term bridges
+    them)."""
+    index = ham.index
+    n_terms, m = len(ham.terms), ham.n_majoranas
+    if n_terms * m <= DENSE_CONFLICT_CELLS:
+        incidence = np.zeros((n_terms, m), dtype=np.float32)
+        incidence[np.repeat(np.arange(n_terms), index.weights), index.modes] = 1.0
+        overlap = incidence @ incidence.T
+        # entries are small integer counts, exact in float32
+        pattern = (overlap @ overlap) > 0
+        np.fill_diagonal(pattern, False)
+        rows, indices = np.nonzero(pattern)  # row by row, each ascending
+        indptr = np.zeros(n_terms + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n_terms), out=indptr[1:])
+    else:
+        ones = np.ones(index.modes.size, dtype=np.int32)
+        incidence = sparse.csr_matrix((ones, index.modes, index.term_ptr), (n_terms, m))
+        # the mode -> terms CSR is A^T in CSR form already
+        transposed = sparse.csr_matrix((ones, index.mode_term_ids, index.mode_ptr), (m, n_terms))
+        overlap = incidence @ transposed
+        # the square is symmetric, and converting its transpose back to CSR
+        # lays each row out in ascending order, which is cheaper than sorting it
+        two_hop = (overlap @ overlap).T.tocsr()
+        two_hop.sort_indices()
+        # every row holds its diagonal entry (a term overlaps itself): drop it
+        rows = np.repeat(np.arange(n_terms), np.diff(two_hop.indptr))
+        indices = two_hop.indices[two_hop.indices != rows]
+        indptr = two_hop.indptr - np.arange(n_terms + 1)
     graph = ConflictGraph(
-        n_vertices=len(ham.terms),
-        adjacency=tuple(
-            frozenset(set().union(*(near[b] for b in around)) - {t})
-            for t, around in enumerate(near)
-        ),
-        term_keys=tuple(t.indices for t in ham.terms),
+        n_vertices=n_terms,
+        indptr=indptr.astype(np.intp),
+        indices=indices.astype(np.intp),
+        term_rank=index.lex_rank,
     )
     profile = sparsity_profile(ham)
     if ham.terms:
@@ -87,13 +129,21 @@ def greedy_color(graph: ConflictGraph) -> list[int]:
     Vertices are processed by descending conflict degree, ties broken by
     the term's index tuple, so the result is deterministic.
     """
-    order = sorted(
-        range(graph.n_vertices),
-        key=lambda v: (-len(graph.adjacency[v]), graph.term_keys[v]),
-    )
-    colors = [-1] * graph.n_vertices
-    for v in order:
-        taken = {colors[u] for u in graph.adjacency[v] if colors[u] >= 0}
+    n = graph.n_vertices
+    degree = np.diff(graph.indptr)
+    order = np.lexsort((graph.term_rank, -degree))
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    # only the neighbors that come earlier in the order are colored when a
+    # vertex is reached: keep those, row by row
+    rows = np.repeat(np.arange(n), degree)
+    earlier = position[graph.indices] < position[rows]
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows[earlier], minlength=n), out=ptr[1:])
+    ptr, neighbors = ptr.tolist(), graph.indices[earlier].tolist()
+    colors = [-1] * n
+    for v in order.tolist():
+        taken = {colors[u] for u in neighbors[ptr[v] : ptr[v + 1]]}
         c = 0
         while c in taken:
             c += 1
@@ -121,30 +171,30 @@ def is_diffuse(
     3. the united support covers fewer than ``2*q*n/(q+1)`` Majoranas,
        ``q`` being the ambient locality (max term weight unless given).
     """
-    support: set[int] = set()
-    for t_id in subset_ids:
-        term_support = ham.terms[t_id].support
-        if not support.isdisjoint(term_support):
-            return DiffuseCheck(False, 1)
-        support |= term_support
-    # Condition 1 holds from here on, so every mode of the united support
-    # belongs to exactly one member.  A non-member term therefore touches
-    # two distinct members exactly when the modes it shares with the
-    # support reach it from two different members: walking each member's
-    # modes through the mode -> terms index and remembering the first
-    # member that reached each term decides condition 2 without a scan of
-    # all terms.
-    member_ids = set(subset_ids)
-    reached_from: dict[int, int] = {}
-    mode_terms = ham.mode_terms
-    for m_id in subset_ids:
-        for mode in ham.terms[m_id].indices:
-            for t_id in mode_terms[mode]:
-                if t_id not in member_ids and reached_from.setdefault(t_id, m_id) != m_id:
-                    return DiffuseCheck(False, 2)
+    padded = ham.index.padded
+    members = np.asarray(subset_ids, dtype=np.intp).reshape(-1)
+    rows = padded[members]
+    support = rows[rows >= 0]
+    # owner[c]: who claimed Majorana c; the extra last slot takes the -1
+    # padding.  A Majorana claimed twice keeps only one of its claims.
+    owner = np.full(ham.n_majoranas + 1, -1, dtype=np.intp)
+    claim = np.arange(support.size)
+    owner[support] = claim
+    if (owner[support] != claim).any():
+        return DiffuseCheck(False, 1)
+    # Condition 1 holds from here on, so every Majorana of the united
+    # support belongs to exactly one member: a term touches two distinct
+    # members exactly when the owners of its Majoranas differ
+    owner[rows] = members[:, None]
+    owner[-1] = -1
+    owners = owner[padded]
+    last = owners.max(axis=1)
+    first = np.where(owners < 0, last[:, None], owners).min(axis=1)
+    if (first != last).any():
+        return DiffuseCheck(False, 2)
     if ham.terms:
         q = locality if locality is not None else max(sparsity_profile(ham).weights_present)
-        if len(support) >= 2 * q * ham.n_modes / (q + 1):
+        if support.size >= 2 * q * ham.n_modes / (q + 1):
             return DiffuseCheck(False, 3)
     return DiffuseCheck(True, None)
 
@@ -236,13 +286,17 @@ def diffuse_partition(
 
 class _Complement(AbstractSet[int]):
     """Neighbors of ``v`` in a permitted graph: the vertex set minus ``v``
-    and its forbidden partners.  Membership and size are O(1); iteration
-    yields the neighbors in ascending order."""
+    and its forbidden partners.  Membership and size are O(1) in the
+    vertex count; iteration yields the neighbors in ascending order."""
 
     __slots__ = ("_v", "_order", "_vertex_set", "_forbidden")
 
     def __init__(
-        self, v: int, order: tuple[int, ...], vertex_set: frozenset[int], forbidden: frozenset[int]
+        self,
+        v: int,
+        order: tuple[int, ...],
+        vertex_set: frozenset[int],
+        forbidden: tuple[int, ...],
     ):
         self._v = v
         self._order = order
@@ -268,41 +322,58 @@ class _Complement(AbstractSet[int]):
 class PermittedGraph:
     """Graph on leftover Majoranas; edges avoid co-membership in any term.
 
-    Only the forbidden partners are stored: ``adjacency[v]`` is a set view
-    of the complement, so the graph costs memory in the number of terms,
-    not in the square of the vertex count.
+    Only the forbidden partners are stored, ``forbidden[v]`` ascending, so
+    the graph costs memory in the number of terms, not in the square of
+    the vertex count.  ``adjacency[v]`` is a set view of the complement.
     """
 
     vertices: tuple[int, ...]
-    adjacency: dict[int, AbstractSet[int]]
+    forbidden: dict[int, tuple[int, ...]]
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def _vertex_set(self) -> frozenset[int]:
+        return frozenset(self.vertices)
+
+    @cached_property
+    def adjacency(self) -> dict[int, AbstractSet[int]]:
+        verts, vset = self.vertices, self._vertex_set
+        return {v: _Complement(v, verts, vset, self.forbidden[v]) for v in verts}
+
     def neighbors(self, v: int) -> AbstractSet[int]:
         return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return v != u and v in self._vertex_set and v not in self.forbidden[u]
 
     def min_degree(self) -> int:
-        return min((len(self.adjacency[v]) for v in self.vertices), default=0)
+        if not self.vertices:
+            return 0
+        return len(self.vertices) - 1 - max(map(len, self.forbidden.values()))
 
 
 def permitted_graph(ham: MajoranaHamiltonian, excluded: Iterable[int]) -> PermittedGraph:
     """Permitted-edge graph on the Majoranas outside ``excluded``."""
-    verts = tuple(sorted(set(range(ham.n_majoranas)) - set(excluded)))
-    vset = frozenset(verts)
-    forbidden: dict[int, set[int]] = {v: set() for v in verts}
-    for term in ham.terms:
-        inside = [i for i in term.indices if i in vset]
-        for a in inside:
-            for b in inside:
-                if a != b:
-                    forbidden[a].add(b)
-    adjacency = {v: _Complement(v, verts, vset, frozenset(forbidden[v])) for v in verts}
-    return PermittedGraph(vertices=verts, adjacency=adjacency)
+    m = ham.n_majoranas
+    inside = np.ones(m, dtype=bool)
+    dropped = np.fromiter(excluded, dtype=np.intp)
+    inside[dropped[(dropped >= 0) & (dropped < m)]] = False
+    # forbidden: ordered pairs of distinct Majoranas of one term, both inside
+    keys = [np.zeros(0, dtype=np.intp)]
+    for w, _, rows in ham.index.blocks:
+        first, second = np.nonzero(~np.eye(w, dtype=bool))
+        a, b = rows[:, first].ravel(), rows[:, second].ravel()
+        both = inside[a] & inside[b]
+        keys.append(a[both] * m + b[both])
+    heads, tails = np.divmod(np.unique(np.concatenate(keys)), m)
+    bounds = np.searchsorted(heads, np.arange(m + 1)).tolist()
+    tails = tails.tolist()
+    verts = tuple(np.flatnonzero(inside).tolist())
+    forbidden = {v: tuple(tails[bounds[v] : bounds[v + 1]]) for v in verts}
+    return PermittedGraph(vertices=verts, forbidden=forbidden)
 
 
 def _close_path_to_cycle(path: list[int], graph) -> list[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -33,7 +33,25 @@ _STUDY_PARAMS = {
     "syk_scaling": (),
     "theta_sweep": ("n1", "n2"),
 }
+# every field each study reads besides the ones all studies read; a config
+# that sets any other field away from its default is rejected, so the
+# sidecar records only inputs (every sidecar lists the default restarts,
+# which a document may therefore repeat)
+_STUDY_FIELDS = {
+    "ssyk_concentration": ("n", "k", "k_prime"),
+    "ratio_bench": ("pipeline", "n", "q", "k"),
+    "syk_scaling": ("q", "size_grid", "restarts"),
+    "theta_sweep": ("n1", "n2", "q"),
+}
+_COMMON_FIELDS = ("study", "trials", "base_seed", "out")
 STUDIES = tuple(_STUDY_PARAMS)
+
+
+def _reject_unread(study: str, names) -> None:
+    allowed = _COMMON_FIELDS + _STUDY_FIELDS[study]
+    unread = [name for name in names if name not in allowed]
+    if unread:
+        raise ValueError(f"study {study!r} does not read field {unread[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +73,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}")
+        set_fields = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
+        _reject_unread(self.study, set_fields)
         missing = [name for name in _STUDY_PARAMS[self.study] if getattr(self, name) is None]
         if missing:
             raise ValueError(f"study {self.study!r} needs {', '.join(map(repr, missing))}")

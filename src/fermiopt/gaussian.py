@@ -55,12 +55,18 @@ class Matching:
 
     @cached_property
     def _partners(self) -> dict[int, int]:
-        # built once per matching; read-only, every closed-form term reads it
+        # built once per matching; read-only, every consistency verdict reads it
         out = {}
         for a, b in self.pairs:
             out[a] = b
             out[b] = a
         return out
+
+    @cached_property
+    def _pair_array(self) -> np.ndarray:
+        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        pairs.flags.writeable = False
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,14 @@ class SignAssignment:
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {pair: s for pair, s in self.signs}
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The signed pairs, (pair, 2), and their signs, in pair order."""
+        pairs = np.array([pair for pair, _ in self.signs], dtype=np.intp).reshape(-1, 2)
+        values = np.array([s for _, s in self.signs], dtype=np.int64)
+        pairs.flags.writeable = values.flags.writeable = False
+        return pairs, values
 
 
 @dataclass(frozen=True)
@@ -366,18 +380,50 @@ def matching_state_expectation(
     """Tr(H rho(M, signs)) via the closed form over consistent terms.
 
     Inconsistent terms vanish identically; a consistent term contributes
-    ``J * sign(pi) * prod(dimer signs on its support)``.
+    ``J * sign(pi) * prod(dimer signs on its support)``.  Per weight, one
+    gather of the partner and dimer-sign arrays decides every term: a term
+    is consistent when each of its Majoranas' partners lies in the term,
+    and ``sign(pi)`` is the parity of the inversions of the pair-adjacent
+    order of its positions.  The contributions, each exactly ``+-J``, are
+    summed one after another in term order.
     """
-    sd = signs.as_dict()
+    pairs = matching._pair_array
+    signed_pairs, values = signs._arrays
+    if not np.array_equal(signed_pairs, pairs):
+        sd = signs.as_dict()
+        values = np.array([sd.get(pair, 0) for pair in matching.pairs], dtype=np.int64)
+    size = max(matching.n_majoranas, ham.n_majoranas)
+    partner = np.full(size, -1, dtype=np.intp)
+    partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    dimer_sign = np.zeros(size, dtype=np.int64)  # 0: the pair has no sign
+    dimer_sign[pairs[:, 0]] = dimer_sign[pairs[:, 1]] = values
+
+    index = ham.index
+    contribution = np.zeros(len(ham.terms))
+    consistent = np.zeros(len(ham.terms), dtype=bool)
+    for w, ids, rows in index.blocks:
+        # at[t, i, j]: the partner of the term's i-th Majorana is its j-th
+        at = partner[rows][:, :, None] == rows[:, None, :]
+        ok = at.any(axis=2).all(axis=1)
+        position = at[ok].argmax(axis=2)
+        rows, ids = rows[ok], ids[ok]
+        # the pairs (i, position[i]) with i < position[i], in increasing i
+        opener = np.nonzero(position > np.arange(w))[1].reshape(-1, w // 2)
+        closer = np.take_along_axis(position, opener, axis=1)
+        order = np.stack((opener, closer), axis=2).reshape(-1, w)
+        later = np.triu(np.ones((w, w), dtype=bool), 1)
+        inversions = ((order[:, :, None] > order[:, None, :]) & later).sum(axis=(1, 2))
+        dimers = np.take_along_axis(rows, opener, axis=1)
+        sign = dimer_sign[dimers]
+        if not sign.all():
+            a = int(dimers[sign == 0][0])
+            raise KeyError((a, int(partner[a])))
+        value = (1 - 2 * (inversions & 1)) * sign.prod(axis=1)
+        contribution[ids] = index.coeffs[ids] * value
+        consistent[ids] = True
     total = 0.0
-    for t in ham.terms:
-        verdict = classify_consistency(matching, t.indices)
-        if not verdict.consistent:
-            continue
-        value = float(verdict.sign)
-        for pair in verdict.inner_pairs:
-            value *= sd[pair]
-        total += t.coeff * value
+    for value in contribution[consistent].tolist():
+        total += value
     return total
 
 

@@ -10,6 +10,7 @@ signs, and the JSON wire format.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -17,6 +18,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -107,13 +110,86 @@ class SparsityProfile:
     weights_present: frozenset[int] = field(default_factory=frozenset)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class TermIndex:
+    """A Hamiltonian's terms as arrays, built once and shared read-only.
+
+    ``modes[term_ptr[t]:term_ptr[t + 1]]`` are the Majoranas of term ``t``
+    in increasing order, ``coeffs`` and ``weights`` are per term, and
+    ``mode_term_ids[mode_ptr[c]:mode_ptr[c + 1]]`` are the ids of the terms
+    containing Majorana ``c``, ascending.
+    """
+
+    term_ptr: np.ndarray
+    modes: np.ndarray
+    coeffs: np.ndarray
+    weights: np.ndarray
+    mode_ptr: np.ndarray
+    mode_term_ids: np.ndarray
+
+    @classmethod
+    def build(cls, terms: Sequence[InteractionTerm], n_majoranas: int) -> "TermIndex":
+        n_terms = len(terms)
+        weights = np.fromiter(map(len, (t.indices for t in terms)), np.intp, count=n_terms)
+        term_ptr = np.zeros(n_terms + 1, np.intp)
+        np.cumsum(weights, out=term_ptr[1:])
+        flat = itertools.chain.from_iterable(t.indices for t in terms)
+        modes = np.fromiter(flat, np.intp, count=int(term_ptr[-1]))
+        coeffs = np.fromiter((t.coeff for t in terms), float, count=n_terms)
+        owner = np.repeat(np.arange(n_terms, dtype=np.intp), weights)
+        mode_term_ids = owner[np.argsort(modes, kind="stable")]
+        mode_ptr = np.zeros(n_majoranas + 1, np.intp)
+        np.cumsum(np.bincount(modes, minlength=n_majoranas), out=mode_ptr[1:])
+        _read_only(term_ptr, modes, coeffs, weights, mode_ptr, mode_term_ids)
+        return cls(term_ptr, modes, coeffs, weights, mode_ptr, mode_term_ids)
+
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """``padded[t]``: term ``t``'s Majoranas in increasing order, then -1
+        up to the largest weight (at least one column, for lexsort)."""
+        n_terms = self.weights.size
+        out = np.full((n_terms, int(self.weights.max(initial=1))), -1, dtype=np.intp)
+        owner = np.repeat(np.arange(n_terms), self.weights)
+        out[owner, np.arange(self.modes.size) - self.term_ptr[owner]] = self.modes
+        _read_only(out)
+        return out
+
+    @cached_property
+    def lex_rank(self) -> np.ndarray:
+        """Each term's position when the terms are sorted by index tuple:
+        the -1 padding puts a prefix first, as with tuples."""
+        rank = np.empty(self.weights.size, dtype=np.intp)
+        rank[np.lexsort(self.padded.T[::-1])] = np.arange(self.weights.size)
+        _read_only(rank)
+        return rank
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """Per weight ``w``, ascending: ``(w, ids, rows)`` with ``ids`` the
+        ids of the weight-``w`` terms and ``rows[i]`` the Majoranas of term
+        ``ids[i]``."""
+        out = []
+        for w in np.unique(self.weights).tolist():
+            ids = np.flatnonzero(self.weights == w)
+            rows = self.modes[self.term_ptr[ids][:, None] + np.arange(w)]
+            _read_only(ids, rows)
+            out.append((w, ids, rows))
+        return tuple(out)
+
+
 @dataclass(frozen=True)
 class MajoranaHamiltonian:
     """A traceless Hamiltonian ``sum_I J_I C_I`` on ``2 * n_modes`` Majoranas.
 
     Index sets are pairwise distinct; all indices lie in ``[0, 2*n_modes)``.
-    It is its own read-only index, built once: ``term_id`` (index tuple ->
-    term id), ``mode_terms`` and the profile behind ``sparsity_profile``.
+    It carries its own read-only indexes, each built once: ``term_id``
+    (index tuple -> term id) and the array ``index``, from which
+    ``mode_terms`` and the profile behind ``sparsity_profile`` derive.
     """
 
     n_modes: int
@@ -135,7 +211,7 @@ class MajoranaHamiltonian:
                 raise FormatError("duplicate-term", f"duplicate index set {t.indices}")
         object.__setattr__(self, "term_id", MappingProxyType(term_id))
 
-    def __reduce__(self):  # the index is derived: pickle the terms alone
+    def __reduce__(self):  # the indexes are derived: pickle the terms alone
         return (MajoranaHamiltonian, (self.n_modes, self.terms))
 
     @property
@@ -143,21 +219,23 @@ class MajoranaHamiltonian:
         return 2 * self.n_modes
 
     @cached_property
+    def index(self) -> TermIndex:
+        return TermIndex.build(self.terms, self.n_majoranas)
+
+    @cached_property
     def mode_terms(self) -> tuple[tuple[int, ...], ...]:
         """For each Majorana, the ids of the terms containing it, ascending."""
-        out: list[list[int]] = [[] for _ in range(self.n_majoranas)]
-        for t_id, term in enumerate(self.terms):
-            for mode in term.indices:
-                out[mode].append(t_id)
-        return tuple(tuple(ids) for ids in out)
+        ptr = self.index.mode_ptr.tolist()
+        ids = self.index.mode_term_ids.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @cached_property
     def _profile(self) -> SparsityProfile:
-        degree = MappingProxyType({mode: len(ids) for mode, ids in enumerate(self.mode_terms)})
+        degree = np.diff(self.index.mode_ptr)
         return SparsityProfile(
-            degree=degree,
-            max_degree=max(degree.values()),
-            weights_present=frozenset(t.weight for t in self.terms),
+            degree=MappingProxyType(dict(enumerate(degree.tolist()))),
+            max_degree=int(degree.max()),
+            weights_present=frozenset(np.unique(self.index.weights).tolist()),
         )
 
 

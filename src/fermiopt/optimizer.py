@@ -19,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .combinatorics import (
     ContractError,
     DiffusePartition,
@@ -396,12 +398,16 @@ def truncate_to_sparse(
     """
     if k_prime < 1:
         raise ValueError("k' must be >= 1")
-    marked: set[int] = set()
-    for ids in ham.mode_terms:
-        if len(ids) > k_prime:
-            marked.update(sorted(ids, key=lambda t: ham.terms[t].indices)[k_prime:])
-    core = tuple(t for t_id, t in enumerate(ham.terms) if t_id not in marked)
-    residual = tuple(t for t_id, t in enumerate(ham.terms) if t_id in marked)
+    index = ham.index
+    # the mode -> terms entries, each Majorana's terms in lexicographic order
+    mode = np.repeat(np.arange(ham.n_majoranas), np.diff(index.mode_ptr))
+    ids = index.mode_term_ids[np.lexsort((index.lex_rank[index.mode_term_ids], mode))]
+    beyond = np.arange(ids.size) - index.mode_ptr[mode] >= k_prime
+    marked = np.zeros(len(ham.terms), dtype=bool)
+    marked[ids[beyond]] = True
+    marks = marked.tolist()
+    core = tuple(t for t, cut in zip(ham.terms, marks) if not cut)
+    residual = tuple(t for t, cut in zip(ham.terms, marks) if cut)
     return (
         MajoranaHamiltonian(n_modes=ham.n_modes, terms=core),
         MajoranaHamiltonian(n_modes=ham.n_modes, terms=residual),

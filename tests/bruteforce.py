@@ -3,7 +3,9 @@
 Everything here is deliberately naive: enumeration, inversion counting,
 exhaustive search.  Nothing imports the algorithms it is meant to check;
 ``dense_term`` alone reads the oracle's string builders, because the
-Majorana-algebra tests that use it check exactly those.
+Majorana-algebra tests that use it check exactly those, and
+``closed_form_per_term`` reads ``classify_consistency``, the per-term
+verdict that the array closed form replaced.
 The reference samplers draw through the package's single-stream
 primitives (``rng.stream_key``, ``rng.integers_below``, ``rng.generator``),
 one stream per value, and replace only the batched draws.
@@ -249,6 +251,79 @@ def conflict_adjacency_by_bridges(ham) -> tuple[frozenset[int], ...]:
                 adjacency[a].add(b)
                 adjacency[b].add(a)
     return tuple(frozenset(a) for a in adjacency)
+
+
+def conflict_adjacency_two_hop_sets(ham) -> tuple[frozenset[int], ...]:
+    """Conflict-graph neighbor sets as the set-based builder made them: with
+    ``near[t]`` the terms sharing a Majorana with ``t`` (``t`` included),
+    the union of ``near[b]`` over ``near[t]``, less ``t``."""
+    near: list[set[int]] = [set() for _ in ham.terms]
+    for members in ham.mode_terms:
+        for t in members:
+            near[t].update(members)
+    return tuple(
+        frozenset(set().union(*(near[b] for b in around)) - {t}) for t, around in enumerate(near)
+    )
+
+
+def greedy_color_by_sets(adjacency, ham) -> list[int]:
+    """Greedy coloring over neighbor sets: vertices by descending degree,
+    ties by the term's index tuple, each taking the least color its
+    neighbors leave free."""
+    order = sorted(
+        range(len(adjacency)), key=lambda v: (-len(adjacency[v]), ham.terms[v].indices)
+    )
+    colors = [-1] * len(adjacency)
+    for v in order:
+        taken = {colors[u] for u in adjacency[v] if colors[u] >= 0}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def diffuse_verdict_by_mode_walk(subset_ids, ham, locality=None) -> tuple[bool, int | None]:
+    """The three separation conditions as the set-based check decided them:
+    (ok, violated).  Condition 2 walks each member's Majoranas through
+    ``mode_terms``, remembering the first member that reached each term."""
+    support: set[int] = set()
+    for t_id in subset_ids:
+        term_support = set(ham.terms[t_id].indices)
+        if not support.isdisjoint(term_support):
+            return False, 1
+        support |= term_support
+    member_ids = set(subset_ids)
+    reached_from: dict[int, int] = {}
+    for m_id in subset_ids:
+        for mode in ham.terms[m_id].indices:
+            for t_id in ham.mode_terms[mode]:
+                if t_id not in member_ids and reached_from.setdefault(t_id, m_id) != m_id:
+                    return False, 2
+    if ham.terms:
+        q = locality if locality is not None else max(len(t.indices) for t in ham.terms)
+        if len(support) >= 2 * q * ham.n_modes / (q + 1):
+            return False, 3
+    return True, None
+
+
+def closed_form_per_term(matching, signs, ham) -> float:
+    """Tr(H rho(M, signs)) one term at a time: ``classify_consistency`` per
+    term, the verdict's parity times the dimer signs of its inner pairs,
+    times J, summed in term order over the consistent terms."""
+    from fermiopt.gaussian import classify_consistency
+
+    sd = signs.as_dict()
+    total = 0.0
+    for t in ham.terms:
+        verdict = classify_consistency(matching, t.indices)
+        if not verdict.consistent:
+            continue
+        value = float(verdict.sign)
+        for pair in verdict.inner_pairs:
+            value *= sd[pair]
+        total += t.coeff * value
+    return total
 
 
 def dense_permitted_adjacency(ham, excluded) -> dict[int, frozenset[int]]:

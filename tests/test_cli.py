@@ -10,6 +10,7 @@ import fermiopt
 from fermiopt.cli import main
 from fermiopt.combinatorics import ContractError, DiracError
 from fermiopt.ensembles import gen_sparse_random
+from fermiopt.experiments import StudyConfig
 from fermiopt.hamiltonian import parse_hamiltonian, serialize_hamiltonian, sparsity_profile
 from fermiopt.optimizer import PullBackError, RatioCertificate
 
@@ -444,12 +445,21 @@ BAD_CONFIGS = [
 ]
 
 
+# a complete config of each study, which the cases below break one field at a time
+STUDY_BASES = {
+    "ratio_bench": {"pipeline": "strictq", "n": 20, "q": 4, "k": 2},
+    "syk_scaling": {"q": 4, "size_grid": [4, 5], "restarts": 2},
+}
+
+
 @pytest.mark.parametrize("field,change", BAD_CONFIGS, ids=[repr(c) for _, c in BAD_CONFIGS])
 def test_study_rejects_malformed_config(tmp_path, capsys, monkeypatch, field, change):
     monkeypatch.setattr("fermiopt.experiments.run_study", _never)
+    # the grid and the restarts are read by the scaling study alone
+    study = "syk_scaling" if field in ("size_grid", "restarts") else "ratio_bench"
     cfg = {
-        "study": "ratio_bench", "trials": 3, "base_seed": 2, "pipeline": "strictq",
-        "n": 20, "q": 4, "k": 2, "out": str(tmp_path / "bench.csv"), **change,
+        "study": study, "trials": 3, "base_seed": 2, **STUDY_BASES[study],
+        "out": str(tmp_path / "bench.csv"), **change,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not _DROP}))
@@ -475,6 +485,37 @@ def test_study_rejects_config_without_a_size_it_needs(tmp_path, capsys, monkeypa
     cfg_path.write_text(json.dumps(cfg))
     assert run(["study", "--config", str(cfg_path)]) == 1
     assert f"needs {field!r}" in _one_error_line(capsys).err
+    assert not (tmp_path / "s.csv").exists()
+
+
+UNREAD_FIELDS = [
+    ("syk_scaling", {"n": 20}),
+    ("syk_scaling", {"k": 2}),
+    ("syk_scaling", {"n1": 6}),
+    ("syk_scaling", {"pipeline": "ssyk"}),
+    ("ratio_bench", {"size_grid": [4, 5]}),
+    ("ratio_bench", {"restarts": 3}),
+    ("ratio_bench", {"k_prime": 24}),
+    ("ssyk_concentration", {"q": 4}),
+    ("theta_sweep", {"n": 8}),
+]
+
+
+@pytest.mark.parametrize(
+    "study,extra", UNREAD_FIELDS, ids=[f"{study}-{next(iter(e))}" for study, e in UNREAD_FIELDS]
+)
+def test_study_rejects_a_field_its_study_never_reads(tmp_path, capsys, monkeypatch, study, extra):
+    monkeypatch.setattr("fermiopt.experiments.run_study", _never)
+    cfg = {
+        "study": study, "trials": 100, "base_seed": 1, "out": str(tmp_path / "s.csv"),
+        **{**COMPLETE_CONFIGS, **STUDY_BASES}[study],
+    }
+    StudyConfig.from_json(json.dumps(cfg))  # complete, and nothing unread
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, **extra}))
+    assert run(["study", "--config", str(cfg_path)]) == 1
+    (field,) = extra
+    assert f"does not read field {field!r}" in _one_error_line(capsys).err
     assert not (tmp_path / "s.csv").exists()
 
 

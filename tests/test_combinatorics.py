@@ -143,7 +143,7 @@ def test_greedy_coloring_is_proper(seed):
     graph = build_conflict_graph(ham)
     colors = greedy_color(graph)
     for v in range(graph.n_vertices):
-        for u in graph.adjacency[v]:
+        for u in graph.neighbors(v).tolist():
             assert colors[u] != colors[v]
     assert len(set(colors)) <= graph.max_degree + 1
 

@@ -125,6 +125,35 @@ def test_golden_digest(build, notes, expected):
     assert artifact_digest(ham, result) == expected
 
 
+# Sizes where the indexed certify layers differ most from the set-based ones;
+# each digest also covers the repr of the closed form on the full Hamiltonian.
+# (id, build, sha256 of artifact_digest + newline + repr(closed form))
+CLOSED_FORM_CASES = [
+    (
+        "ssyk-n12800-k2", lambda: _ssyk(12800, 2, 31),
+        "3069b11c11d735d74792295871f61bb32fb7983a466fc4c806e546be058ce7a7",
+    ),
+    (
+        "strictq-q4-k2-n240", lambda: _strictq(240, 4, 2, 32),
+        "5e474529b9377c48585d2de3aa57df8ad84720ca935c5916bb1d64720df2a443",
+    ),
+    (
+        "mixed24-k2-n240", lambda: _mixed24(240, 2, 33),
+        "119ddfdfd0d4335e5c778db9df181dd9ddf2fdba1e431018ba178edae9e03908",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build,expected", [c[1:] for c in CLOSED_FORM_CASES], ids=[c[0] for c in CLOSED_FORM_CASES]
+)
+def test_golden_closed_form_digest(build, expected):
+    ham, result = build()
+    closed = gaussian.matching_state_expectation(result.matching, result.signs, ham)
+    blob = artifact_digest(ham, result) + "\n" + repr(closed)
+    assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
 @pytest.mark.parametrize(
     "case_id", ["mixed24-k2-n10-weight4", "mixed24-quartic-x10-n200-weight4"]
 )
@@ -345,3 +374,30 @@ def test_golden_theta_sweep_csv(tmp_path):
         assert run.returncode == 0, run.stderr
     digest = hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest()
     assert digest == "df4fd95fbb597a8f699ec356dc4ae5ed1e16956641d0f44872842fd392d3cd2f"
+
+
+# ------------------------------------------------------------ under python -O
+#
+# Every check a certificate relies on is raised, not asserted, so the
+# certified path must give the same artifact with asserts stripped.
+
+
+def test_golden_certify_under_optimize_flag():
+    case_id = "ssyk-n400-k2"
+    expected = next(case[3] for case in CASES if case[0] == case_id)
+    env = dict(os.environ)
+    pkg_root = str(Path(fermiopt.__file__).resolve().parent.parent)
+    tests_dir = str(Path(__file__).resolve().parent)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join([pkg_root, tests_dir] + ([inherited] if inherited else []))
+    probe = (
+        "import sys\n"
+        "from test_golden import CASES, artifact_digest\n"
+        f"build = next(case[1] for case in CASES if case[0] == {case_id!r})\n"
+        "print(sys.flags.optimize, artifact_digest(*build()))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", expected]

@@ -24,12 +24,13 @@ import math
 import numpy as np
 import pytest
 
-from fermiopt import optimizer
+from fermiopt import combinatorics, gaussian, optimizer
 from fermiopt.combinatorics import (
     DiffuseCheck,
     DiracError,
     build_conflict_graph,
     diffuse_partition,
+    greedy_color,
     hamiltonian_cycle_dense,
     is_diffuse,
     permitted_graph,
@@ -46,9 +47,12 @@ from fermiopt.ensembles import (
 )
 from fermiopt.gaussian import (
     CorrelationMatrix,
+    Matching,
+    SignAssignment,
     _TermEvaluator,
     correlation_from_matching,
     hamiltonian_expectation,
+    matching_state_expectation,
 )
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian, total_strength
 from fermiopt.optimizer import (
@@ -75,12 +79,16 @@ from fermiopt.oracle import (
 
 from bruteforce import (
     CofactorTermEvaluator,
+    closed_form_per_term,
     conditioned_by_schur,
     conflict_adjacency_by_bridges,
+    conflict_adjacency_two_hop_sets,
     dense_permitted_adjacency,
     dense_sum_per_string,
+    diffuse_verdict_by_mode_walk,
     diffuse_verdict_scan,
     dimer_state_by_matmul,
+    greedy_color_by_sets,
     hamiltonian_cycle_sorted_neighbors,
     hamiltonian_expectation_per_term,
     matvec_per_string,
@@ -233,8 +241,48 @@ def test_two_colored_couplings_match_per_rank_draws(n1, n2, q, seed):
 )
 def test_conflict_graph_equals_bridge_loop(ham):
     graph = build_conflict_graph(ham)
-    assert graph.adjacency == conflict_adjacency_by_bridges(ham)
-    assert graph.n_vertices == len(ham.terms)
+    expected = conflict_adjacency_by_bridges(ham)
+    assert conflict_adjacency_two_hop_sets(ham) == expected
+    assert graph.n_vertices == len(expected) == len(ham.terms)
+    assert graph.indptr.tolist() == np.cumsum([0, *map(len, expected)]).tolist()
+    for t, neighbors in enumerate(expected):
+        assert graph.neighbors(t).tolist() == sorted(neighbors)
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        gen_ssyk(200, 2, seed=6),
+        gen_mixed_24(60, 3, 1),
+        gen_sparse_random(40, 4, 2, "normal", seed=2),
+    ],
+    ids=lambda ham: f"{len(ham.terms)}-terms-n{ham.n_modes}",
+)
+def test_conflict_graph_dense_and_sparse_products_agree(monkeypatch, ham):
+    graphs = []
+    for cells in (0, 2**40):  # every input sparse, then every input dense
+        monkeypatch.setattr(combinatorics, "DENSE_CONFLICT_CELLS", cells)
+        graphs.append(build_conflict_graph(ham))
+    sparse_graph, dense_graph = graphs
+    assert sparse_graph.indptr.tolist() == dense_graph.indptr.tolist()
+    assert sparse_graph.indices.tolist() == dense_graph.indices.tolist()
+    assert sparse_graph.indices.size > 0
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        *(gen_ssyk(n, 2, seed=seed) for n in (400, 1600) for seed in (3, 4)),
+        gen_mixed_24(120, 2, 8),
+        *(gen_sparse_random(60, q, 3, "normal", seed=q) for q in (2, 4, 6)),
+        MajoranaHamiltonian(3, ()),
+    ],
+    ids=lambda ham: f"{len(ham.terms)}-terms-n{ham.n_modes}",
+)
+def test_coloring_equals_set_based_greedy(ham):
+    # the CSR coloring must keep the vertex order and the tie-break exactly
+    expected = greedy_color_by_sets(conflict_adjacency_two_hop_sets(ham), ham)
+    assert greedy_color(build_conflict_graph(ham)) == expected
 
 
 # --------------------------------------------------------------- is_diffuse
@@ -269,6 +317,32 @@ def test_is_diffuse_matches_scan_on_partition_parts():
             assert got == diffuse_verdict_scan(subset, ham)
             verdicts.add(got)
     assert (True, None) in verdicts and (False, 1) in verdicts
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        gen_ssyk(60, 3, seed=1),
+        gen_mixed_24(40, 3, 2),
+        gen_sparse_random(20, 6, 2, "normal", seed=3),
+    ],
+    ids=["ssyk", "mixed24", "strictq-q6"],
+)
+def test_is_diffuse_matches_set_based_walk(ham):
+    rng = np.random.default_rng(len(ham.terms))
+    subsets = [[], list(range(len(ham.terms)))]
+    subsets += [list(ids) for ids in diffuse_partition(ham).parts.values()]
+    for _ in range(200):
+        size = int(rng.integers(1, 7))
+        subsets.append([int(t) for t in rng.choice(len(ham.terms), size=size)])  # repeats too
+    verdicts = set()
+    for subset in subsets:
+        for locality in (None, 4, 40):
+            got = _verdict(is_diffuse(subset, ham, locality=locality))
+            assert got == diffuse_verdict_by_mode_walk(subset, ham, locality=locality)
+            assert got == diffuse_verdict_scan(subset, ham, locality=locality)
+            verdicts.add(got)
+    assert {(True, None), (False, 1), (False, 2)} <= verdicts
 
 
 def test_is_diffuse_matches_scan_on_support_bound():
@@ -307,6 +381,21 @@ def test_permitted_graph_equals_dense_complement(seed):
         for u in range(-1, ham.n_majoranas + 1):
             assert (u in graph.adjacency[v]) == (u in dense[v])
             assert graph.has_edge(v, u) == (u in dense[v])
+
+
+def test_permitted_graph_equals_dense_complement_on_mixed_weights():
+    ham = gen_mixed_24(30, 3, 5)
+    rng = np.random.default_rng(5)
+    for excluded in (set(), set(range(ham.n_majoranas - 3)), set(rng.choice(60, size=20).tolist())):
+        graph = permitted_graph(ham, excluded)
+        dense = dense_permitted_adjacency(ham, excluded)
+        assert graph.vertices == tuple(sorted(dense))
+        assert graph.min_degree() == min(len(a) for a in dense.values())
+        assert graph.adjacency == dense
+        for v in graph.vertices:
+            assert [graph.has_edge(v, u) for u in range(-1, 61)] == [
+                u in dense[v] for u in range(-1, 61)
+            ]
 
 
 # ------------------------------------------------------------ Hamiltonian cycle
@@ -585,6 +674,92 @@ def test_correlation_matrix_takes_the_svd_past_unit_row_sums():
     CorrelationMatrix(pure)
     with pytest.raises(ValueError, match="singular value"):
         CorrelationMatrix(1.01 * pure)
+
+
+# ---------------------------------------------------------- the closed form
+
+
+def _random_matching_state(rng, n_modes):
+    modes = rng.permutation(2 * n_modes).tolist()
+    matching = Matching(tuple(zip(modes[::2], modes[1::2])))
+    signs = SignAssignment.from_dict({p: int(rng.choice([-1, 1])) for p in matching.pairs})
+    return matching, signs
+
+
+def _terms_around(rng, matching, weights, n_terms, n_majoranas):
+    """Up to ``n_terms`` distinct terms, whose supports are unions of dimers
+    half the time (consistent ones) and random otherwise; coefficients are
+    normal, +0.0 or -0.0."""
+    chosen = {}
+    for _ in range(n_terms):
+        w = int(rng.choice(weights))
+        if rng.random() < 0.5:
+            picked = rng.choice(len(matching.pairs), size=w // 2, replace=False)
+            idx = tuple(sorted(i for k in picked.tolist() for i in matching.pairs[k]))
+        else:
+            idx = tuple(sorted(rng.choice(n_majoranas, size=w, replace=False).tolist()))
+        coeff = float(rng.choice([rng.standard_normal(), 0.0, -0.0], p=[0.8, 0.1, 0.1]))
+        chosen[idx] = InteractionTerm(idx, coeff)
+    return tuple(chosen.values())
+
+
+@pytest.mark.parametrize("weights", [(2,), (4,), (6,), (2, 4)], ids=str)
+def test_closed_form_repeats_per_term_loop_on_random_states(weights):
+    rng = np.random.default_rng(sum(weights))
+    consistent = 0
+    for _ in range(60):
+        n = int(rng.integers(max(weights) // 2, 9))
+        matching, signs = _random_matching_state(rng, n)
+        terms = _terms_around(rng, matching, weights, int(rng.integers(1, 25)), 2 * n)
+        ham = MajoranaHamiltonian(n_modes=n, terms=terms)
+        closed = matching_state_expectation(matching, signs, ham)
+        assert repr(closed) == repr(closed_form_per_term(matching, signs, ham))
+        consistent += closed != 0.0
+    assert consistent > 30
+
+
+def test_closed_form_repeats_per_term_loop_on_a_wider_hamiltonian():
+    # terms on Majoranas past the matching are never consistent with it
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        matching, signs = _random_matching_state(rng, n)
+        wide = 2 * n + 2 * int(rng.integers(1, 4))
+        terms = _terms_around(rng, matching, (2, 4), int(rng.integers(1, 25)), wide)
+        ham = MajoranaHamiltonian(n_modes=wide // 2, terms=terms)
+        closed = matching_state_expectation(matching, signs, ham)
+        assert repr(closed) == repr(closed_form_per_term(matching, signs, ham))
+
+
+def test_closed_form_of_zero_coefficients_is_positive_zero():
+    matching = Matching(((0, 1), (2, 3)))
+    signs = SignAssignment.from_dict({(0, 1): -1, (2, 3): 1})
+    terms = (InteractionTerm((0, 1), 0.0), InteractionTerm((0, 1, 2, 3), -0.0))
+    ham = MajoranaHamiltonian(2, terms)
+    assert repr(matching_state_expectation(matching, signs, ham)) == "0.0"
+    assert repr(closed_form_per_term(matching, signs, ham)) == "0.0"
+
+
+def test_closed_form_repeats_per_term_loop_on_certified_states():
+    for ham, result in _certified_states():
+        closed = matching_state_expectation(result.matching, result.signs, ham)
+        assert repr(closed) == repr(closed_form_per_term(result.matching, result.signs, ham))
+
+
+def test_closed_form_takes_nothing_from_the_pfaffian_expansion(monkeypatch):
+    # the closed form and the Wick route must stay independent: the closed
+    # form reads neither the signed matchings nor the expansion evaluator
+    states = list(_certified_states())
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the closed form used the Pfaffian expansion")
+
+    monkeypatch.setattr(gaussian, "_signed_matchings", refuse)
+    monkeypatch.setattr(gaussian, "_TermEvaluator", refuse)
+    for ham, result in states:
+        closed = matching_state_expectation(result.matching, result.signs, ham)
+        assert repr(closed) == repr(closed_form_per_term(result.matching, result.signs, ham))
+        assert closed == result.certificate.achieved
 
 
 # --------------------------------------------------------- the mixed pull-back

@@ -1,9 +1,13 @@
-"""Smaller contract surfaces: options and failure paths."""
+"""Smaller contract surfaces: options, failure paths, and checks that must
+survive ``python -O``."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import fermiopt
 from fermiopt.cli import main
 from fermiopt.combinatorics import DiracError, diffuse_matching
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
@@ -41,3 +45,13 @@ def test_cli_ssyk_pipeline_requires_k(tmp_path):
          "--out-state", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json")]
     )
     assert code == 1
+
+
+def test_package_has_no_bare_assert():
+    # ``python -O`` strips asserts, so a check written as one would vanish
+    found = []
+    for path in sorted(Path(fermiopt.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"bare assert in fermiopt: {', '.join(found)}"

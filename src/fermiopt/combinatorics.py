@@ -368,7 +368,11 @@ def permitted_graph(ham: MajoranaHamiltonian, excluded: Iterable[int]) -> Permit
         a, b = rows[:, first].ravel(), rows[:, second].ravel()
         both = inside[a] & inside[b]
         keys.append(a[both] * m + b[both])
-    heads, tails = np.divmod(np.unique(np.concatenate(keys)), m)
+    # sorted distinct keys: a sort and a neighbour mask, cheaper than np.unique
+    keys = np.sort(np.concatenate(keys))
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    heads, tails = np.divmod(keys[fresh], m)
     bounds = np.searchsorted(heads, np.arange(m + 1)).tolist()
     tails = tails.tolist()
     verts = tuple(np.flatnonzero(inside).tolist())

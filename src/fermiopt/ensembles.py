@@ -65,19 +65,38 @@ class EnsembleSpec:
 
 @functools.lru_cache(maxsize=8)
 def _binomial_tables(n_items: int, size: int) -> tuple[np.ndarray, ...]:
-    """``tables[r][a] = C(a, r)`` for ``a`` up to ``n_items - size + r - 1``,
-    the largest ``a`` unranking visits with ``r`` elements still to place.
+    """``tables[r][a] = C(a, r)`` for ``a`` up to ``n_items - size + r``, one
+    past the largest ``a`` unranking visits with ``r`` elements still to
+    place, so ``a + 1`` is always a valid index.
 
-    Pascal's rule as cumulative sums keeps every entry exact.  Built once
-    per ``(n_items, size)``; the arrays are read-only because every caller
-    shares them.
+    Pascal's rule as cumulative sums keeps every entry exact; no entry
+    exceeds ``C(n_items, size)``.  Built once per ``(n_items, size)``; the
+    arrays are read-only because every caller shares them.
     """
-    tables = [np.ones(n_items - size, dtype=np.int64)]
+    tables = [np.ones(n_items - size + 1, dtype=np.int64)]
     for _ in range(size):
         tables.append(np.concatenate(([0], np.cumsum(tables[-1]))))
     for table in tables:
         table.flags.writeable = False
     return tuple(tables)
+
+
+def _largest_at_most(table: np.ndarray, dual: np.ndarray, r: int) -> np.ndarray:
+    """For each entry of ``dual``, the largest ``a`` with ``table[a] =
+    C(a, r) <= dual``.
+
+    A float root of ``C(a, r) ~ (a - (r-1)/2)^r / r!`` lands within a few
+    places; integer steps against the exact table then move every entry
+    until none moves, so the float error never reaches the result.
+    """
+    last = len(table) - 2  # the largest a any dual can reach
+    root = (dual * float(math.factorial(r))) ** (1.0 / r) + (r - 1) / 2
+    a = np.clip(root, r - 1, last).astype(np.int64)
+    while True:
+        step = (table[a + 1] <= dual).view(np.int8) - (table[a] > dual).view(np.int8)
+        if not step.any():
+            return a
+        a += step
 
 
 def _unrank_combination(
@@ -91,7 +110,7 @@ def _unrank_combination(
     Works on the dual rank ``C(n_items, size) - 1 - rank``: with ``r``
     elements still to place, the next element is ``n_items - 1 - a`` for
     the largest ``a`` with ``C(a, r) <= dual``, found for the whole batch
-    by one ``searchsorted`` on the exact table of ``C(a, r)``.
+    at once by ``_largest_at_most`` on the exact table of ``C(a, r)``.
 
     With ``allowed``, a boolean mask over the items, a combination is
     dropped at its first item outside the mask: only the survivors go on
@@ -112,7 +131,7 @@ def _unrank_combination(
     alive = slice(None) if allowed is None else np.arange(ranks.size)
     for position, remaining in enumerate(range(size, 0, -1)):
         table = tables[remaining]
-        a = np.searchsorted(table, dual, side="right") - 1
+        a = _largest_at_most(table, dual, remaining)
         item = n_items - 1 - a
         dual = dual - table[a]
         if allowed is not None:
@@ -185,6 +204,14 @@ def gen_ssyk(n: int, k: int, seed: int) -> MajoranaHamiltonian:
     return MajoranaHamiltonian(n_modes=n, terms=terms)
 
 
+# The 60 candidate batches of gen_sparse_random, drawn and unranked a stage
+# at a time: batches [start, stop) per stage.  Each stage costs a fixed
+# number of numpy calls however many batches it holds, and a draw that
+# reaches its target early stops after a small stage.
+_SPARSE_BATCHES = 60
+_SPARSE_STAGES = ((0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, _SPARSE_BATCHES))
+
+
 def gen_sparse_random(
     n: int,
     q: int,
@@ -197,6 +224,11 @@ def gen_sparse_random(
 
     Candidate supports stream in uniformly at random and are kept greedily
     while they respect the degree budget; coefficients are normal or +-1.
+    The stream is 60 batches of ``max(4 * target, 64)`` ranks, batch ``i``
+    from the substream ``(seed, "sparse-select", i)``, read in order until
+    ``target`` terms are kept.  The batches are drawn and unranked in the
+    stages of ``_SPARSE_STAGES``; the kept terms do not depend on the
+    stages.
 
     Size limits: candidate ranks are drawn and unranked in int64, so
     ``binom(2n, q)`` must stay below 2^63 (``n <= 60988`` at q = 4).  They
@@ -205,6 +237,10 @@ def gen_sparse_random(
     """
     if q % 2 != 0 or q < 2:
         raise ValueError("q must be even and >= 2")
+    if k < 1:
+        raise ValueError(f"need a degree budget k >= 1, got k = {k}")
+    if n_terms is not None and n_terms < 0:
+        raise ValueError(f"need n_terms >= 0, got n_terms = {n_terms}")
     if n <= q * k:
         raise ValueError(f"need n > q*k = {q * k} for a comfortable instance")
     if coeff_dist not in ("normal", "pm1"):
@@ -216,18 +252,18 @@ def gen_sparse_random(
             f"rank draw; binom({2 * n}, {q}) = {total}"
         )
     target = n_terms if n_terms is not None else (2 * n * k) // q
+    batch = max(4 * target, 64)
     load = [0] * (2 * n)
     kept: dict[int, tuple[int, ...]] = {}
-    max_batches = 60
-    position = 0
-    while len(kept) < target and position < max_batches:
-        ranks = rng.integers_below(
-            seed, "sparse-select", max(4 * target, 64), total, index=position
-        )
-        position += 1
-        # loads only grow, so a candidate that touches a full Majorana now
-        # would be rejected in order too: it is dropped while unranking, and
-        # only kept ranks need remembering
+    for start, stop in _SPARSE_STAGES:
+        if len(kept) == target:
+            break
+        ranks = rng.integers_below_streams(
+            seed, "sparse-select", batch, total, np.arange(start, stop)
+        ).ravel()
+        # loads only grow, so a candidate that touches a Majorana full at the
+        # start of the stage would be rejected in order too: it is dropped
+        # while unranking, and only kept ranks need remembering
         rows = _unrank_combination(ranks, 2 * n, q, allowed=np.array(load) < k)
         open_ = rows[:, -1] >= 0
         for r, idx in zip(ranks[open_].tolist(), rows[open_].tolist()):
@@ -251,12 +287,14 @@ def gen_sparse_random(
 
 def gen_mixed_24(n: int, k: int, seed: int) -> MajoranaHamiltonian:
     """k-sparse instance with weight-2 and weight-4 terms (degree budget
-    split between the two weights); convenience input for the mixed
-    pipeline."""
-    k4 = max(1, k // 2)
-    k2 = max(1, k - k4)
+    split between the two weights, ``k // 2`` to the quartic part and the
+    rest to the quadratic part); convenience input for the mixed pipeline.
+    Needs ``k >= 2`` so that each weight gets a budget of at least 1."""
+    if k < 2:
+        raise ValueError(f"gen_mixed_24 needs k >= 2, a budget for each weight; got k = {k}")
+    k4 = k // 2
     quartic = gen_sparse_random(n, 4, k4, "normal", seed)
-    quadratic = gen_sparse_random(n, 2, k2, "normal", seed + 1)
+    quadratic = gen_sparse_random(n, 2, k - k4, "normal", seed + 1)
     return MajoranaHamiltonian(
         n_modes=n, terms=tuple(quartic.terms) + tuple(quadratic.terms)
     )

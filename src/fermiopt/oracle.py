@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .gaussian import CorrelationMatrix, Matching, SignAssignment, _TermEvaluator
 from .hamiltonian import MajoranaHamiltonian
@@ -120,8 +118,19 @@ def dense_hamiltonian(ham: MajoranaHamiltonian) -> DenseOperator:
     return DenseOperator(ham.n_modes, _string_matrix(_hamiltonian_sum(ham), ham.n_modes))
 
 
-def matvec_operator(ham: MajoranaHamiltonian) -> LinearOperator:
-    """Matrix-free action of H on state vectors, from one Pauli sum built up front."""
+def expm(mat: np.ndarray) -> np.ndarray:
+    """scipy's matrix exponential, imported on the first call: importing this
+    module loads neither ``scipy.linalg`` nor ``scipy.sparse.linalg``."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(mat)
+
+
+def matvec_operator(ham: MajoranaHamiltonian):
+    """Matrix-free action of H on state vectors, from one Pauli sum built up
+    front, as a scipy ``LinearOperator``."""
+    from scipy.sparse.linalg import LinearOperator
+
     dim = 2**ham.n_modes
     pauli_sum = _hamiltonian_sum(ham)
 
@@ -150,6 +159,8 @@ def lambda_max_exact(ham: MajoranaHamiltonian, method: str = "auto") -> float:
     if method == "iterative":
         if ham.n_modes > ITER_EIG_MODE_BUDGET:
             raise BudgetError(f"iterative eigensolver capped at {ITER_EIG_MODE_BUDGET} modes")
+        from scipy.sparse.linalg import eigsh
+
         op = matvec_operator(ham)
         rng = np.random.default_rng(12345)
         v0 = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])

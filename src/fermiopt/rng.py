@@ -98,13 +98,19 @@ def _first_words(keys: np.ndarray) -> np.ndarray:
     return c0
 
 
+def _stream_keys(seed: int, tag: str, indices) -> np.ndarray:
+    """``stream_key(seed, tag, i)`` for each ``i`` in ``indices``, as the
+    columns of a (2, m) uint64 array, from one ``_mix``."""
+    index = np.asarray(indices).astype(np.uint64).ravel()
+    seed_word = np.full(index.shape, (seed & _MASK) ^ _tag_hash(tag), dtype=np.uint64)
+    return _mix(np.stack([seed_word, index]))
+
+
 def words_at(seed: int, tag: str, indices) -> np.ndarray:
     """First raw word of each stream ``(seed, tag, i)`` for ``i`` in
     ``indices``, equal to
     ``np.random.Philox(key=stream_key(seed, tag, i)).random_raw(1)[0]``."""
-    index = np.asarray(indices).astype(np.uint64).ravel()
-    seed_word = np.full(index.shape, (seed & _MASK) ^ _tag_hash(tag), dtype=np.uint64)
-    return _first_words(_mix(np.stack([seed_word, index])))
+    return _first_words(_stream_keys(seed, tag, indices))
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -132,10 +138,27 @@ def normals(seed: int, tag: str, count: int, index: int = 0) -> np.ndarray:
     return ndtri(uniforms(seed, tag, count, index))
 
 
+def _below(u: np.ndarray, high: int) -> np.ndarray:
+    return np.minimum((u * high).astype(np.int64), high - 1)
+
+
 def integers_below(seed: int, tag: str, count: int, high: int, index: int = 0) -> np.ndarray:
     """Integers in [0, high) by scaling 53-bit uniforms (bias < high / 2^53)."""
-    u = uniforms(seed, tag, count, index)
-    return np.minimum((u * high).astype(np.int64), high - 1)
+    return _below(uniforms(seed, tag, count, index), high)
+
+
+def integers_below_streams(seed: int, tag: str, count: int, high: int, indices) -> np.ndarray:
+    """A (len(indices), count) array whose row ``j`` equals
+    ``integers_below(seed, tag, count, high, index=indices[j])``.
+
+    The keys of all streams come from one ``_mix`` and are rounded as numpy
+    stores them (``_stored_key``); only the Philox words are drawn stream by
+    stream."""
+    keys = np.ascontiguousarray(_stored_key(_stream_keys(seed, tag, indices)).T)
+    words = np.empty((len(keys), count), dtype=np.uint64)
+    for row, key in zip(words, keys):
+        row[:] = np.random.Philox(key=key).random_raw(count)
+    return _below(_unit(words), high)
 
 
 def generator(seed: int, tag: str, index: int = 0) -> np.random.Generator:

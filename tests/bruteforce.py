@@ -211,6 +211,68 @@ def sparse_random_per_candidate(
     ]
 
 
+def unrank_combination_searchsorted(
+    ranks: np.ndarray, n_items: int, size: int, allowed: np.ndarray | None = None
+) -> np.ndarray:
+    """The package's unranking before its float root: with ``r`` elements
+    still to place, one ``searchsorted`` per position on the exact table of
+    ``C(a, r)``.  Same result and ``allowed`` convention as
+    ``ensembles._unrank_combination``."""
+    total = math.comb(n_items, size)
+    tables = [np.ones(n_items - size, dtype=np.int64)]
+    for _ in range(size):
+        tables.append(np.concatenate(([0], np.cumsum(tables[-1]))))
+    ranks = np.asarray(ranks, dtype=np.int64)
+    dual = (total - 1) - ranks
+    out = np.full((ranks.size, size), -1, dtype=np.int64)
+    alive = np.arange(ranks.size)
+    for position, remaining in enumerate(range(size, 0, -1)):
+        table = tables[remaining]
+        a = np.searchsorted(table, dual, side="right") - 1
+        item = n_items - 1 - a
+        dual = dual - table[a]
+        if allowed is not None:
+            keep = allowed[item]
+            alive, item, dual = alive[keep], item[keep], dual[keep]
+        out[alive, position] = item
+    return out
+
+
+def sparse_random_per_batch(
+    n: int, q: int, k: int, coeff_dist: str, seed: int, n_terms: int | None = None
+) -> list[tuple[tuple[int, ...], float]] | None:
+    """The greedy degree-budget placement one batch at a time, as the
+    package drew it before its batches were staged: each of up to 60
+    batches is drawn from its own stream, unranked under the loads at the
+    start of the batch (``unrank_combination_searchsorted``), and its
+    survivors checked in order.  Returns ``(indices, coeff)`` in rank
+    order, or None when ``n_terms`` terms could not be placed."""
+    total = math.comb(2 * n, q)
+    target = n_terms if n_terms is not None else (2 * n * k) // q
+    load = [0] * (2 * n)
+    kept: dict[int, tuple[int, ...]] = {}
+    position = 0
+    while len(kept) < target and position < 60:
+        ranks = rng.integers_below(
+            seed, "sparse-select", max(4 * target, 64), total, index=position
+        )
+        position += 1
+        rows = unrank_combination_searchsorted(ranks, 2 * n, q, allowed=np.array(load) < k)
+        open_ = rows[:, -1] >= 0
+        for r, idx in zip(ranks[open_].tolist(), rows[open_].tolist()):
+            if r in kept or any(load[i] >= k for i in idx):
+                continue
+            for i in idx:
+                load[i] += 1
+            kept[r] = tuple(idx)
+            if len(kept) == target:
+                break
+    if n_terms is not None and len(kept) < n_terms:
+        return None
+    draw = normal_at if coeff_dist == "normal" else sign_at
+    return [(kept[r], draw(seed, "sparse-coeff", r)) for r in sorted(kept)]
+
+
 def diffuse_verdict_scan(subset_ids, ham, locality=None) -> tuple[bool, int | None]:
     """The three separation conditions by an all-pairs scan: (ok, violated)."""
     members = [set(ham.terms[i].indices) for i in subset_ids]

@@ -329,11 +329,13 @@ def test_optimize_maps_pipeline_errors_to_exit_1(tmp_path, capsys, monkeypatch, 
         (["--family", "ssyk", "--n", "10", "--k", "-1"], "1 <= k <= binom"),
         (["--family", "ssyk", "--n", "2", "--k", "2"], "1 <= k <= binom"),
         (["--family", "sparse_random", "--n", "600", "--q", "8", "--k", "1"], "below 2^63"),
+        (["--family", "sparse_random", "--n", "20", "--q", "4", "--k", "-1"], "k >= 1"),
+        (["--family", "sparse_random", "--n", "20", "--q", "4", "--k", "0"], "k >= 1"),
         (["--family", "ssyk", "--n", "10"], "needs k"),
         (["--family", "two_colored", "--n1", "6", "--q", "4"], "needs n2"),
     ],
     ids=["ssyk-k0", "ssyk-negative-k", "ssyk-k-above-range", "sparse-past-int64",
-         "ssyk-no-k", "two-colored-no-n2"],
+         "sparse-negative-k", "sparse-k0", "ssyk-no-k", "two-colored-no-n2"],
 )
 def test_gen_rejects_bad_parameters(tmp_path, args, message):
     env = dict(os.environ)
@@ -432,6 +434,11 @@ BAD_CONFIGS = [
     ("base_seed", {"base_seed": 2.0}),
     ("'n'", {"n": 20.5}),
     ("'k'", {"k": None}),
+    ("'k'", {"k": 0}),
+    ("'k'", {"k": -2}),
+    ("'k'", {"pipeline": "mixed24", "k": 1}),
+    ("'k'", {"pipeline": "mixed24", "k": 0}),
+    ("'k'", {"pipeline": "mixed24", "k": -2}),
     ("restarts", {"restarts": False}),
     ("size_grid", {"size_grid": [4, "5"]}),
     ("size_grid", {"size_grid": 4}),

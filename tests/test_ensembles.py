@@ -165,10 +165,41 @@ def test_sparse_random_rejects_rank_counts_past_int64(monkeypatch):
     assert len(gen_sparse_random(443, 8, 1, "normal", seed=0).terms) > 0
 
 
+@pytest.mark.parametrize(
+    "k,n_terms,message",
+    [(0, None, "k >= 1"), (-1, None, "k >= 1"), (2, -3, "n_terms >= 0"), (2, -1, "n_terms >= 0")],
+)
+def test_sparse_random_rejects_budgets_it_cannot_honour(k, n_terms, message, monkeypatch):
+    # k < 1 or a negative term count used to return an empty Hamiltonian
+    monkeypatch.setattr("fermiopt.rng.integers_below_streams", _no_draw)
+    with pytest.raises(ValueError, match=message):
+        gen_sparse_random(20, 4, k, "normal", seed=0, n_terms=n_terms)
+
+
 def test_mixed_24_weights_and_sparsity():
     ham = gen_mixed_24(12, 2, seed=0)
     assert sparsity_profile(ham).weights_present == {2, 4}
     assert sparsity_profile(ham).max_degree <= 2
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_mixed_24_rejects_k_below_2(k, monkeypatch):
+    # k = 1, 0 and -3 used to be clamped to one draw of maximum degree 2
+    monkeypatch.setattr("fermiopt.rng.integers_below_streams", _no_draw)
+    with pytest.raises(ValueError, match="k >= 2"):
+        gen_mixed_24(20, k, seed=0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_mixed_24_splits_the_budget_between_weights(k):
+    ham = gen_mixed_24(40, k, seed=k)
+    assert sparsity_profile(ham).max_degree <= k
+    for weight, budget in ((4, k // 2), (2, k - k // 2)):
+        degree = np.zeros(80, dtype=int)
+        for t in ham.terms:
+            if t.weight == weight:
+                degree[list(t.indices)] += 1
+        assert 0 < degree.max() <= budget
 
 
 # ------------------------------------------------------------- two-colored

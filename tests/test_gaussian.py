@@ -1,4 +1,5 @@
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,23 @@ def test_gaussian_module_imports_neither_oracle_nor_scipy():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["fermiopt", "fermiopt.gaussian", "fermiopt.hamiltonian"]
+
+
+def test_cli_and_strictq_optimize_load_no_scipy_linalg():
+    # the oracle imports scipy's linear algebra where it calls it, so a
+    # certify run never loads it
+    probe = (
+        "import sys\n"
+        "import fermiopt.cli\n"
+        "from fermiopt.ensembles import gen_sparse_random\n"
+        "from fermiopt.optimizer import optimize\n"
+        "optimize(gen_sparse_random(40, 4, 2, 'normal', seed=5), 'strictq')\n"
+        "print(*[m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussian.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -214,6 +214,33 @@ GENERATOR_CASES = [
         "ssyk-n12800", lambda: gen_ssyk(12800, 2, seed=27),
         "fe16281d9f1884a67a5e0b14dc573cf5c79a18ef786577e92608fd644f287d61",
     ),
+    # recorded before the sparse sampler drew its 60 batches in stages: sizes
+    # where a draw runs every batch, and a term count met inside batch 0
+    (
+        "sparse-q4-n240-k2", lambda: gen_sparse_random(240, 4, 2, "normal", seed=41),
+        "59c5959208a81c58ae82fddc44c736b814fb3603b52b51ae6f19d8da859c4c41",
+    ),
+    (
+        "sparse-q4-n1000-k2", lambda: gen_sparse_random(1000, 4, 2, "normal", seed=42),
+        "1ea875d618a266a29945a545bf9477df8af246ec87345a14ff2b9b655901740e",
+    ),
+    (
+        "sparse-q2-n240-k1", lambda: gen_sparse_random(240, 2, 1, "normal", seed=43),
+        "4f12200efd970bc5b3fc1be6c3a7c75d16609c1517f6162a4663e9d010a166c8",
+    ),
+    (
+        "sparse-pm1-q6-n300-k2", lambda: gen_sparse_random(300, 6, 2, "pm1", seed=44),
+        "f8db51966aa077c040952670e945e488847d0c7a6f26d27deadde131800ec067",
+    ),
+    (
+        "mixed24-n240-k2", lambda: gen_mixed_24(240, 2, 45),
+        "7b74b3987437b3033480f969b3e44e68a4a98d37e10985049fb86f8c74d1b14e",
+    ),
+    (
+        "sparse-n-terms-batch0",
+        lambda: gen_sparse_random(100, 4, 2, "normal", seed=46, n_terms=10),
+        "39d1ee3da6db39e68969d8572532736b65392a2718b0b682f23dca38f73f9c37",
+    ),
 ]
 
 

@@ -95,10 +95,12 @@ from bruteforce import (
     normal_at,
     random_antisymmetric,
     slope_fd_by_expm,
+    sparse_random_per_batch,
     sparse_random_per_candidate,
     ssyk_terms_per_rank,
     truncation_marks_scan,
     unrank_combination_scan,
+    unrank_combination_searchsorted,
     zeta_by_tau_products,
 )
 from test_golden import _mixed24_quartic_x10
@@ -110,11 +112,12 @@ from test_optimizer import hand_built_branch_states
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
 def test_unrank_follows_itertools_order(size):
-    for n_items in range(size, 13):
-        expected = list(itertools.combinations(range(n_items), size))
+    # every rank of every n_items up to 22, in one batch per n_items
+    for n_items in range(size, 23):
+        expected = np.array(list(itertools.combinations(range(n_items), size)))
         got = _unrank_combination(np.arange(len(expected)), n_items, size)
         assert got.shape == (len(expected), size)
-        assert [tuple(row) for row in got.tolist()] == expected
+        assert np.array_equal(got, expected), n_items
 
 
 @pytest.mark.parametrize("size", [2, 4, 6])
@@ -164,6 +167,69 @@ def test_unrank_matches_scan_at_the_ssyk_size_limit():
     assert got[1].tolist() == [n_items - 4, n_items - 3, n_items - 2, n_items - 1]
 
 
+def _boundary_ranks(n_items: int, size: int) -> np.ndarray:
+    """Ranks 0, 1, total - 2 and total - 1, and at every position ``p`` the
+    ranks whose remaining dual sits at ``C(b, r) - 1``, ``C(b, r)`` and
+    ``C(b, r) + 1`` for every ``b``, with ``r = size - p`` elements left:
+    under the prefix ``0, ..., p - 1``, whose remainder spans all of
+    ``[0, C(n_items - p, r))``, and under a middle prefix for about 600
+    ``b``."""
+    total = math.comb(n_items, size)
+    duals = [np.array([0, 1, total - 2, total - 1], dtype=np.int64)]
+    for p in range(size):
+        r = size - p
+        span = n_items - p
+        bounds = np.array([math.comb(b, r) for b in range(r - 1, span + 1)], dtype=np.int64)
+        near = (bounds[:, None] + np.array([-1, 0, 1])).ravel()
+        lowest = sum(math.comb(n_items - 1 - j, size - j) for j in range(p))
+        duals.append(lowest + near[(0 <= near) & (near < math.comb(span, r))])
+        # the middle prefix: items spaced evenly over the first half
+        middle = [j * (n_items // (2 * size)) + j for j in range(p)]
+        rest = n_items - 1 - (middle[-1] if middle else -1)
+        offset = sum(math.comb(n_items - 1 - c, size - j) for j, c in enumerate(middle))
+        some = near[(0 <= near) & (near < math.comb(rest, r))]
+        duals.append(offset + some[:: max(1, len(some) // 600)])
+    dual = np.unique(np.concatenate(duals))
+    assert dual.min() >= 0 and dual.max() < total
+    return (total - 1) - dual
+
+
+UNRANK_EDGE_SIZES = [
+    (q, n_items)
+    for q, largest in ((2, 121976), (4, 121976), (6, 4337))
+    for n_items in (q + 3, 480, largest)
+]
+
+
+@pytest.mark.parametrize("size,n_items", UNRANK_EDGE_SIZES)
+def test_unrank_at_every_binomial_boundary(size, n_items):
+    # 121,976 items is 2 * SSYK_MAX_N; C(4338, 6) passes 2^63
+    ranks = _boundary_ranks(n_items, size)
+    assert ranks.size >= 2 * (n_items - size)
+    got = _unrank_combination(ranks, n_items, size)
+    assert np.array_equal(got, unrank_combination_searchsorted(ranks, n_items, size))
+    total = math.comb(n_items, size)
+    for rank in (0, 1, total - 2, total - 1):
+        row = got[np.flatnonzero(ranks == rank)[0]].tolist()
+        dual = sum(math.comb(n_items - 1 - item, size - j) for j, item in enumerate(row))
+        assert 0 <= row[0] and row == sorted(set(row)) and row[-1] < n_items
+        assert total - 1 - dual == rank
+    allowed = np.random.default_rng(n_items + size).random(n_items) < 0.8
+    assert np.array_equal(
+        _unrank_combination(ranks, n_items, size, allowed=allowed),
+        unrank_combination_searchsorted(ranks, n_items, size, allowed=allowed),
+    )
+
+
+def test_unrank_last_rank_at_480_items():
+    # a single float-root step once gave [477, 477, 478, 479] here
+    last = math.comb(480, 4) - 1
+    assert _unrank_combination(np.array([last, last - 1]), 480, 4).tolist() == [
+        [476, 477, 478, 479],
+        [475, 477, 478, 479],
+    ]
+
+
 @pytest.mark.parametrize("size", [1, 2, 4, 6])
 def test_unrank_with_allowed_items_drops_at_the_first_blocked_item(size):
     rng = np.random.default_rng(30 + size)
@@ -198,6 +264,39 @@ SPARSE_GRID = [
 def test_sparse_random_matches_per_candidate_loop(n, q, k, dist, seed):
     ham = gen_sparse_random(n, q, k, dist, seed=seed)
     assert _pairs(ham) == sparse_random_per_candidate(n, q, k, dist, seed)
+
+
+# every (n, q, k) with n > q*k over sizes where a draw stops early (small n)
+# and where it runs all 60 batches (n >= 120)
+STAGED_GRID = [
+    (n, q, k)
+    for n in (9, 13, 20, 40, 77, 120, 240, 600)
+    for q in (2, 4, 6)
+    for k in (1, 2, 3)
+    if n > q * k
+]
+
+
+@pytest.mark.parametrize("dist", ["normal", "pm1"])
+@pytest.mark.parametrize("n,q,k", STAGED_GRID, ids=[f"n{n}-q{q}-k{k}" for n, q, k in STAGED_GRID])
+def test_sparse_random_stages_match_per_batch_loop(n, q, k, dist):
+    seed = 1000 * n + 10 * q + k
+    assert _pairs(gen_sparse_random(n, q, k, dist, seed=seed)) == sparse_random_per_batch(
+        n, q, k, dist, seed
+    )
+
+
+@pytest.mark.parametrize("n_terms", [0, 1, 10, 20, 25, 28])
+def test_sparse_random_term_count_stages_match_per_batch_loop(n_terms):
+    # at most 30 disjoint quartets fit on 120 Majoranas; this seed places 10
+    # terms inside batch 0, 20 in batch 3 and 25 in batch 19, and cannot
+    # place 28 in 60 batches
+    expected = sparse_random_per_batch(60, 4, 1, "normal", 3, n_terms)
+    if expected is None:
+        with pytest.raises(ValueError, match="could not place"):
+            gen_sparse_random(60, 4, 1, "normal", seed=3, n_terms=n_terms)
+    else:
+        assert _pairs(gen_sparse_random(60, 4, 1, "normal", seed=3, n_terms=n_terms)) == expected
 
 
 @pytest.mark.parametrize("n_terms", [0, 3, 5, 6])
@@ -396,6 +495,18 @@ def test_permitted_graph_equals_dense_complement_on_mixed_weights():
             assert [graph.has_edge(v, u) for u in range(-1, 61)] == [
                 u in dense[v] for u in range(-1, 61)
             ]
+
+
+def test_permitted_graph_without_forbidden_pairs():
+    # no pair of one term survives the exclusion: the sorted key array is empty
+    empty = MajoranaHamiltonian(n_modes=3, terms=())
+    ham = gen_sparse_random(12, 4, 1, "normal", seed=0)
+    touched = {i for t in ham.terms for i in t.indices}
+    for case, excluded in ((empty, set()), (empty, {0, 5}), (ham, touched)):
+        graph = permitted_graph(case, excluded)
+        dense = dense_permitted_adjacency(case, excluded)
+        assert graph.vertices == tuple(sorted(dense))
+        assert graph.adjacency == dense
 
 
 # ------------------------------------------------------------ Hamiltonian cycle

@@ -131,6 +131,32 @@ def test_normals_and_signs_match_per_index_draws(seed):
     assert all(0.0 < u < 1.0 for u in uniforms)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 7, TOP, LAST])
+def test_integers_below_streams_match_one_stream_at_a_time(seed):
+    indices = _indices()
+    keys = [rng.stream_key(seed, "sparse-select", i) for i in indices]
+    assert any(_key_class(key) == "mixed" for key in keys)  # keys numpy stores rounded
+    for count, high in ((1, 2), (7, 10**6), (64, 2**62 + 11)):
+        got = rng.integers_below_streams(
+            seed, "sparse-select", count, high, np.array(indices, dtype=np.uint64)
+        )
+        assert got.shape == (len(indices), count) and got.dtype == np.int64
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # keys rounded to 2^64
+            expected = [
+                rng.integers_below(seed, "sparse-select", count, high, index=i).tolist()
+                for i in indices
+            ]
+        assert got.tolist() == expected
+
+
+def test_integers_below_streams_take_an_index_range():
+    got = rng.integers_below_streams(5, "t", 3, 100, np.arange(4, 9))
+    expected = [rng.integers_below(5, "t", 3, 100, index=i).tolist() for i in range(4, 9)]
+    assert got.tolist() == expected
+    assert rng.integers_below_streams(5, "t", 3, 100, np.arange(0)).shape == (0, 3)
+
+
 def test_int64_ranks_and_empty_batches():
     ranks = np.array([0, 5, 2**62], dtype=np.int64)
     assert rng.words_at(3, "t", ranks).tolist() == rng.words_at(3, "t", ranks.tolist()).tolist()

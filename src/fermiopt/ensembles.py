@@ -210,6 +210,24 @@ def gen_ssyk(n: int, k: int, seed: int) -> MajoranaHamiltonian:
 # reaches its target early stops after a small stage.
 _SPARSE_BATCHES = 60
 _SPARSE_STAGES = ((0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, _SPARSE_BATCHES))
+# candidates one stage may hold at once; a longer stage is cut into runs of
+# whole batches, so the working set stays bounded at large n
+_SPARSE_STAGE_CAP = 2**17
+
+
+def _sparse_stages(batch: int):
+    """``_SPARSE_STAGES`` with every stage cut into runs of at most
+    ``_SPARSE_STAGE_CAP`` candidates (at least one batch per run)."""
+    per_run = max(1, _SPARSE_STAGE_CAP // batch)
+    for start, stop in _SPARSE_STAGES:
+        for lo in range(start, stop, per_run):
+            yield lo, min(lo + per_run, stop)
+
+
+def least_k(pipeline: str | None = None) -> int:
+    """The smallest degree budget a sparse draw can honour: 1, or 2 for the
+    mixed pipeline, whose generator splits k between two weights."""
+    return 2 if pipeline == "mixed24" else 1
 
 
 def gen_sparse_random(
@@ -227,18 +245,19 @@ def gen_sparse_random(
     The stream is 60 batches of ``max(4 * target, 64)`` ranks, batch ``i``
     from the substream ``(seed, "sparse-select", i)``, read in order until
     ``target`` terms are kept.  The batches are drawn and unranked in the
-    stages of ``_SPARSE_STAGES``; the kept terms do not depend on the
-    stages.
+    stages of ``_SPARSE_STAGES``, a stage of more than ``_SPARSE_STAGE_CAP``
+    candidates in several runs; the kept terms do not depend on the stages.
 
     Size limits: candidate ranks are drawn and unranked in int64, so
     ``binom(2n, q)`` must stay below 2^63 (``n <= 60988`` at q = 4).  They
-    come from ``rng.integers_below``, which scales 53-bit uniforms, so above
+    come from ``rng.integers_below_streams``, which scales 53-bit uniforms
+    as ``rng.integers_below`` does, so above
     ``binom(2n, q) = 2^53`` not every support is reachable.
     """
     if q % 2 != 0 or q < 2:
         raise ValueError("q must be even and >= 2")
-    if k < 1:
-        raise ValueError(f"need a degree budget k >= 1, got k = {k}")
+    if k < least_k():
+        raise ValueError(f"need a degree budget k >= {least_k()}, got k = {k}")
     if n_terms is not None and n_terms < 0:
         raise ValueError(f"need n_terms >= 0, got n_terms = {n_terms}")
     if n <= q * k:
@@ -255,7 +274,7 @@ def gen_sparse_random(
     batch = max(4 * target, 64)
     load = [0] * (2 * n)
     kept: dict[int, tuple[int, ...]] = {}
-    for start, stop in _SPARSE_STAGES:
+    for start, stop in _sparse_stages(batch):
         if len(kept) == target:
             break
         ranks = rng.integers_below_streams(
@@ -290,8 +309,10 @@ def gen_mixed_24(n: int, k: int, seed: int) -> MajoranaHamiltonian:
     split between the two weights, ``k // 2`` to the quartic part and the
     rest to the quadratic part); convenience input for the mixed pipeline.
     Needs ``k >= 2`` so that each weight gets a budget of at least 1."""
-    if k < 2:
-        raise ValueError(f"gen_mixed_24 needs k >= 2, a budget for each weight; got k = {k}")
+    if k < least_k("mixed24"):
+        raise ValueError(
+            f"gen_mixed_24 needs k >= {least_k('mixed24')}, a budget for each weight; got k = {k}"
+        )
     k4 = k // 2
     quartic = gen_sparse_random(n, 4, k4, "normal", seed)
     quadratic = gen_sparse_random(n, 2, k - k4, "normal", seed + 1)

@@ -80,9 +80,9 @@ class StudyConfig:
             raise ValueError(f"study {self.study!r} needs {', '.join(map(repr, missing))}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # k is a degree budget, which the mixed pipeline splits between two weights
-        least_k, reason = (2, " for pipeline 'mixed24'") if self.pipeline == "mixed24" else (1, "")
+        least_k = ensembles.least_k(self.pipeline)
         if self.k is not None and self.k < least_k:
+            reason = f" for pipeline {self.pipeline!r}" if least_k > ensembles.least_k() else ""
             raise ValueError(f"field 'k' must be at least {least_k}{reason}, got {self.k}")
         if self.size_grid is not None:
             grid = tuple(int(v) for v in self.size_grid)

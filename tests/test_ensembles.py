@@ -154,7 +154,7 @@ def test_sparse_random_infeasible_target_errors():
 
 def test_sparse_random_rejects_rank_counts_past_int64(monkeypatch):
     # binom(1200, 8) > 2^63: the rank draw and the unranker work in int64
-    monkeypatch.setattr("fermiopt.rng.integers_below", _no_draw)
+    monkeypatch.setattr("fermiopt.rng.integers_below_streams", _no_draw)
     with pytest.raises(ValueError, match="below 2\\^63"):
         gen_sparse_random(600, 8, 1, "normal", seed=0)
     # at q = 8 the limit falls between n = 443 and 444

@@ -37,7 +37,9 @@ from fermiopt.combinatorics import (
 )
 from fermiopt.ensembles import (
     SSYK_MAX_N,
+    _SPARSE_STAGE_CAP,
     _binomial_tables,
+    _sparse_stages,
     _unrank_combination,
     gen_mixed_24,
     gen_sparse_random,
@@ -283,6 +285,36 @@ def test_sparse_random_stages_match_per_batch_loop(n, q, k, dist):
     seed = 1000 * n + 10 * q + k
     assert _pairs(gen_sparse_random(n, q, k, dist, seed=seed)) == sparse_random_per_batch(
         n, q, k, dist, seed
+    )
+
+
+@pytest.mark.parametrize("batch", [64, 960, 4681, 4682, 2**16, 2**17, 2**17 + 1, 2**20])
+def test_sparse_stages_cover_every_batch_in_runs_under_the_cap(batch):
+    runs = list(_sparse_stages(batch))
+    assert [start for start, _ in runs] == [0] + [stop for _, stop in runs[:-1]]
+    assert runs[-1][1] == 60
+    assert all((stop - start) * batch <= _SPARSE_STAGE_CAP or stop - start == 1 for start, stop in runs)
+
+
+@pytest.mark.parametrize("cap", [1, 1000, 5000])
+@pytest.mark.parametrize("n,q,k", [(40, 4, 2), (120, 4, 2), (240, 2, 1), (77, 6, 1)])
+def test_sparse_random_capped_stages_match_per_batch_loop(n, q, k, cap, monkeypatch):
+    # a small cap cuts the stages into runs of one or a few batches here
+    monkeypatch.setattr("fermiopt.ensembles._SPARSE_STAGE_CAP", cap)
+    seed = 7 * n + q + k
+    assert _pairs(gen_sparse_random(n, q, k, "normal", seed=seed)) == sparse_random_per_batch(
+        n, q, k, "normal", seed
+    )
+
+
+def test_sparse_random_large_batch_is_drawn_in_capped_runs():
+    # 4 * 9600 = 38400 candidates per batch: every stage past the third
+    # exceeds the cap and runs three batches at a time
+    n, q, k = 3200, 2, 3
+    assert _SPARSE_STAGE_CAP // 38400 == 3
+    assert list(_sparse_stages(38400))[-3:] == [(53, 56), (56, 59), (59, 60)]
+    assert _pairs(gen_sparse_random(n, q, k, "normal", seed=1)) == sparse_random_per_batch(
+        n, q, k, "normal", 1
     )
 
 

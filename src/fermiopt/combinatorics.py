@@ -493,7 +493,7 @@ def diffuse_matching(
 
     residual = sorted(set(range(ham.n_majoranas)) - support)
     if not residual:
-        return Matching(tuple(inner)), False
+        return Matching(inner), False
     graph = permitted_graph(ham, support)
     used_fallback = False
     if len(residual) == 2:
@@ -511,4 +511,4 @@ def diffuse_matching(
         used_fallback = True
     else:
         raise DiracError("Dirac condition unmet")
-    return Matching(tuple(inner) + tuple(outer)), used_fallback
+    return Matching(inner + outer), used_fallback

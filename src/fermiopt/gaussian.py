@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,63 +35,81 @@ class PfaffianError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Matching:
-    """A perfect pairing of ``[0, 2n)``; pairs are ordered ``a < b``."""
+    """A perfect pairing of ``[0, 2n)`` as one read-only array, ``partner[a]``
+    the Majorana paired with ``a``; built from pairs in any order, a tuple or
+    an (n, 2) array.  Dimer ``d`` is ``dimers[d] = (a, b)``, ``a < b``, in
+    increasing ``a``; ``pairs`` lists them as tuples for the JSON edge."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("partner",)
 
-    def __post_init__(self):
-        pairs = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
-        object.__setattr__(self, "pairs", pairs)
-        flat = [i for p in pairs for i in p]
-        if sorted(flat) != list(range(len(flat))):
-            raise ValueError(f"pairs {pairs} do not perfectly match [0, {len(flat)})")
+    def __init__(self, pairs):
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        flat, m = pairs.ravel(), pairs.size
+        # m values in [0, m), each once: a permutation, so no fixed points either
+        if m and not (flat.min() >= 0 and flat.max() < m and (np.bincount(flat) == 1).all()):
+            raise ValueError(f"pairs {pairs.tolist()} do not perfectly match [0, {m})")
+        partner = np.empty(m, dtype=np.intp)
+        partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        partner.flags.writeable = False
+        self.partner = partner
 
     @property
     def n_majoranas(self) -> int:
-        return 2 * len(self.pairs)
+        return self.partner.size
 
-    @cached_property
-    def _partners(self) -> dict[int, int]:
-        # built once per matching; read-only, every consistency verdict reads it
-        out = {}
-        for a, b in self.pairs:
-            out[a] = b
-            out[b] = a
-        return out
+    @property
+    def dimers(self) -> np.ndarray:
+        low = np.flatnonzero(self.partner > np.arange(self.partner.size))
+        return np.stack((low, self.partner[low]), axis=1)
 
-    @cached_property
-    def _pair_array(self) -> np.ndarray:
-        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
-        pairs.flags.writeable = False
-        return pairs
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.dimers.tolist()))
 
 
-@dataclass(frozen=True)
 class SignAssignment:
-    """A +-1 sign per dimer of a matching."""
+    """A +-1 sign per dimer of a matching, held as one read-only array:
+    ``signs[d]`` is the sign of ``matching.dimers[d]``."""
 
-    signs: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("matching", "signs")
+
+    def __init__(self, matching: Matching, signs):
+        raw, n = np.asarray(signs), matching.n_majoranas // 2
+        if raw.shape != (n,) or not np.isin(raw, (-1, 1)).all():
+            raise ValueError(f"{n} dimers need a sign of +-1 each, got {raw.tolist()!r:.80}")
+        self.matching = matching
+        self.signs = raw.astype(np.int64)
+        self.signs.flags.writeable = False
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "SignAssignment":
-        return cls(tuple(sorted((pair, int(s)) for pair, s in d.items())))
+        """The signs ``{(a, b): sign}`` of a perfect pairing, in any order."""
+        return signed_matching(list(d), list(d.values()))[1]
 
     @classmethod
     def all_plus(cls, matching: Matching) -> "SignAssignment":
-        return cls.from_dict({p: 1 for p in matching.pairs})
+        return cls(matching, np.ones(matching.n_majoranas // 2, dtype=np.int64))
 
     def as_dict(self) -> dict[tuple[int, int], int]:
-        return {pair: s for pair, s in self.signs}
+        return dict(zip(self.matching.pairs, self.signs.tolist()))
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The signed pairs, (pair, 2), and their signs, in pair order."""
-        pairs = np.array([pair for pair, _ in self.signs], dtype=np.intp).reshape(-1, 2)
-        values = np.array([s for _, s in self.signs], dtype=np.int64)
-        pairs.flags.writeable = values.flags.writeable = False
-        return pairs, values
+
+def signed_matching(pairs, signs) -> tuple[Matching, SignAssignment]:
+    """The matching state with these pairs, in any order, and one sign per pair."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    matching = Matching(pairs)
+    return matching, SignAssignment(matching, np.asarray(signs)[np.argsort(pairs.min(axis=1))])
+
+
+def _check_state(matching: Matching, signs: SignAssignment, width: int = 0) -> None:
+    """The one check of every matching-state reader: ``signs`` signs exactly
+    the dimers of ``matching``, and the state spans the reader's ``width``
+    Majoranas (a Hamiltonian's, or the modes of a dense state)."""
+    if not np.array_equal(signs.matching.partner, matching.partner):
+        raise ValueError("sign assignment does not cover the matching")
+    if width > matching.n_majoranas:
+        raise ValueError(f"Hamiltonian on {width} Majoranas, state on {matching.n_majoranas}")
 
 
 @dataclass(frozen=True)
@@ -303,14 +320,12 @@ def correlation_from_matching(
     matching: Matching, signs: SignAssignment
 ) -> CorrelationMatrix:
     """Correlation matrix of the pure matching state: ``gamma_ab = sign(a,b)``."""
+    _check_state(matching, signs)
     m = matching.n_majoranas
     gamma = np.zeros((m, m))
-    sd = signs.as_dict()
-    if set(sd) != set(matching.pairs):
-        raise ValueError("sign assignment does not cover the matching")
-    for (a, b), s in sd.items():
-        gamma[a, b] = s
-        gamma[b, a] = -s
+    low, high = matching.dimers.T
+    gamma[low, high] = signs.signs
+    gamma[high, low] = -signs.signs
     return CorrelationMatrix(gamma)
 
 
@@ -358,12 +373,12 @@ def classify_consistency(matching: Matching, indices: Sequence[int]) -> Consiste
     idx = sorted(int(i) for i in indices)
     if len(idx) % 2 != 0:
         raise ValueError(f"support must have even size, got {idx}")
+    if idx and not 0 <= idx[0] <= idx[-1] < matching.n_majoranas:
+        return ConsistencyVerdict(consistent=False)
     support = set(idx)
-    partner = matching._partners
     inner = []
-    for i in idx:
-        j = partner.get(i)
-        if j is None or j not in support:
+    for i, j in zip(idx, matching.partner[idx].tolist()):
+        if j not in support:
             return ConsistencyVerdict(consistent=False)
         if i < j:
             inner.append((i, j))
@@ -387,16 +402,11 @@ def matching_state_expectation(
     order of its positions.  The contributions, each exactly ``+-J``, are
     summed one after another in term order.
     """
-    pairs = matching._pair_array
-    signed_pairs, values = signs._arrays
-    if not np.array_equal(signed_pairs, pairs):
-        sd = signs.as_dict()
-        values = np.array([sd.get(pair, 0) for pair in matching.pairs], dtype=np.int64)
-    size = max(matching.n_majoranas, ham.n_majoranas)
-    partner = np.full(size, -1, dtype=np.intp)
-    partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
-    dimer_sign = np.zeros(size, dtype=np.int64)  # 0: the pair has no sign
-    dimer_sign[pairs[:, 0]] = dimer_sign[pairs[:, 1]] = values
+    _check_state(matching, signs, ham.n_majoranas)
+    partner = matching.partner
+    # each dimer's sign at its lower Majorana, the one a term's gather reads
+    dimer_sign = np.zeros(partner.size, dtype=np.int64)
+    dimer_sign[partner > np.arange(partner.size)] = signs.signs
 
     index = ham.index
     contribution = np.zeros(len(ham.terms))
@@ -413,11 +423,7 @@ def matching_state_expectation(
         order = np.stack((opener, closer), axis=2).reshape(-1, w)
         later = np.triu(np.ones((w, w), dtype=bool), 1)
         inversions = ((order[:, :, None] > order[:, None, :]) & later).sum(axis=(1, 2))
-        dimers = np.take_along_axis(rows, opener, axis=1)
-        sign = dimer_sign[dimers]
-        if not sign.all():
-            a = int(dimers[sign == 0][0])
-            raise KeyError((a, int(partner[a])))
+        sign = dimer_sign[np.take_along_axis(rows, opener, axis=1)]
         value = (1 - 2 * (inversions & 1)) * sign.prod(axis=1)
         contribution[ids] = index.coeffs[ids] * value
         consistent[ids] = True
@@ -432,10 +438,11 @@ def assign_signs(matching: Matching, targets: Iterable[InteractionTerm]) -> Sign
 
     Target supports must be pairwise disjoint and each consistent with the
     matching; at most one dimer per target is flipped (its lowest pair).
-    Pairs not touched by any target keep the sign +1.
+    Pairs not touched by any target keep the sign +1; a target finds its
+    dimers at +1, so it flips when its parity and the sign of J disagree.
     """
-    sd = SignAssignment.all_plus(matching).as_dict()
     used: set[int] = set()
+    flipped = []  # the lower Majorana of each flipped dimer
     for term in targets:
         if used & set(term.indices):
             raise ValueError("targets not disjoint")
@@ -443,25 +450,20 @@ def assign_signs(matching: Matching, targets: Iterable[InteractionTerm]) -> Sign
         verdict = classify_consistency(matching, term.indices)
         if not verdict.consistent:
             raise ValueError(f"target {term.indices} is inconsistent with the matching")
-        if term.coeff == 0.0:
-            continue
-        desired = verdict.sign * (1 if term.coeff > 0 else -1)
-        current = 1
-        for pair in verdict.inner_pairs:
-            current *= sd[pair]
-        if current != desired:
-            first = verdict.inner_pairs[0]
-            sd[first] = -sd[first]
-    return SignAssignment.from_dict(sd)
+        if term.coeff != 0.0 and verdict.sign * (1 if term.coeff > 0 else -1) < 0:
+            flipped.append(verdict.inner_pairs[0][0])
+    values = np.ones(matching.n_majoranas // 2, dtype=np.int64)
+    values[np.searchsorted(matching.dimers[:, 0], flipped)] = -1
+    return SignAssignment(matching, values)
 
 
 def state_to_json(matching: Matching, signs: SignAssignment) -> str:
     """Matching-form state document: pairs with their dimer signs."""
-    sd = signs.as_dict()
+    _check_state(matching, signs)
     doc = {
         "n_modes": matching.n_majoranas // 2,
-        "pairs": [list(p) for p in matching.pairs],
-        "signs": [sd[p] for p in matching.pairs],
+        "pairs": matching.dimers.tolist(),
+        "signs": signs.signs.tolist(),
     }
     return json.dumps(doc, indent=1)
 
@@ -482,10 +484,10 @@ def state_from_json(text: str) -> tuple[Matching, SignAssignment]:
         and all(_is_int(s) and s in (-1, 1) for s in signs)
     ):
         raise FormatError("malformed", "a state needs integer n_modes, pairs a<b, one sign +-1 each")
-    matching = Matching(tuple(map(tuple, pairs)))
+    matching, signs = signed_matching(pairs, signs)
     if matching.n_majoranas != 2 * n_modes:
         raise FormatError("malformed", "pairs do not cover the declared mode count")
-    return matching, SignAssignment.from_dict(dict(zip(map(tuple, pairs), signs)))
+    return matching, signs
 
 
 def condition_on_dimer(

@@ -35,6 +35,7 @@ from .gaussian import (
     assign_signs,
     classify_consistency,
     matching_state_expectation,
+    signed_matching,
 )
 from .hamiltonian import (
     InteractionTerm,
@@ -121,7 +122,7 @@ def _best_effort(
     partition: DiffusePartition | None = None,
 ) -> OptimizationResult:
     """Unguaranteed state: consecutive Majoranas paired, every sign +1."""
-    matching = Matching(tuple((2 * j, 2 * j + 1) for j in range(ham.n_modes)))
+    matching = Matching(np.arange(ham.n_majoranas).reshape(-1, 2))
     signs = SignAssignment.all_plus(matching)
     cert = RatioCertificate(
         pipeline=pipeline,
@@ -260,36 +261,31 @@ def pull_back(
     non-negative.  Violation of ``Tr(H rho) >= Tr(H~ rho~)`` is a hard
     error, never silently returned.
     """
-    aux_pair = (ham.n_majoranas, ham.n_majoranas + 1)
+    aux = ham.n_majoranas  # the auxiliaries are aux and aux + 1, the two highest
     tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
     slack = CONTRACT_SLACK * total_strength(ham)
-    sd = tilde_signs.as_dict()
+    dimers, values = tilde_matching.dimers, tilde_signs.signs
 
-    if aux_pair in set(tilde_matching.pairs):
-        pairs = tuple(p for p in tilde_matching.pairs if p != aux_pair)
-        matching = Matching(pairs)
-        signs = SignAssignment.from_dict({p: sd[p] for p in pairs})
+    if tilde_matching.partner[aux] == aux + 1:
+        # the auxiliary dimer has the highest lower Majorana: it is the last
+        matching, signs = signed_matching(dimers[:-1], values[:-1])
         value = matching_state_expectation(matching, signs, ham)
         if value < tilde_value - slack:
             raise PullBackError(f"pull-back lost energy: {value} < {tilde_value}")
         return matching, signs
 
-    # the auxiliaries are the two highest Majoranas: each ends its sorted pair
-    partner = {b: a for a, b in tilde_matching.pairs if b in aux_pair}
-    i1, i2 = partner[aux_pair[0]], partner[aux_pair[1]]
-    lam1, lam2 = sd[(i1, aux_pair[0])], sd[(i2, aux_pair[1])]
-    base_pairs = [p for p in tilde_matching.pairs if p[1] not in aux_pair]
-    new_pair = (min(i1, i2), max(i1, i2))
-    orient = -1 if i1 < i2 else 1
-    matching = Matching(tuple(base_pairs) + (new_pair,))
+    # each auxiliary ends its sorted pair, so it is never a lower Majorana
+    i1, i2 = tilde_matching.partner[aux:].tolist()
+    lam1, lam2 = values[np.searchsorted(dimers[:, 0], (i1, i2))].tolist()
+    base = dimers[:, 1] < aux
+    pairs = np.vstack((dimers[base], [(min(i1, i2), max(i1, i2))]))
+    repaired = (-1 if i1 < i2 else 1) * lam1 * lam2
 
     # each outcome of the auxiliary dimer has probability 1/2, and its
-    # conditioned state carries this sign on the re-paired dimer
+    # conditioned state carries outcome * repaired on the re-paired dimer
     best: tuple[float, SignAssignment] | None = None
     for outcome in (1, -1):
-        cond_signs = {p: sd[p] for p in base_pairs}
-        cond_signs[new_pair] = orient * outcome * lam1 * lam2
-        signs = SignAssignment.from_dict(cond_signs)
+        matching, signs = signed_matching(pairs, np.append(values[base], outcome * repaired))
         signs = _repair_two_mode_overlaps(matching, signs, ham)
         value = matching_state_expectation(matching, signs, ham)
         if best is None or value > best[0]:
@@ -297,7 +293,7 @@ def pull_back(
     value, signs = best
     if value < tilde_value - slack:
         raise PullBackError(f"pull-back lost energy: {value} < {tilde_value}")
-    return matching, signs
+    return signs.matching, signs
 
 
 def _repair_two_mode_overlaps(
@@ -311,13 +307,14 @@ def _repair_two_mode_overlaps(
     contribution.  Requires the consistent quartics to have disjoint inner
     pairs, which branch states guarantee.
     """
-    sd = signs.as_dict()
+    values = signs.signs.copy()
+    lows = matching.dimers[:, 0]
 
-    def riding(pair: tuple[int, int]) -> float:
+    def riding(pair: tuple[int, int], dimer: int) -> float:
         t_id = ham.term_id.get(pair)
-        return 0.0 if t_id is None else ham.terms[t_id].coeff * sd[pair]
+        return 0.0 if t_id is None else ham.terms[t_id].coeff * int(values[dimer])
 
-    seen_pairs: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for term in ham.terms:
         if term.weight != 4:
             continue
@@ -325,13 +322,13 @@ def _repair_two_mode_overlaps(
         if not verdict.consistent:
             continue
         e1, e2 = verdict.inner_pairs
-        if e1 in seen_pairs or e2 in seen_pairs:
+        d1, d2 = np.searchsorted(lows, (e1[0], e2[0])).tolist()
+        if d1 in seen or d2 in seen:
             raise ValueError("consistent quartics share a dimer; not a branch state")
-        seen_pairs.update((e1, e2))
-        if riding(e1) + riding(e2) < 0.0:
-            sd[e1] = -sd[e1]
-            sd[e2] = -sd[e2]
-    return SignAssignment.from_dict(sd)
+        seen.update((d1, d2))
+        if riding(e1, d1) + riding(e2, d2) < 0.0:
+            values[[d1, d2]] *= -1
+    return SignAssignment(matching, values)
 
 
 def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> OptimizationResult:
@@ -352,29 +349,27 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     aux = (ham.n_majoranas, ham.n_majoranas + 1)
 
     def build(key, ids, value, matching):
-        sd = assign_signs(matching, [ham.terms[i] for i in ids]).as_dict()
+        dimers = matching.dimers
+        values = assign_signs(matching, [ham.terms[i] for i in ids]).signs
         if key[0] == 1:
-            # weight-2 branch: append the auxiliary dimer in the state
-            # that makes every lifted coefficient count positively
-            tilde_matching = Matching(matching.pairs + (aux,))
-            sd[aux] = -1
+            # weight-2 branch: append the auxiliary dimer, the last one, in
+            # the state that makes every lifted coefficient count positively
+            dimers, values = np.vstack((dimers, [aux])), np.append(values, -1)
         else:
             # weight-4 branch: re-route a marked outer edge through the
             # auxiliaries so no lifted weight-2 term can stay consistent
-            support = set().union(*(ham.terms[i].support for i in ids))
-            outer = [p for p in matching.pairs if not set(p) & support]
-            if not outer:
+            support = [i for t in ids for i in ham.terms[t].indices]
+            outer = np.flatnonzero(~np.isin(dimers, support).any(axis=1))
+            if not outer.size:
                 raise DiracError("no outer edge available to mark")
-            i1, i2 = outer[0]
+            i1, i2 = dimers[outer[0]].tolist()
             # outer edges are permitted edges, so never a weight-2 term
             if (i1, i2) in ham.term_id:
                 raise ContractError(f"marked outer edge {(i1, i2)} is a weight-2 term")
-            kept = tuple(p for p in matching.pairs if p != (i1, i2))
-            tilde_matching = Matching(kept + ((i1, aux[0]), (i2, aux[1])))
-            sd = {p: sd[p] for p in kept}
-            sd[(i1, aux[0])] = 1
-            sd[(i2, aux[1])] = 1
-        tilde_signs = SignAssignment.from_dict(sd)
+            rerouted = [(i1, aux[0]), (i2, aux[1])]
+            dimers = np.vstack((np.delete(dimers, outer[0], axis=0), rerouted))
+            values = np.append(np.delete(values, outer[0]), (1, 1))
+        tilde_matching, tilde_signs = signed_matching(dimers, values)
         tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
         if not math.isclose(tilde_value, value, rel_tol=1e-9, abs_tol=1e-12):
             raise ContractError(f"lifted value {tilde_value} disagrees with the class {value}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CorrelationMatrix, Matching, SignAssignment, _TermEvaluator
+from .gaussian import CorrelationMatrix, Matching, SignAssignment, _check_state, _TermEvaluator
 from .hamiltonian import MajoranaHamiltonian
 
 DENSE_OP_MODE_BUDGET = 13
@@ -179,6 +179,8 @@ def dense_dimer_state(
     """
     if n_modes > DENSE_OP_MODE_BUDGET:
         raise BudgetError(f"dense path capped at {DENSE_OP_MODE_BUDGET} modes")
+    if any(max(pair) >= 2 * n_modes for pair, _ in dimers):
+        raise ValueError(f"a dimer lies outside the {2 * n_modes} Majoranas of {n_modes} modes")
     dim = 2**n_modes
     rho = np.eye(dim, dtype=complex) / dim
     for (a, b), sign in dimers:
@@ -192,9 +194,8 @@ def dense_state_from_matching(
 ) -> DenseOperator:
     """Dense density matrix of the pure matching state."""
     n_modes = matching.n_majoranas // 2 if n_modes is None else n_modes
-    sign_of = signs.as_dict()
-    dimers = [(pair, sign_of[pair]) for pair in matching.pairs]
-    return dense_dimer_state(n_modes, dimers)
+    _check_state(matching, signs, 2 * n_modes)
+    return dense_dimer_state(n_modes, list(zip(matching.dimers.tolist(), signs.signs.tolist())))
 
 
 def dense_expectation(ham: MajoranaHamiltonian, rho: DenseOperator) -> float:

@@ -4,8 +4,9 @@ Everything here is deliberately naive: enumeration, inversion counting,
 exhaustive search.  Nothing imports the algorithms it is meant to check;
 ``dense_term`` alone reads the oracle's string builders, because the
 Majorana-algebra tests that use it check exactly those, and
-``closed_form_per_term`` reads ``classify_consistency``, the per-term
-verdict that the array closed form replaced.
+``closed_form_per_term`` and the dict-based sign and pull-back references
+read ``classify_consistency``, the per-term verdict that the array closed
+form replaced.
 The reference samplers draw through the package's single-stream
 primitives (``rng.stream_key``, ``rng.integers_below``, ``rng.generator``),
 one stream per value, and replace only the batched draws.
@@ -386,6 +387,107 @@ def closed_form_per_term(matching, signs, ham) -> float:
             value *= sd[pair]
         total += t.coeff * value
     return total
+
+
+# -------------------------------------------------------------------------
+# The dict-based sign choice and mixed pull-back that the array builders
+# replaced: signs live in a ``{(a, b): sign}`` dict, every verdict comes from
+# ``classify_consistency`` and every energy from ``closed_form_per_term``.
+
+
+def assign_signs_by_dict(matching, targets):
+    """Start from +1 on every pair; per target, flip its lowest pair when the
+    product of its dimer signs times its parity disagrees with the sign of J."""
+    from fermiopt.gaussian import SignAssignment, classify_consistency
+
+    sd = {p: 1 for p in matching.pairs}
+    used: set[int] = set()
+    for term in targets:
+        if used & set(term.indices):
+            raise ValueError("targets not disjoint")
+        used.update(term.indices)
+        verdict = classify_consistency(matching, term.indices)
+        if not verdict.consistent:
+            raise ValueError(f"target {term.indices} is inconsistent with the matching")
+        if term.coeff == 0.0:
+            continue
+        desired = verdict.sign * (1 if term.coeff > 0 else -1)
+        current = 1
+        for pair in verdict.inner_pairs:
+            current *= sd[pair]
+        if current != desired:
+            first = verdict.inner_pairs[0]
+            sd[first] = -sd[first]
+    return SignAssignment.from_dict(sd)
+
+
+def repair_two_mode_overlaps_by_dict(matching, signs, ham):
+    """Double-flip the two dimers of each consistent quartic whose riding
+    weight-2 terms sum below zero."""
+    from fermiopt.gaussian import SignAssignment, classify_consistency
+
+    sd = signs.as_dict()
+
+    def riding(pair):
+        t_id = ham.term_id.get(pair)
+        return 0.0 if t_id is None else ham.terms[t_id].coeff * sd[pair]
+
+    seen_pairs = set()
+    for term in ham.terms:
+        if term.weight != 4:
+            continue
+        verdict = classify_consistency(matching, term.indices)
+        if not verdict.consistent:
+            continue
+        e1, e2 = verdict.inner_pairs
+        if e1 in seen_pairs or e2 in seen_pairs:
+            raise ValueError("consistent quartics share a dimer; not a branch state")
+        seen_pairs.update((e1, e2))
+        if riding(e1) + riding(e2) < 0.0:
+            sd[e1] = -sd[e1]
+            sd[e2] = -sd[e2]
+    return SignAssignment.from_dict(sd)
+
+
+def pull_back_by_dict(tilde_matching, tilde_signs, ham, lifted):
+    """Drop the auxiliary dimer if the state has it; else re-pair the two
+    Majoranas on the auxiliaries, once per outcome of the auxiliary dimer,
+    repair, and keep the better outcome (the first on a tie).  Raises
+    ``PullBackError`` when the result falls below the branch state."""
+    from fermiopt.gaussian import Matching, SignAssignment
+    from fermiopt.hamiltonian import total_strength
+    from fermiopt.optimizer import CONTRACT_SLACK, PullBackError
+
+    aux_pair = (ham.n_majoranas, ham.n_majoranas + 1)
+    tilde_value = closed_form_per_term(tilde_matching, tilde_signs, lifted)
+    slack = CONTRACT_SLACK * total_strength(ham)
+    sd = tilde_signs.as_dict()
+    if aux_pair in set(tilde_matching.pairs):
+        pairs = tuple(p for p in tilde_matching.pairs if p != aux_pair)
+        candidates = [(Matching(pairs), SignAssignment.from_dict({p: sd[p] for p in pairs}))]
+    else:
+        partner = {b: a for a, b in tilde_matching.pairs if b in aux_pair}
+        i1, i2 = partner[aux_pair[0]], partner[aux_pair[1]]
+        lam1, lam2 = sd[(i1, aux_pair[0])], sd[(i2, aux_pair[1])]
+        base_pairs = [p for p in tilde_matching.pairs if p[1] not in aux_pair]
+        new_pair = (min(i1, i2), max(i1, i2))
+        orient = -1 if i1 < i2 else 1
+        matching = Matching(tuple(base_pairs) + (new_pair,))
+        candidates = []
+        for outcome in (1, -1):
+            cond_signs = {p: sd[p] for p in base_pairs}
+            cond_signs[new_pair] = orient * outcome * lam1 * lam2
+            signs = SignAssignment.from_dict(cond_signs)
+            candidates.append((matching, repair_two_mode_overlaps_by_dict(matching, signs, ham)))
+    best = None
+    for matching, signs in candidates:
+        value = closed_form_per_term(matching, signs, ham)
+        if best is None or value > best[0]:
+            best = (value, matching, signs)
+    value, matching, signs = best
+    if value < tilde_value - slack:
+        raise PullBackError(f"pull-back lost energy: {value} < {tilde_value}")
+    return matching, signs
 
 
 def dense_permitted_adjacency(ham, excluded) -> dict[int, frozenset[int]]:

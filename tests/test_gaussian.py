@@ -23,6 +23,7 @@ from fermiopt.gaussian import (
     matching_state_expectation,
     monomial_expectation,
     pfaffian,
+    state_to_json,
 )
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
 from fermiopt.oracle import dense_dimer_state, dense_expectation, dense_state_from_matching
@@ -154,6 +155,84 @@ def test_correlation_validation_leaves_its_input_alone():
     corr = CorrelationMatrix(raw)
     assert np.array_equal(raw, before)
     assert np.array_equal(corr.gamma, (before - before.T) / 2.0)
+
+
+# ------------------------------------------------- the state's two arrays
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [((0, 0), (1, 2)), ((0, 1), (1, 2)), ((0, 1), (2, 4)), ((-1, 1), (0, 2)), ((0, 1, 2),)],
+    ids=["fixed-point", "repeat", "gap", "negative", "not-pairs"],
+)
+def test_matching_rejects_what_is_not_a_perfect_pairing(pairs):
+    with pytest.raises(ValueError):
+        Matching(pairs)
+
+
+def test_matching_holds_a_partner_array_and_derives_the_pairs():
+    matching = Matching(np.array([[5, 2], [0, 4], [1, 3]]))
+    assert matching.partner.tolist() == [4, 3, 5, 1, 0, 2]
+    assert matching.pairs == ((0, 4), (1, 3), (2, 5))
+    assert not matching.partner.flags.writeable
+    signs = SignAssignment.from_dict({(5, 2): -1, (4, 0): 1, (1, 3): -1})
+    assert signs.signs.tolist() == [1, -1, -1]  # in the order of the pairs' lower Majoranas
+    assert signs.as_dict() == {(0, 4): 1, (1, 3): -1, (2, 5): -1}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: SignAssignment.from_dict({(0, 1): 3, (2, 3): 1}),
+        lambda m: SignAssignment(m, [1, 0]),
+        lambda m: SignAssignment(m, [1.5, -1]),
+        lambda m: SignAssignment(m, [1]),
+        lambda m: SignAssignment(m, [1, -1, 1]),
+    ],
+    ids=["three", "zero", "fraction", "too-few", "too-many"],
+)
+def test_sign_assignment_takes_one_sign_of_plus_minus_one_per_dimer(build):
+    # a sign of 3 on (0, 1) once made the closed form of 1.0 C_01 + 5.0 C_23
+    # return 8.0, above sum |J| = 6.0
+    with pytest.raises(ValueError, match=r"\+-1"):
+        build(Matching(((0, 1), (2, 3))))
+
+
+_READER_HAM = MajoranaHamiltonian(
+    n_modes=2, terms=(InteractionTerm((0, 1), 1.0), InteractionTerm((2, 3), 5.0))
+)
+STATE_READERS = {
+    "closed-form": lambda m, s: matching_state_expectation(m, s, _READER_HAM),
+    "correlation": correlation_from_matching,
+    "dense": lambda m, s: dense_state_from_matching(m, s, n_modes=_READER_HAM.n_modes),
+    "state-json": state_to_json,
+}
+
+
+@pytest.mark.parametrize("reader", STATE_READERS.values(), ids=STATE_READERS)
+@pytest.mark.parametrize(
+    "sign_of",
+    [{(0, 1): 1, (2, 3): 1, (4, 5): 1}, {(0, 1): 1}, {(0, 2): 1, (1, 3): 1}],
+    ids=["pair-the-matching-lacks", "pair-without-sign", "other-pairing"],
+)
+def test_state_readers_reject_signs_of_another_matching(reader, sign_of):
+    matching = Matching(((0, 1), (2, 3)))
+    assert reader(matching, SignAssignment.all_plus(matching)) is not None
+    with pytest.raises(ValueError, match="does not cover"):
+        reader(matching, SignAssignment.from_dict(sign_of))
+
+
+@pytest.mark.parametrize("reader", ["closed-form", "dense"])
+def test_state_readers_reject_a_state_narrower_than_the_hamiltonian(reader):
+    matching = Matching(((0, 1),))
+    with pytest.raises(ValueError, match="Hamiltonian on 4 Majoranas, state on 2"):
+        STATE_READERS[reader](matching, SignAssignment.all_plus(matching))
+
+
+def test_dense_state_rejects_dimers_outside_its_modes():
+    matching = Matching(((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="outside"):
+        dense_state_from_matching(matching, SignAssignment.all_plus(matching), n_modes=1)
 
 
 # ------------------------------------------------------------ expectations
@@ -310,7 +389,7 @@ def test_assign_signs_negative_quartic():
 def test_assign_signs_positive_noop():
     matching = Matching(((0, 1), (2, 3)))
     signs = assign_signs(matching, (InteractionTerm((0, 1, 2, 3), 1.0),))
-    assert all(s == 1 for _, s in signs.signs)
+    assert signs.signs.tolist() == [1, 1]
 
 
 def test_assign_signs_two_disjoint_targets():
@@ -375,7 +454,7 @@ def test_condition_total_probability_against_dense(seed):
     n_modes = int(rng.integers(3, 5))  # 2n+2 <= 10 Majoranas
     matching, signs = random_matching_state(rng, n_modes)
     # shrink dimers to exercise mixed states
-    weights = {p: float(s) * float(rng.uniform(0.3, 1.0)) for p, s in signs.signs}
+    weights = {p: float(s) * float(rng.uniform(0.3, 1.0)) for p, s in signs.as_dict().items()}
     gamma = np.zeros((2 * n_modes, 2 * n_modes))
     for (a, b), w in weights.items():
         gamma[a, b], gamma[b, a] = w, -w

@@ -15,14 +15,20 @@ rounding above.  The batched Wick route must repeat the per-term Pfaffian
 loop's bits on matching states and agree with it to within rounding on
 any other state.  The mixed pull-back's conditioned states, built from the
 matching form, must give exactly the Schur complement of the branch
-state's correlation matrix at each outcome of the auxiliary dimer.
+state's correlation matrix at each outcome of the auxiliary dimer.  On
+matching states drawn by ``hypothesis``, the array closed form must repeat
+the per-term loop's bits, and the array sign choice, overlap repair and
+pull-back the state bytes of the dict-based code they replaced.
 """
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiopt import combinatorics, gaussian, optimizer
 from fermiopt.combinatorics import (
@@ -52,9 +58,12 @@ from fermiopt.gaussian import (
     Matching,
     SignAssignment,
     _TermEvaluator,
+    assign_signs,
     correlation_from_matching,
     hamiltonian_expectation,
     matching_state_expectation,
+    signed_matching,
+    state_to_json,
 )
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian, total_strength
 from fermiopt.optimizer import (
@@ -81,6 +90,7 @@ from fermiopt.oracle import (
 
 from bruteforce import (
     CofactorTermEvaluator,
+    assign_signs_by_dict,
     closed_form_per_term,
     conditioned_by_schur,
     conflict_adjacency_by_bridges,
@@ -95,7 +105,9 @@ from bruteforce import (
     hamiltonian_expectation_per_term,
     matvec_per_string,
     normal_at,
+    pull_back_by_dict,
     random_antisymmetric,
+    repair_two_mode_overlaps_by_dict,
     slope_fd_by_expm,
     sparse_random_per_batch,
     sparse_random_per_candidate,
@@ -861,19 +873,6 @@ def test_closed_form_repeats_per_term_loop_on_random_states(weights):
     assert consistent > 30
 
 
-def test_closed_form_repeats_per_term_loop_on_a_wider_hamiltonian():
-    # terms on Majoranas past the matching are never consistent with it
-    rng = np.random.default_rng(12)
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        matching, signs = _random_matching_state(rng, n)
-        wide = 2 * n + 2 * int(rng.integers(1, 4))
-        terms = _terms_around(rng, matching, (2, 4), int(rng.integers(1, 25)), wide)
-        ham = MajoranaHamiltonian(n_modes=wide // 2, terms=terms)
-        closed = matching_state_expectation(matching, signs, ham)
-        assert repr(closed) == repr(closed_form_per_term(matching, signs, ham))
-
-
 def test_closed_form_of_zero_coefficients_is_positive_zero():
     matching = Matching(((0, 1), (2, 3)))
     signs = SignAssignment.from_dict({(0, 1): -1, (2, 3): 1})
@@ -903,6 +902,109 @@ def test_closed_form_takes_nothing_from_the_pfaffian_expansion(monkeypatch):
         closed = matching_state_expectation(result.matching, result.signs, ham)
         assert repr(closed) == repr(closed_form_per_term(result.matching, result.signs, ham))
         assert closed == result.certificate.achieved
+
+
+# ------------------------------------- drawn states against the dict references
+
+
+@st.composite
+def matching_states(draw, min_modes=1, max_modes=7, n_modes=None):
+    """A matching drawn as a permutation, its pairs in either orientation,
+    with a drawn sign per pair."""
+    n = draw(st.integers(min_modes, max_modes)) if n_modes is None else n_modes
+    modes = draw(st.permutations(range(2 * n)))
+    pairs = list(zip(modes[::2], modes[1::2]))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return Matching(pairs), SignAssignment.from_dict(dict(zip(pairs, signs)))
+
+
+def _same_outcome(run, reference):
+    """Both raise the same error, or both return the same state bytes."""
+    try:
+        expected = reference()
+    except (ValueError, optimizer.PullBackError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            run()
+        return
+    got = run()
+    assert state_to_json(*got) == state_to_json(*expected)
+    assert np.array_equal(got[1].signs, expected[1].signs)
+
+
+def _drawn_hamiltonian(seed, matching, weights):
+    m = matching.n_majoranas
+    rng = np.random.default_rng(seed)
+    usable = tuple(w for w in weights if w <= m)
+    return MajoranaHamiltonian(m // 2, _terms_around(rng, matching, usable, 12, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matching_states(min_modes=2), st.integers(0, 2**32 - 1))
+def test_closed_form_repeats_per_term_loop_on_drawn_states(state, seed):
+    matching, signs = state
+    ham = _drawn_hamiltonian(seed, matching, (2, 4, 6))
+    closed = matching_state_expectation(matching, signs, ham)
+    assert repr(closed) == repr(closed_form_per_term(matching, signs, ham))
+
+
+COEFFS = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.75, 3.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_assign_signs_repeats_the_dict_reference_on_drawn_targets(data):
+    matching, _ = data.draw(matching_states())
+    # each dimer joins target 1, 2 or 3, or none (0): disjoint consistent targets
+    n = matching.n_majoranas // 2
+    label = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    targets = []
+    for group in (1, 2, 3):
+        idx = sorted(i for pair, g in zip(matching.pairs, label) if g == group for i in pair)
+        if idx:
+            targets.append(InteractionTerm(tuple(idx), data.draw(COEFFS)))
+    _same_outcome(
+        lambda: (matching, assign_signs(matching, targets)),
+        lambda: (matching, assign_signs_by_dict(matching, targets)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(matching_states(min_modes=2), st.integers(0, 2**32 - 1))
+def test_overlap_repair_repeats_the_dict_reference_on_drawn_states(state, seed):
+    matching, signs = state
+    ham = _drawn_hamiltonian(seed, matching, (2, 4))
+    _same_outcome(
+        lambda: (matching, optimizer._repair_two_mode_overlaps(matching, signs, ham)),
+        lambda: (matching, repair_two_mode_overlaps_by_dict(matching, signs, ham)),
+    )
+
+
+@st.composite
+def branch_states(draw):
+    """A state on 2n + 2 Majoranas for a Hamiltonian on 2n; half the draws
+    hold the auxiliary pair (2n, 2n + 1) as a dimer."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        inner, inner_signs = draw(matching_states(n_modes=n))
+        tilde = signed_matching(
+            np.vstack((inner.dimers, [(2 * n, 2 * n + 1)])),
+            np.append(inner_signs.signs, draw(st.sampled_from([-1, 1]))),
+        )
+    else:
+        tilde = draw(matching_states(n_modes=n + 1))
+    return n, tilde
+
+
+@settings(max_examples=200, deadline=None)
+@given(branch_states(), st.integers(0, 2**32 - 1))
+def test_pull_back_repeats_the_dict_reference_on_drawn_states(branch, seed):
+    n, (tilde_matching, tilde_signs) = branch
+    rng = np.random.default_rng(seed)
+    half = Matching([(2 * j, 2 * j + 1) for j in range(n)])  # for the term draw only
+    ham = MajoranaHamiltonian(n, _terms_around(rng, half, (2, 4), 10, 2 * n))
+    lifted = lift_to_strict4(ham)
+    args = (tilde_matching, tilde_signs, ham, lifted)
+    _same_outcome(lambda: optimizer.pull_back(*args), lambda: pull_back_by_dict(*args))
 
 
 # --------------------------------------------------------- the mixed pull-back

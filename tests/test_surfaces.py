@@ -55,3 +55,24 @@ def test_package_has_no_bare_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"bare assert in fermiopt: {', '.join(found)}"
+
+
+# the views of a matching state that only the JSON edge may read in the package
+VIEWS = ("pairs", "as_dict", "from_dict")
+VIEW_READERS = {
+    ("gaussian.py", name)
+    for name in ("Matching", "SignAssignment", "state_to_json", "state_from_json")
+}
+
+
+def test_package_reads_matching_views_only_at_the_json_edge():
+    # everything else reads the partner and sign arrays
+    found = []
+    for path in sorted(Path(fermiopt.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if (path.name, getattr(top, "name", None)) in VIEW_READERS:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in VIEWS:
+                    found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, f"matching views read outside the JSON edge: {', '.join(found)}"

@@ -4,9 +4,10 @@ Everything here works at matrix level and exists to check the closed-form
 machinery elsewhere in the package.  Majorana operators are realized as
 Jordan-Wigner Pauli strings; a string is held as ``(x_mask, z_mask, scalar)``
 acting on basis state ``|b>`` by ``scalar * (-1)^{popcount(b & z)} |b ^ x>``.
-Every operator is built as one Pauli sum: its strings grouped by X mask, with
-each group's phases summed once into a coefficient vector.  Dense matrices,
-matrix-free products, dimer states and traces all read that one form.
+Every operator is built as one Pauli sum: its strings computed by array
+operations, grouped by X mask, with each group's phases summed once into a
+coefficient vector.  Dense matrices, matrix-free products, dimer states and
+traces all read that one form.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ DENSE_OP_MODE_BUDGET = 13
 DENSE_EIG_MODE_BUDGET = 10
 ITER_EIG_MODE_BUDGET = 16
 
+_UNITS = np.array([1, 1j, -1, -1j])  # i^p for p = 0..3
+_BLOCK_ELEMENTS = 1 << 16  # bound on the (terms x rows) phase block of one group
+_DIMER_BLOCK = 64  # rows per aligned block updated at once by dense_dimer_state
+
 
 class BudgetError(ValueError):
     """The requested dense/iterative computation exceeds the size budget."""
@@ -36,57 +41,66 @@ class DenseOperator:
     matrix: np.ndarray
 
 
-def _majorana_string(i: int, n_modes: int) -> tuple[int, int, complex]:
-    """Pauli string of Majorana ``c_i`` under the Jordan-Wigner mapping."""
-    qubit, parity = divmod(i, 2)
-    x = 1 << qubit
-    z = (1 << qubit) - 1
-    scalar: complex = 1.0
-    if parity:
-        z |= 1 << qubit
-        scalar = 1j
-    return x, z, scalar
+def _strings(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pauli strings of the Majorana products ``c_{r0} c_{r1} ...``, one per
+    row of the ``(m, w)`` index array: X masks, Z masks and powers of i.
+
+    ``c_i`` is ``X`` on qubit ``i // 2`` (times ``i`` for odd ``i``) after a
+    ``Z`` string on the qubits below.  Each factor picks up a sign for every
+    earlier Z that it meets on its qubit.
+    """
+    qubit = rows >> 1
+    odd = rows & 1
+    bit = 1 << qubit
+    z_each = (bit - 1) | (odd << qubit)
+    z_prefix = np.bitwise_xor.accumulate(z_each, axis=1)
+    flips = ((z_prefix[:, :-1] >> qubit[:, 1:]) & 1).sum(axis=1)
+    return np.bitwise_xor.reduce(bit, axis=1), z_prefix[:, -1], odd.sum(axis=1) + 2 * flips
 
 
-def _string_product(
-    first: tuple[int, int, complex], second: tuple[int, int, complex]
-) -> tuple[int, int, complex]:
-    """Product ``first * second`` of two Pauli strings."""
-    x1, z1, s1 = first
-    x2, z2, s2 = second
-    sign = -1.0 if bin(z1 & x2).count("1") % 2 else 1.0
-    return x1 ^ x2, z1 ^ z2, s1 * s2 * sign
-
-
-def term_string(indices, n_modes: int) -> tuple[int, int, complex]:
-    """Pauli string of the Hermitian monomial ``C_I = i^{q/2} c_{i1}...c_{iq}``."""
-    acc = (0, 0, 1.0 + 0.0j)
-    for i in indices:
-        acc = _string_product(acc, _majorana_string(i, n_modes))
-    x, z, s = acc
-    return x, z, s * (1j ** (len(indices) // 2))
-
-
-def _pauli_sum(weighted_strings, n_modes: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group ``((x, z, s), weight)`` strings by X mask.
+def _pauli_sum(x, z, scalars, n_modes: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group the strings ``(x[t], z[t], scalars[t])`` by X mask.
 
     Returns one ``(cols, coef)`` pair per distinct mask, in first-seen order:
     row ``r`` of the operator holds ``coef[r]`` in column ``cols[r] = r ^ x``.
+    Each group adds its terms' phase rows in term order, one after another,
+    so a coefficient is the same running sum as a per-term loop.
     """
     rows = np.arange(2**n_modes, dtype=np.uint32)
-    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for (x, z, s), weight in weighted_strings:
-        if x not in groups:
-            groups[x] = (rows ^ np.uint32(x), np.zeros(rows.shape[0], dtype=complex))
-        cols, coef = groups[x]
-        phase = 1.0 - 2.0 * (np.bitwise_count(cols & np.uint32(z)) & 1).astype(np.float64)
-        coef += (weight * s) * phase
-    return list(groups.values())
+    masks, first, group = np.unique(x, return_index=True, return_inverse=True)
+    members = np.argsort(group, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=masks.size))))
+    z = np.asarray(z, dtype=np.uint32)
+    chunk = max(1, _BLOCK_ELEMENTS // rows.size)
+    out = []
+    for g in np.argsort(first).tolist():
+        cols = rows ^ np.uint32(masks[g])
+        coef = np.zeros(rows.size, dtype=complex)
+        ids = members[bounds[g] : bounds[g + 1]]
+        for lo in range(0, ids.size, chunk):
+            part = ids[lo : lo + chunk]
+            parity = np.bitwise_count(cols & z[part, None]) & 1
+            block = np.empty((part.size + 1, rows.size), dtype=complex)
+            block[0] = coef
+            np.multiply(scalars[part, None], 1.0 - 2.0 * parity.astype(np.float64), out=block[1:])
+            # over axis 0 of a C-contiguous block numpy adds row by row (it
+            # sums pairwise only along the contiguous axis): the running sum
+            coef = np.add.reduce(block, axis=0)
+        out.append((cols, coef))
+    return out
 
 
 def _hamiltonian_sum(ham: MajoranaHamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
-    n = ham.n_modes
-    return _pauli_sum(((term_string(t.indices, n), t.coeff) for t in ham.terms), n)
+    """Pauli sum of ``sum_I J_I C_I``, strings built one weight block at a time."""
+    index = ham.index
+    n_terms = index.coeffs.size
+    x = np.zeros(n_terms, dtype=np.int64)
+    z = np.zeros(n_terms, dtype=np.int64)
+    power = np.zeros(n_terms, dtype=np.int64)
+    for w, ids, rows in index.blocks:
+        x[ids], z[ids], power[ids] = _strings(rows)
+        power[ids] += w // 2  # C_I = i^{q/2} c_{i1} ... c_{iq}
+    return _pauli_sum(x, z, index.coeffs * _UNITS[power & 3], ham.n_modes)
 
 
 def _string_matrix(pauli_sum, n_modes: int) -> np.ndarray:
@@ -169,23 +183,61 @@ def lambda_max_exact(ham: MajoranaHamiltonian, method: str = "auto") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def dense_dimer_state(
-    n_modes: int, dimers: list[tuple[tuple[int, int], int]]
-) -> DenseOperator:
-    """State ``(1/2^n) prod (I + sign * C_(a,b))`` for disjoint dimers.
+def _check_dimers(n_modes: int, dimers) -> None:
+    """One-line ``ValueError`` unless every dimer is an ascending pair of
+    distinct Majoranas in range, no two share a Majorana, and |weight| <= 1."""
+    seen: set[int] = set()
+    for (a, b), weight in dimers:
+        if min(a, b) < 0:
+            raise ValueError(f"dimer {(a, b)} has a negative Majorana")
+        if a == b:
+            raise ValueError(f"dimer {(a, b)} repeats a Majorana")
+        if a > b:
+            raise ValueError(f"dimer {(a, b)} is not ascending")
+        if b >= 2 * n_modes:
+            raise ValueError(f"a dimer lies outside the {2 * n_modes} Majoranas of {n_modes} modes")
+        if a in seen or b in seen:
+            raise ValueError(f"dimer {(a, b)} overlaps another dimer")
+        if not abs(weight) <= 1:
+            raise ValueError(f"dimer {(a, b)} has weight {weight}, outside [-1, 1]")
+        seen.update((a, b))
 
-    A perfect set of dimers gives a pure matching state; fewer dimers leave
-    the untouched Majoranas maximally mixed.
+
+def dense_dimer_state(
+    n_modes: int, dimers: list[tuple[tuple[int, int], float]]
+) -> DenseOperator:
+    """State ``(1/2^n) prod (I + w * C_(a,b))`` for disjoint ascending dimers
+    with weights ``w`` in [-1, 1].
+
+    A perfect set of dimers with weights +-1 gives a pure matching state;
+    fewer dimers leave the untouched Majoranas maximally mixed.
     """
     if n_modes > DENSE_OP_MODE_BUDGET:
         raise BudgetError(f"dense path capped at {DENSE_OP_MODE_BUDGET} modes")
-    if any(max(pair) >= 2 * n_modes for pair, _ in dimers):
-        raise ValueError(f"a dimer lies outside the {2 * n_modes} Majoranas of {n_modes} modes")
+    _check_dimers(n_modes, dimers)
     dim = 2**n_modes
-    rho = np.eye(dim, dtype=complex) / dim
-    for (a, b), sign in dimers:
-        # rho += sign * C_(a,b) rho in place: one row gather, no dense C_(a,b)
-        _apply_string(_pauli_sum([(term_string((a, b), n_modes), sign)], n_modes), rho, rho)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho.flat[:: dim + 1] = 1.0 / dim
+    x, z, power = _strings(np.array([pair for pair, _ in dimers], dtype=np.int64).reshape(-1, 2))
+    scalars = np.array([w for _, w in dimers]) * _UNITS[(power + 1) & 3]
+    block = min(dim, _DIMER_BLOCK)
+    for d in range(len(dimers)):
+        ((_, coef),) = _pauli_sum(x[d : d + 1], z[d : d + 1], scalars[d : d + 1], n_modes)
+        # rho += C rho in place: row r gains coef[r] * rho[r ^ x].  The rows of
+        # an aligned block take their partners from one aligned block, in the
+        # order perm; both blocks are gathered before either is updated.
+        mask = int(x[d])
+        perm = np.arange(block) ^ (mask & (block - 1))
+        for a in range(0, dim, block):
+            b = a ^ (mask & -block)
+            if b < a:
+                continue
+            pairs = ((a, b), (b, a)) if b != a else ((a, a),)
+            gathered = [rho[src : src + block][perm] for _, src in pairs]
+            for (dst, _), rows in zip(pairs, gathered):
+                rows *= coef[dst : dst + block, None]
+                rho[dst : dst + block] += rows
+            del gathered, rows  # free before the next gather
     return DenseOperator(n_modes, rho)
 
 
@@ -230,13 +282,10 @@ def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
         raise BudgetError(f"dense path capped at {DENSE_OP_MODE_BUDGET} modes")
 
     scale = (1.0 / math.sqrt(math.comb(n1, q - 1))) * 1j ** (q // 2 - 1)
-    strings = []
-    for entry in meta.entries:
-        prod = (0, 0, 1.0 + 0.0j)
-        for s in (*entry.phi, n1 + n2 + entry.chi):
-            prod = _string_product(prod, _majorana_string(s, n_modes))
-        strings.append((prod, scale * entry.coupling))
-    zeta = _string_matrix(_pauli_sum(strings, n_modes), n_modes)
+    rows = np.array([e.phi + (n1 + n2 + e.chi,) for e in meta.entries], dtype=np.int64)
+    x, z, power = _strings(rows.reshape(-1, q))
+    couplings = np.array([e.coupling for e in meta.entries], dtype=float)
+    zeta = _string_matrix(_pauli_sum(x, z, scale * couplings * _UNITS[power & 3], n_modes), n_modes)
 
     # the model Hamiltonian acts on the first n1 + n2 Majoranas only
     embedded = MajoranaHamiltonian(n_modes=n_modes, terms=ham2.terms)
@@ -260,13 +309,26 @@ def _rotated_value(evals: np.ndarray, kernel: np.ndarray, t: float) -> float:
     return float(np.real(d @ kernel @ d.conj()))
 
 
+def _sweep_scaffold(ham2: MajoranaHamiltonian, meta) -> tuple[float, np.ndarray, np.ndarray]:
+    """``slope``, ``evals`` and ``kernel`` of ``_two_colored_dense``, built
+    once per ``(ham2, meta)``: kept in ``ham2.__dict__``, as ``cached_property``
+    keeps ``ham2.index``, tagged with ``meta`` and freed with ``ham2``."""
+    kept = ham2.__dict__.get("_sweep_scaffold")
+    if kept is None or kept[0] != meta:
+        pieces = _two_colored_dense(ham2, meta)
+        pieces["evals"].flags.writeable = pieces["kernel"].flags.writeable = False
+        kept = (meta, pieces["slope"], pieces["evals"], pieces["kernel"])
+        ham2.__dict__["_sweep_scaffold"] = kept
+    return kept[1:]
+
+
 def sweep_slope(ham2: MajoranaHamiltonian, meta) -> tuple[float, float]:
     """First-order response at theta = 0: commutator form and a central
     finite difference of the rotated expectation."""
-    pieces = _two_colored_dense(ham2, meta)
+    slope, evals, kernel = _sweep_scaffold(ham2, meta)
     eps = 1e-5
-    plus, minus = (_rotated_value(pieces["evals"], pieces["kernel"], t) for t in (eps, -eps))
-    return pieces["slope"], (plus - minus) / (2 * eps)
+    plus, minus = (_rotated_value(evals, kernel, t) for t in (eps, -eps))
+    return slope, (plus - minus) / (2 * eps)
 
 
 def rho_theta_sweep(
@@ -281,12 +343,11 @@ def rho_theta_sweep(
     swept direction always starts uphill.  Returns the (theta, value) curve
     over ``theta_grid``, by default 64 points geometric in ``[1e-3, 2]``.
     """
-    pieces = _two_colored_dense(ham2, meta)
+    slope, evals, kernel = _sweep_scaffold(ham2, meta)
     if theta_grid is None:
         theta_grid = np.geomspace(1e-3, 2.0, 64)
     grid = np.asarray(theta_grid, dtype=float)
-    orientation = 1.0 if pieces["slope"] >= 0 else -1.0
-    evals, kernel = pieces["evals"], pieces["kernel"]
+    orientation = 1.0 if slope >= 0 else -1.0
     return [(float(t), _rotated_value(evals, kernel, t)) for t in grid * orientation]
 
 

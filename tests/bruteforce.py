@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: enumeration, inversion counting,
 exhaustive search.  Nothing imports the algorithms it is meant to check;
-``dense_term`` alone reads the oracle's string builders, because the
+``dense_term`` alone reads the oracle's array string builders, because the
 Majorana-algebra tests that use it check exactly those, and
 ``closed_form_per_term`` and the dict-based sign and pull-back references
 read ``classify_consistency``, the per-term verdict that the array closed
@@ -22,7 +22,7 @@ from scipy.linalg import expm
 
 from fermiopt import rng
 from fermiopt.gaussian import condition_on_dimer, correlation_from_matching, pfaffian
-from fermiopt.oracle import _pauli_sum, _string_matrix, term_string
+from fermiopt.oracle import _UNITS, _pauli_sum, _string_matrix, _strings
 
 
 def sign_by_inversions(seq) -> int:
@@ -610,9 +610,74 @@ def dimer_state_by_matmul(n_modes: int, signed_strings) -> np.ndarray:
 
 
 def dense_term(indices, n_modes: int) -> np.ndarray:
-    """Dense matrix of the Hermitian monomial ``C_I``, read from the oracle's
-    own string and Pauli-sum builders, which the Majorana-algebra tests check."""
-    return _string_matrix(_pauli_sum([(term_string(indices, n_modes), 1.0)], n_modes), n_modes)
+    """Dense matrix of the Hermitian monomial ``C_I`` (or of the single
+    Majorana ``c_i``), read from the oracle's own array string and Pauli-sum
+    builders, which the Majorana-algebra tests check."""
+    x, z, power = _strings(np.array([indices]))
+    scalars = _UNITS[(power + len(indices) // 2) & 3]
+    return _string_matrix(_pauli_sum(x, z, scalars, n_modes), n_modes)
+
+
+def majorana_string(i: int, n_modes: int) -> tuple[int, int, complex]:
+    """Pauli string of Majorana ``c_i`` under the Jordan-Wigner mapping."""
+    qubit, parity = divmod(i, 2)
+    x = 1 << qubit
+    z = (1 << qubit) - 1
+    scalar: complex = 1.0
+    if parity:
+        z |= 1 << qubit
+        scalar = 1j
+    return x, z, scalar
+
+
+def string_product(
+    first: tuple[int, int, complex], second: tuple[int, int, complex]
+) -> tuple[int, int, complex]:
+    """Product ``first * second`` of two Pauli strings."""
+    x1, z1, s1 = first
+    x2, z2, s2 = second
+    sign = -1.0 if bin(z1 & x2).count("1") % 2 else 1.0
+    return x1 ^ x2, z1 ^ z2, s1 * s2 * sign
+
+
+def majorana_product_string(indices, n_modes: int) -> tuple[int, int, complex]:
+    """Pauli string of ``c_{i1} ... c_{iq}``, one string product per factor."""
+    acc = (0, 0, 1.0 + 0.0j)
+    for i in indices:
+        acc = string_product(acc, majorana_string(i, n_modes))
+    return acc
+
+
+def term_string(indices, n_modes: int) -> tuple[int, int, complex]:
+    """Pauli string of the Hermitian monomial ``C_I = i^{q/2} c_{i1}...c_{iq}``."""
+    x, z, s = majorana_product_string(indices, n_modes)
+    return x, z, s * (1j ** (len(indices) // 2))
+
+
+def pauli_sum_per_term(weighted_strings, n_modes: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group ``((x, z, s), weight)`` strings by X mask in first-seen order,
+    adding one term's phase vector to its group's coefficients at a time."""
+    rows = np.arange(2**n_modes, dtype=np.uint32)
+    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for (x, z, s), weight in weighted_strings:
+        if x not in groups:
+            groups[x] = (rows ^ np.uint32(x), np.zeros(rows.shape[0], dtype=complex))
+        cols, coef = groups[x]
+        coef += (weight * s) * _string_phase(cols, z)
+    return list(groups.values())
+
+
+def dimer_state_full_gather(n_modes: int, dimers) -> np.ndarray:
+    """``(1/2^n) prod (I + w * C_(a,b))``, each dimer applied in place by
+    one gather of the whole matrix: ``rho += C_(a,b) rho``."""
+    dim = 2**n_modes
+    rho = np.eye(dim, dtype=complex) / dim
+    for (a, b), weight in dimers:
+        ((cols, coef),) = pauli_sum_per_term([(term_string((a, b), n_modes), weight)], n_modes)
+        gathered = rho[cols]
+        gathered *= coef[:, None]
+        rho += gathered
+    return rho
 
 
 def slope_fd_by_expm(zeta: np.ndarray, hmat: np.ndarray, rho0: np.ndarray) -> float:

@@ -1,15 +1,21 @@
+import gc
 import itertools
 import math
+import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fermiopt import oracle
 from fermiopt.ensembles import gen_sparse_random, gen_syk_q, gen_two_colored
 from fermiopt.gaussian import Matching, SignAssignment, _TermEvaluator
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
 from fermiopt.oracle import (
     BudgetError,
     GaussianSearchResult,
+    dense_dimer_state,
     dense_hamiltonian,
     dense_state_from_matching,
     gaussian_numeric_max,
@@ -130,6 +136,40 @@ def test_rank_one_projector_single_mode():
     assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
 
 
+@pytest.mark.parametrize(
+    "dimers,message",
+    [
+        ([((1, 1), 1)], "repeats a Majorana"),
+        ([((0, 1), 1), ((1, 2), 1)], "overlaps another dimer"),
+        ([((2, 0), 1)], "is not ascending"),
+        ([((-1, 2), 1)], "negative Majorana"),
+        ([((0, 1), 3)], "outside \\[-1, 1\\]"),
+        ([((0, 1), -1.5)], "outside \\[-1, 1\\]"),
+    ],
+)
+def test_dense_dimer_state_rejects_bad_dimers(dimers, message):
+    with pytest.raises(ValueError, match=message) as info:
+        dense_dimer_state(2, dimers)
+    assert "\n" not in str(info.value)
+
+
+def test_dense_matching_state_peaks_near_one_state_in_memory():
+    n_modes = 10
+    rng = np.random.default_rng(3)
+    modes = rng.permutation(2 * n_modes).tolist()
+    matching = Matching(tuple(sorted(modes[i : i + 2]) for i in range(0, 2 * n_modes, 2)))
+    signs = SignAssignment(matching, rng.choice([-1, 1], n_modes))
+    state_bytes = 16 * 4**n_modes
+    tracemalloc.start()
+    try:
+        rho = dense_state_from_matching(matching, signs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.matrix.nbytes == state_bytes
+    assert peak < 1.25 * state_bytes
+
+
 # ------------------------------------------------------------ numeric max
 
 
@@ -239,6 +279,52 @@ def test_sweep_over_the_dense_budget_raises_before_any_matrix(monkeypatch, sweep
     monkeypatch.setattr("fermiopt.oracle._string_matrix", never)
     with pytest.raises(BudgetError, match="13 modes"):
         sweep(ham2, meta)
+
+
+def _count_scaffold_builds(monkeypatch) -> list:
+    builds = []
+    build = oracle._two_colored_dense
+
+    def counted(ham2, meta):
+        builds.append(meta)
+        return build(ham2, meta)
+
+    monkeypatch.setattr(oracle, "_two_colored_dense", counted)
+    return builds
+
+
+def test_sweep_builds_one_scaffold_per_draw(monkeypatch):
+    builds = _count_scaffold_builds(monkeypatch)
+    ham2, meta = gen_two_colored(6, 2, 4, seed=3)
+    commutator, finite_difference = sweep_slope(ham2, meta)
+    curve = rho_theta_sweep(ham2, meta)
+    assert len(builds) == 1
+    fresh, fresh_meta = gen_two_colored(6, 2, 4, seed=3)
+    assert sweep_slope(fresh, fresh_meta) == (commutator, finite_difference)
+    assert rho_theta_sweep(fresh, fresh_meta) == curve
+
+
+def test_sweep_rebuilds_for_another_meta_or_hamiltonian(monkeypatch):
+    builds = _count_scaffold_builds(monkeypatch)
+    ham2, meta = gen_two_colored(6, 2, 4, seed=3)
+    other = replace(meta, entries=tuple(replace(e, coupling=-e.coupling) for e in meta.entries))
+    slope = sweep_slope(ham2, meta)
+    flipped = sweep_slope(ham2, other)
+    assert len(builds) == 2 and builds[1] is other
+    assert flipped[0] == pytest.approx(-slope[0], rel=1e-12)
+    assert sweep_slope(ham2, meta) == slope  # the scaffold for meta is built again
+    again, again_meta = gen_two_colored(6, 2, 4, seed=3)
+    sweep_slope(again, again_meta)
+    assert len(builds) == 4
+
+
+def test_sweep_scaffold_is_freed_with_the_hamiltonian():
+    ham2, meta = gen_two_colored(6, 2, 4, seed=3)
+    rho_theta_sweep(ham2, meta)
+    kernel = weakref.ref(oracle._sweep_scaffold(ham2, meta)[2])
+    del ham2
+    gc.collect()
+    assert kernel() is None
 
 
 def test_sweep_finds_positive_value():

@@ -74,18 +74,21 @@ from fermiopt.optimizer import (
     truncate_to_sparse,
 )
 from fermiopt.oracle import (
+    _UNITS,
     DenseOperator,
-    _majorana_string,
+    _hamiltonian_sum,
+    _pauli_sum,
     _reference_gamma,
-    _string_product,
+    _string_matrix,
+    _strings,
     _two_colored_dense,
     dense_dimer_state,
+    dense_state_from_matching,
     dense_expectation,
     dense_hamiltonian,
     gaussian_numeric_max,
     matvec_operator,
     sweep_slope,
-    term_string,
 )
 
 from bruteforce import (
@@ -100,11 +103,15 @@ from bruteforce import (
     diffuse_verdict_by_mode_walk,
     diffuse_verdict_scan,
     dimer_state_by_matmul,
+    dimer_state_full_gather,
     greedy_color_by_sets,
     hamiltonian_cycle_sorted_neighbors,
     hamiltonian_expectation_per_term,
+    majorana_product_string,
+    majorana_string,
     matvec_per_string,
     normal_at,
+    pauli_sum_per_term,
     pull_back_by_dict,
     random_antisymmetric,
     repair_two_mode_overlaps_by_dict,
@@ -112,6 +119,8 @@ from bruteforce import (
     sparse_random_per_batch,
     sparse_random_per_candidate,
     ssyk_terms_per_rank,
+    string_product,
+    term_string,
     truncation_marks_scan,
     unrank_combination_scan,
     unrank_combination_searchsorted,
@@ -666,9 +675,9 @@ def test_zeta_matches_tau_products(n1, n2, q, seed):
     for entry in meta.entries:
         prod = (0, 0, 1.0 + 0.0j)
         for s in entry.phi:
-            prod = _string_product(prod, _majorana_string(s, n_modes))
+            prod = string_product(prod, majorana_string(s, n_modes))
         tau_terms.append((entry.chi, prod, entry.coupling))
-    sigmas = [_majorana_string(n1 + n2 + j, n_modes) for j in range(n2)]
+    sigmas = [majorana_string(n1 + n2 + j, n_modes) for j in range(n2)]
     expected = zeta_by_tau_products(n_modes, scale, tau_terms, sigmas)
     zeta = _two_colored_dense(ham2, meta)["zeta"]
     assert np.allclose(zeta, expected, rtol=0.0, atol=1e-14)
@@ -707,6 +716,121 @@ def test_dense_expectation_matches_dense_trace():
         assert dense_expectation(ham, rho) == pytest.approx(expected, rel=1e-12, abs=1e-12)
     with pytest.raises(ValueError):
         dense_expectation(gen_syk_q(4, 4, seed=0), DenseOperator(3, np.eye(8)))
+
+
+# ------------------------------------ array-built Pauli sums and dimer states
+
+
+def _same_pauli_sum(got, expected):
+    assert len(got) == len(expected)
+    for (cols, coef), (ref_cols, ref_coef) in zip(got, expected):
+        assert np.array_equal(cols, ref_cols)
+        assert coef.tobytes() == ref_coef.tobytes()
+
+
+@st.composite
+def mixed_hamiltonians(draw):
+    """Up to 40 distinct terms of weights 2, 4 and 6 on 1 to 10 modes.  About
+    half are products of on-site pairs ``(2j, 2j + 1)``, whose strings share
+    the X mask 0, so that groups hold many terms in a drawn order."""
+    n = draw(st.integers(1, 10))
+    weights = [w for w in (2, 4, 6) if w <= 2 * n]
+    coeffs = st.floats(-1e3, 1e3, allow_subnormal=False) | st.sampled_from([0.0, -0.0])
+    terms = {}
+    for _ in range(draw(st.integers(0, 40))):
+        w = draw(st.sampled_from(weights))
+        if draw(st.booleans()):
+            sites = draw(st.lists(st.integers(0, n - 1), min_size=w // 2, max_size=w // 2, unique=True))
+            idx = tuple(sorted(i for j in sites for i in (2 * j, 2 * j + 1)))
+        else:
+            modes = st.lists(st.integers(0, 2 * n - 1), min_size=w, max_size=w, unique=True)
+            idx = tuple(sorted(draw(modes)))
+        terms[idx] = InteractionTerm(idx, draw(coeffs))
+    return MajoranaHamiltonian(n, tuple(terms.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_hamiltonians())
+def test_pauli_sum_repeats_the_per_term_loop_on_drawn_hamiltonians(ham):
+    expected = pauli_sum_per_term(_weighted_strings(ham), ham.n_modes)
+    _same_pauli_sum(_hamiltonian_sum(ham), expected)
+
+
+def _on_site_products(n, seed):
+    """Every product of 1, 2 or 3 on-site pairs: one X mask, more terms than
+    one phase block holds at n = 10."""
+    rng = np.random.default_rng(seed)
+    terms = [
+        InteractionTerm(tuple(i for j in sites for i in (2 * j, 2 * j + 1)), rng.standard_normal())
+        for r in (1, 2, 3)
+        for sites in itertools.combinations(range(n), r)
+    ]
+    return MajoranaHamiltonian(n, tuple(terms))
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        gen_syk_q(9, 4, seed=1),
+        gen_syk_q(7, 6, seed=2),
+        gen_ssyk(11, 2, seed=3),
+        gen_sparse_random(10, 2, 3, "normal", seed=4),
+        gen_mixed_24(8, 2, seed=5),
+        _on_site_products(10, seed=6),
+        MajoranaHamiltonian(3, ()),
+    ],
+    ids=["syk4-n9", "syk6-n7", "ssyk-n11", "strictq2-n10", "mixed24-n8", "on-site-n10", "empty"],
+)
+def test_pauli_sum_repeats_the_per_term_loop_on_ensembles(ham):
+    expected = pauli_sum_per_term(_weighted_strings(ham), ham.n_modes)
+    _same_pauli_sum(_hamiltonian_sum(ham), expected)
+
+
+@pytest.mark.parametrize("n1,n2,q,seed", [(6, 2, 4, 1), (8, 4, 4, 2), (6, 3, 6, 3), (8, 2, 6, 4)])
+def test_zeta_sum_repeats_the_per_term_loop(n1, n2, q, seed):
+    ham2, meta = gen_two_colored(n1, n2, q, seed=seed)
+    n_modes = n1 // 2 + n2
+    scale = (1.0 / math.sqrt(math.comb(n1, q - 1))) * 1j ** (q // 2 - 1)
+    strings = [
+        (majorana_product_string(e.phi + (n1 + n2 + e.chi,), n_modes), scale * e.coupling)
+        for e in meta.entries
+    ]
+    rows = np.array([e.phi + (n1 + n2 + e.chi,) for e in meta.entries])
+    x, z, power = _strings(rows)
+    scalars = scale * np.array([e.coupling for e in meta.entries]) * _UNITS[power & 3]
+    expected = pauli_sum_per_term(strings, n_modes)
+    _same_pauli_sum(_pauli_sum(x, z, scalars, n_modes), expected)
+    zeta = _two_colored_dense(ham2, meta)["zeta"]
+    assert zeta.tobytes() == _string_matrix(expected, n_modes).tobytes()
+
+
+@st.composite
+def dimer_sets(draw):
+    """Disjoint ascending dimers on 1 to 9 modes, weights +-1 or in [-1, 1]."""
+    n = draw(st.integers(1, 9))
+    modes = draw(st.permutations(range(2 * n)))
+    weights = st.sampled_from([-1, 1]) | st.floats(-1.0, 1.0)
+    count = draw(st.integers(0, n))
+    return n, [(tuple(sorted(modes[2 * i : 2 * i + 2])), draw(weights)) for i in range(count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dimer_sets())
+def test_dense_dimer_state_repeats_the_full_gather(case):
+    n, dimers = case
+    expected = dimer_state_full_gather(n, dimers)
+    assert dense_dimer_state(n, dimers).matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("seed", range(6))
+def test_optimized_dense_states_repeat_the_full_gather(n, seed):
+    ham = gen_sparse_random(n, 4, 2, "normal", seed=seed)
+    result = optimize_strict_q(ham, k=2)
+    dimers = list(zip(result.matching.dimers.tolist(), result.signs.signs.tolist()))
+    expected = dimer_state_full_gather(n, dimers)
+    rho = dense_state_from_matching(result.matching, result.signs, n_modes=n)
+    assert rho.matrix.tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------------ the Gaussian ascent

@@ -249,15 +249,15 @@ def diffuse_partition(
     graph = build_conflict_graph(ham)
     colors = greedy_color(graph)
     classes: dict[tuple[int, int], list[int]] = {}
-    for t_id, term in enumerate(ham.terms):
-        key = (term.weight // 2, colors[t_id])
+    for t_id, key in enumerate(zip((ham.index.weights // 2).tolist(), colors)):
         classes.setdefault(key, []).append(t_id)
 
     n_colors = max(colors, default=-1) + 1
+    rank = ham.index.lex_rank.tolist()
     parts: dict[tuple[int, int], tuple[int, ...]] = {}
     by_weight: dict[int, list[tuple[int, int]]] = {}
     for key, ids in classes.items():
-        ids.sort(key=lambda t: ham.terms[t].indices)
+        ids.sort(key=rank.__getitem__)
         parts[key] = tuple(ids)
         by_weight.setdefault(key[0], []).append(key)
 
@@ -479,19 +479,14 @@ def diffuse_matching(
     graph.  Returns the matching and whether the exhaustive small-residual
     fallback was needed in place of the cycle construction.
     """
-    members = [ham.terms[i] for i in subset_ids]
-    support: set[int] = set()
-    for term in members:
-        if support & term.support:
-            raise ValueError("subset supports overlap; not a diffuse set")
-        support |= term.support
-    inner = [
-        (term.indices[2 * l], term.indices[2 * l + 1])
-        for term in members
-        for l in range(term.weight // 2)
-    ]
+    rows = ham.index.padded[np.asarray(subset_ids, dtype=np.intp)]
+    support = rows[rows >= 0]  # member by member, each in increasing order
+    taken = np.bincount(support, minlength=ham.n_majoranas)
+    if taken.max(initial=0) > 1:
+        raise ValueError("subset supports overlap; not a diffuse set")
+    inner = support.reshape(-1, 2)  # consecutive index pairs of each member
 
-    residual = sorted(set(range(ham.n_majoranas)) - support)
+    residual = np.flatnonzero(taken == 0).tolist()
     if not residual:
         return Matching(inner), False
     graph = permitted_graph(ham, support)
@@ -511,4 +506,4 @@ def diffuse_matching(
         used_fallback = True
     else:
         raise DiracError("Dirac condition unmet")
-    return Matching(inner + outer), used_fallback
+    return Matching(np.vstack((inner, outer))), used_fallback

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, field, fields
 import numpy as np
 
 from . import ensembles
-from .hamiltonian import _is_int, dataclass_fields_from_json, strength, total_strength
+from .hamiltonian import _is_int, dataclass_fields_from_json, total_strength
 from .optimizer import optimize, truncate_to_sparse
 from .oracle import (
     ITER_EIG_MODE_BUDGET,
@@ -80,10 +80,14 @@ class StudyConfig:
             raise ValueError(f"study {self.study!r} needs {', '.join(map(repr, missing))}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.pipeline not in (None, "strictq", "mixed24", "ssyk"):
+            raise ValueError(f"unknown pipeline {self.pipeline!r} in field 'pipeline'")
         least_k = ensembles.least_k(self.pipeline)
         if self.k is not None and self.k < least_k:
             reason = f" for pipeline {self.pipeline!r}" if least_k > ensembles.least_k() else ""
             raise ValueError(f"field 'k' must be at least {least_k}{reason}, got {self.k}")
+        if self.q is not None and self.pipeline in ("mixed24", "ssyk"):
+            raise ValueError(f"pipeline {self.pipeline!r} does not read field 'q'")
         if self.size_grid is not None:
             grid = tuple(int(v) for v in self.size_grid)
             increasing = all(a < b for a, b in zip(grid, grid[1:]))
@@ -179,7 +183,7 @@ def run_ssyk_concentration(cfg: StudyConfig) -> StudyResult:
         ham = ensembles.gen_ssyk(n, k, seed)
         total = total_strength(ham) * unit
         _, residual = truncate_to_sparse(ham, k_prime)
-        res_strength = strength(residual.terms) * unit
+        res_strength = total_strength(residual) * unit
         below_low += total < low
         above_cut += res_strength > residual_cut
         rows.append([trial, seed, len(ham.terms), total, res_strength])
@@ -220,10 +224,8 @@ def _bench_instance(cfg: StudyConfig, seed: int):
         ham = ensembles.gen_sparse_random(cfg.n, cfg.q or 4, cfg.k, "normal", seed)
     elif pipeline == "mixed24":
         ham = ensembles.gen_mixed_24(cfg.n, cfg.k, seed)
-    elif pipeline == "ssyk":
+    else:  # "ssyk", the one pipeline left: StudyConfig rejects any other
         ham = ensembles.gen_ssyk(cfg.n, cfg.k, seed)
-    else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
     return ham, optimize(ham, pipeline, k=cfg.k)
 
 

@@ -200,17 +200,17 @@ class _TermEvaluator:
     every matching of every term is one flat index into gamma: a call gathers
     each weight once and scatters the whole gradient with one bincount, in
     the order (weight, matching, pair, term).  ``pfaffians`` is the same
-    gather without the gradient, one value per term in term order.
+    gather without the gradient, one value per term in term order.  The
+    terms are ``TermIndex.blocks`` (or some of them) with the index's
+    per-term ``coeffs``.
     """
 
-    def __init__(self, terms: tuple[InteractionTerm, ...], n_majoranas: int):
+    def __init__(self, blocks, coeffs: np.ndarray, n_majoranas: int):
         self.m = n_majoranas
-        self.n_terms = len(terms)
+        self.n_terms = coeffs.size
         self.blocks = []
-        for q in sorted({t.weight for t in terms}):
-            where = np.array([i for i, t in enumerate(terms) if t.weight == q], dtype=np.intp)
-            idx = np.array([terms[i].indices for i in where], dtype=np.intp)
-            coeff = np.array([terms[i].coeff for i in where])
+        for q, where, idx in blocks:
+            coeff = coeffs[where]
             signs, pairs = zip(*_signed_matchings(q))
             signs = np.array(signs)[:, None]
             pos = np.array(pairs)  # (matching, pair, 2) positions in a term
@@ -346,21 +346,21 @@ def hamiltonian_expectation(corr: CorrelationMatrix, ham: MajoranaHamiltonian) -
     """Tr(H rho) = sum_I J_I Pf(gamma_I), summed in term order.
 
     Terms up to weight ``EXPANSION_MAX_WEIGHT`` take their Pfaffians from
-    the matching expansion, one gather per weight; heavier terms take
-    ``pfaffian`` one at a time.
+    the matching expansion, one gather per weight block of ``ham.index``;
+    heavier terms take ``pfaffian`` one at a time.
     """
     if ham.n_majoranas > corr.n_majoranas:
         raise ValueError(
             f"Hamiltonian on {ham.n_majoranas} Majoranas, state on {corr.n_majoranas}"
         )
-    expanded = tuple(t for t in ham.terms if t.weight <= EXPANSION_MAX_WEIGHT)
-    pfs = iter(_TermEvaluator(expanded, corr.n_majoranas).pfaffians(corr.gamma).tolist())
+    index = ham.index
+    expanded = [block for block in index.blocks if block[0] <= EXPANSION_MAX_WEIGHT]
+    pfs = _TermEvaluator(expanded, index.coeffs, corr.n_majoranas).pfaffians(corr.gamma)
+    for t in np.flatnonzero(index.weights > EXPANSION_MAX_WEIGHT).tolist():
+        pfs[t] = monomial_expectation(corr, index.padded[t, : index.weights[t]])
     total = 0.0
-    for t in ham.terms:
-        if t.weight <= EXPANSION_MAX_WEIGHT:
-            total += t.coeff * next(pfs)
-        else:
-            total += t.coeff * monomial_expectation(corr, t.indices)
+    for coeff, pf in zip(index.coeffs.tolist(), pfs.tolist()):
+        total += coeff * pf
     return total
 
 
@@ -389,6 +389,21 @@ def classify_consistency(matching: Matching, indices: Sequence[int]) -> Consiste
     return ConsistencyVerdict(consistent=True, inner_pairs=tuple(inner), sign=sign)
 
 
+def _inner_pairs(partner: np.ndarray, ids: np.ndarray, rows: np.ndarray):
+    """The terms of one ``TermIndex`` weight block that the matching pairs
+    within themselves, as ``(ids, rows, opener, closer)``: the inner pairs
+    of term ``ids[t]`` are its Majoranas at positions ``opener[t, p] <
+    closer[t, p]``, in increasing ``opener``.  One gather of the partner
+    array decides the whole block."""
+    w = rows.shape[1]
+    # at[t, i, j]: the partner of the term's i-th Majorana is its j-th
+    at = partner[rows][:, :, None] == rows[:, None, :]
+    ok = at.any(axis=2).all(axis=1)
+    position = at[ok].argmax(axis=2)
+    opener = np.nonzero(position > np.arange(w))[1].reshape(-1, w // 2)
+    return ids[ok], rows[ok], opener, np.take_along_axis(position, opener, axis=1)
+
+
 def matching_state_expectation(
     matching: Matching, signs: SignAssignment, ham: MajoranaHamiltonian
 ) -> float:
@@ -409,17 +424,10 @@ def matching_state_expectation(
     dimer_sign[partner > np.arange(partner.size)] = signs.signs
 
     index = ham.index
-    contribution = np.zeros(len(ham.terms))
-    consistent = np.zeros(len(ham.terms), dtype=bool)
+    contribution = np.zeros(index.coeffs.size)
+    consistent = np.zeros(index.coeffs.size, dtype=bool)
     for w, ids, rows in index.blocks:
-        # at[t, i, j]: the partner of the term's i-th Majorana is its j-th
-        at = partner[rows][:, :, None] == rows[:, None, :]
-        ok = at.any(axis=2).all(axis=1)
-        position = at[ok].argmax(axis=2)
-        rows, ids = rows[ok], ids[ok]
-        # the pairs (i, position[i]) with i < position[i], in increasing i
-        opener = np.nonzero(position > np.arange(w))[1].reshape(-1, w // 2)
-        closer = np.take_along_axis(position, opener, axis=1)
+        ids, rows, opener, closer = _inner_pairs(partner, ids, rows)
         order = np.stack((opener, closer), axis=2).reshape(-1, w)
         later = np.triu(np.ones((w, w), dtype=bool), 1)
         inversions = ((order[:, :, None] > order[:, None, :]) & later).sum(axis=(1, 2))

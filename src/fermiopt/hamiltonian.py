@@ -92,10 +92,6 @@ class InteractionTerm:
     def weight(self) -> int:
         return len(self.indices)
 
-    @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.indices)
-
 
 @dataclass(frozen=True)
 class SparsityProfile:
@@ -188,8 +184,9 @@ class MajoranaHamiltonian:
 
     Index sets are pairwise distinct; all indices lie in ``[0, 2*n_modes)``.
     It carries its own read-only indexes, each built once: ``term_id``
-    (index tuple -> term id) and the array ``index``, from which
-    ``mode_terms`` and the profile behind ``sparsity_profile`` derive.
+    (index tuple -> term id) and the array ``index``, which every certify
+    and Wick layer reads and from which the profile behind
+    ``sparsity_profile`` derives.
     """
 
     n_modes: int
@@ -223,13 +220,6 @@ class MajoranaHamiltonian:
         return TermIndex.build(self.terms, self.n_majoranas)
 
     @cached_property
-    def mode_terms(self) -> tuple[tuple[int, ...], ...]:
-        """For each Majorana, the ids of the terms containing it, ascending."""
-        ptr = self.index.mode_ptr.tolist()
-        ids = self.index.mode_term_ids.tolist()
-        return tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
-
-    @cached_property
     def _profile(self) -> SparsityProfile:
         degree = np.diff(self.index.mode_ptr)
         return SparsityProfile(
@@ -246,12 +236,7 @@ def sparsity_profile(ham: MajoranaHamiltonian) -> SparsityProfile:
 
 def total_strength(ham: MajoranaHamiltonian) -> float:
     """Sum of |J_I| over all terms; an upper bound on the largest eigenvalue."""
-    return float(sum(abs(t.coeff) for t in ham.terms))
-
-
-def strength(terms: Iterable[InteractionTerm]) -> float:
-    """Sum of |J_I| over an arbitrary collection of terms."""
-    return float(sum(abs(t.coeff) for t in terms))
+    return float(sum(np.abs(ham.index.coeffs).tolist()))
 
 
 def _is_int(value) -> bool:

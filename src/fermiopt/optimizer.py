@@ -32,18 +32,12 @@ from .combinatorics import (
 from .gaussian import (
     Matching,
     SignAssignment,
+    _inner_pairs,
     assign_signs,
-    classify_consistency,
     matching_state_expectation,
     signed_matching,
 )
-from .hamiltonian import (
-    InteractionTerm,
-    MajoranaHamiltonian,
-    sparsity_profile,
-    strength,
-    total_strength,
-)
+from .hamiltonian import InteractionTerm, MajoranaHamiltonian, sparsity_profile, total_strength
 
 PIPELINE_STRICTQ = "strictq"
 PIPELINE_MIXED24 = "mixed24"
@@ -138,11 +132,11 @@ def _best_effort(
 
 def _ranked_parts(partition: DiffusePartition, ham: MajoranaHamiltonian):
     """Parts by descending absolute weight, ties toward low (weight, color)."""
-    entries = []
-    for key, ids in partition.parts.items():
-        entries.append((-strength(ham.terms[i] for i in ids), key, ids))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return [(key, ids, -neg) for neg, key, ids in entries]
+    magnitude = np.abs(ham.index.coeffs).tolist()
+    parts = partition.parts
+    weight = {key: float(sum(magnitude[i] for i in ids)) for key, ids in parts.items()}
+    ranked = sorted(parts, key=lambda key: (-weight[key], key))
+    return [(key, parts[key], weight[key]) for key in ranked]
 
 
 def _certify(
@@ -305,29 +299,25 @@ def _repair_two_mode_overlaps(
     Flipping both dimers of a quartic preserves its own contribution (the
     sign product is unchanged) while negating any coinciding weight-2
     contribution.  Requires the consistent quartics to have disjoint inner
-    pairs, which branch states guarantee.
+    pairs, which branch states guarantee.  The consistent terms of weights
+    2 and 4 come from one partner gather per weight, as in the closed form.
     """
+    index, lows = ham.index, matching.dimers[:, 0]
+    riding = np.zeros(lows.size)  # the coefficient of the weight-2 term on each dimer
+    quartics = np.zeros((0, 2), dtype=np.intp)  # the two dimers of each consistent quartic
+    for w, ids, rows in index.blocks:
+        if w in (2, 4):
+            ids, rows, opener, _ = _inner_pairs(matching.partner, ids, rows)
+            dimers = np.searchsorted(lows, np.take_along_axis(rows, opener, axis=1))
+            if w == 2:
+                riding[dimers[:, 0]] = index.coeffs[ids]
+            else:
+                quartics = dimers
+    if np.unique(quartics).size != quartics.size:
+        raise ValueError("consistent quartics share a dimer; not a branch state")
     values = signs.signs.copy()
-    lows = matching.dimers[:, 0]
-
-    def riding(pair: tuple[int, int], dimer: int) -> float:
-        t_id = ham.term_id.get(pair)
-        return 0.0 if t_id is None else ham.terms[t_id].coeff * int(values[dimer])
-
-    seen: set[int] = set()
-    for term in ham.terms:
-        if term.weight != 4:
-            continue
-        verdict = classify_consistency(matching, term.indices)
-        if not verdict.consistent:
-            continue
-        e1, e2 = verdict.inner_pairs
-        d1, d2 = np.searchsorted(lows, (e1[0], e2[0])).tolist()
-        if d1 in seen or d2 in seen:
-            raise ValueError("consistent quartics share a dimer; not a branch state")
-        seen.update((d1, d2))
-        if riding(e1, d1) + riding(e2, d2) < 0.0:
-            values[[d1, d2]] *= -1
+    flip = (riding[quartics] * values[quartics]).sum(axis=1) < 0.0
+    values[quartics[flip].ravel()] *= -1
     return SignAssignment(matching, values)
 
 
@@ -358,8 +348,8 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
         else:
             # weight-4 branch: re-route a marked outer edge through the
             # auxiliaries so no lifted weight-2 term can stay consistent
-            support = [i for t in ids for i in ham.terms[t].indices]
-            outer = np.flatnonzero(~np.isin(dimers, support).any(axis=1))
+            rows = ham.index.padded[list(ids)]
+            outer = np.flatnonzero(~np.isin(dimers, rows[rows >= 0]).any(axis=1))
             if not outer.size:
                 raise DiracError("no outer edge available to mark")
             i1, i2 = dimers[outer[0]].tolist()
@@ -446,7 +436,7 @@ def optimize_ssyk(ham: MajoranaHamiltonian, k: int) -> OptimizationResult:
         / (math.sqrt(k_prime - 1) * inner_bound)
     )
     notes = [
-        f"core bound {inner_bound}, residual strength {strength(residual.terms):.6g}",
+        f"core bound {inner_bound}, residual strength {total_strength(residual):.6g}",
         f"asymptotic residual margin {margin:.3e}",
         f"achieved raw {achieved:.9g}; in unit-coupling units "
         f"{achieved * math.sqrt(2 * k * ham.n_modes):.9g}",
@@ -476,7 +466,10 @@ def optimize(
     ham: MajoranaHamiltonian, pipeline: str = "auto", k: int | None = None
 ) -> OptimizationResult:
     """Run the named pipeline.  ``auto`` routes by weight profile: one
-    weight -> strict, {2,4} -> mixed.  The diluted pipeline needs ``k``."""
+    weight -> strict, {2,4} -> mixed.  The diluted pipeline needs ``k``;
+    every pipeline rejects a ``k`` below 1."""
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if pipeline == "auto":
         weights = sparsity_profile(ham).weights_present
         if len(weights) <= 1:

@@ -384,7 +384,7 @@ def gaussian_numeric_max(
     """
     m = ham.n_majoranas
     rng = np.random.default_rng(seed)
-    evaluate = _TermEvaluator(ham.terms, m)
+    evaluate = _TermEvaluator(ham.index.blocks, ham.index.coeffs, m)
     starts = [_reference_gamma(m)]
     while len(starts) < restarts:
         basis, _ = np.linalg.qr(rng.standard_normal((m, m)))

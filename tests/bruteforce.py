@@ -112,8 +112,9 @@ def random_antisymmetric(rng, m: int, integer: bool = False) -> np.ndarray:
 # Straightforward versions of the combinatorial certify steps.  The package
 # replaced each of them with an indexed or sparse form that must give the
 # same answers; these keep the plain scans around to compare against.  They
-# read Hamiltonians only through ``terms[i].indices`` and ``n_modes`` and
-# graphs only through ``vertices``, ``has_edge`` and ``neighbors``.
+# read Hamiltonians only through ``terms[i].indices``, ``n_modes`` and
+# ``mode_terms`` below, and graphs only through ``vertices``, ``has_edge``
+# and ``neighbors``.
 
 
 def unrank_combination_scan(rank: int, n_items: int, size: int) -> tuple[int, ...]:
@@ -274,6 +275,14 @@ def sparse_random_per_batch(
     return [(kept[r], draw(seed, "sparse-coeff", r)) for r in sorted(kept)]
 
 
+def mode_terms(ham) -> tuple[tuple[int, ...], ...]:
+    """For each Majorana, the ids of the terms containing it, ascending: the
+    mode -> terms CSR of ``ham.index`` as tuples."""
+    ptr = ham.index.mode_ptr.tolist()
+    ids = ham.index.mode_term_ids.tolist()
+    return tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
 def diffuse_verdict_scan(subset_ids, ham, locality=None) -> tuple[bool, int | None]:
     """The three separation conditions by an all-pairs scan: (ok, violated)."""
     members = [set(ham.terms[i].indices) for i in subset_ids]
@@ -301,7 +310,7 @@ def conflict_adjacency_by_bridges(ham) -> tuple[frozenset[int], ...]:
     terms around each bridge term joined by a double loop."""
     n_terms = len(ham.terms)
     direct: list[set[int]] = [set() for _ in range(n_terms)]
-    for members in ham.mode_terms:
+    for members in mode_terms(ham):
         for a in members:
             for b in members:
                 if a != b:
@@ -321,7 +330,7 @@ def conflict_adjacency_two_hop_sets(ham) -> tuple[frozenset[int], ...]:
     ``near[t]`` the terms sharing a Majorana with ``t`` (``t`` included),
     the union of ``near[b]`` over ``near[t]``, less ``t``."""
     near: list[set[int]] = [set() for _ in ham.terms]
-    for members in ham.mode_terms:
+    for members in mode_terms(ham):
         for t in members:
             near[t].update(members)
     return tuple(
@@ -358,9 +367,10 @@ def diffuse_verdict_by_mode_walk(subset_ids, ham, locality=None) -> tuple[bool, 
         support |= term_support
     member_ids = set(subset_ids)
     reached_from: dict[int, int] = {}
+    by_mode = mode_terms(ham)
     for m_id in subset_ids:
         for mode in ham.terms[m_id].indices:
-            for t_id in ham.mode_terms[mode]:
+            for t_id in by_mode[mode]:
                 if t_id not in member_ids and reached_from.setdefault(t_id, m_id) != m_id:
                     return False, 2
     if ham.terms:
@@ -447,6 +457,36 @@ def repair_two_mode_overlaps_by_dict(matching, signs, ham):
             sd[e1] = -sd[e1]
             sd[e2] = -sd[e2]
     return SignAssignment.from_dict(sd)
+
+
+def repair_two_mode_overlaps_per_quartic(matching, signs, ham):
+    """The array sign repair as it was before it read the closed form's
+    gather: ``classify_consistency`` per quartic in term order, the riding
+    weight-2 coefficients looked up through ``term_id``."""
+    from fermiopt.gaussian import SignAssignment, classify_consistency
+
+    values = signs.signs.copy()
+    lows = matching.dimers[:, 0]
+
+    def riding(pair: tuple[int, int], dimer: int) -> float:
+        t_id = ham.term_id.get(pair)
+        return 0.0 if t_id is None else ham.terms[t_id].coeff * int(values[dimer])
+
+    seen: set[int] = set()
+    for term in ham.terms:
+        if term.weight != 4:
+            continue
+        verdict = classify_consistency(matching, term.indices)
+        if not verdict.consistent:
+            continue
+        e1, e2 = verdict.inner_pairs
+        d1, d2 = np.searchsorted(lows, (e1[0], e2[0])).tolist()
+        if d1 in seen or d2 in seen:
+            raise ValueError("consistent quartics share a dimer; not a branch state")
+        seen.update((d1, d2))
+        if riding(e1, d1) + riding(e2, d2) < 0.0:
+            values[[d1, d2]] *= -1
+    return SignAssignment(matching, values)
 
 
 def pull_back_by_dict(tilde_matching, tilde_signs, ham, lifted):

@@ -322,6 +322,21 @@ def test_optimize_maps_pipeline_errors_to_exit_1(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err == "error: construction failed\n"
 
 
+@pytest.mark.parametrize("pipeline", ["auto", "strictq", "mixed24", "ssyk"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_optimize_rejects_k_below_one(tmp_path, capsys, pipeline, k):
+    h = tmp_path / "h.json"
+    h.write_text(serialize_hamiltonian(gen_sparse_random(20, 4, 2, "normal", seed=0)))
+    state, cert = tmp_path / "s.json", tmp_path / "c.json"
+    code = run(
+        ["optimize", "--in", str(h), "--pipeline", pipeline, "--k", k,
+         "--out-state", str(state), "--out-cert", str(cert)]
+    )
+    assert code == 1
+    assert _one_error_line(capsys).err == f"error: k must be at least 1, got {k}\n"
+    assert not state.exists() and not cert.exists()
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -439,6 +454,9 @@ BAD_CONFIGS = [
     ("'k'", {"pipeline": "mixed24", "k": 1}),
     ("'k'", {"pipeline": "mixed24", "k": 0}),
     ("'k'", {"pipeline": "mixed24", "k": -2}),
+    ("'pipeline'", {"pipeline": "bogus"}),
+    ("'q'", {"pipeline": "mixed24"}),
+    ("'q'", {"pipeline": "ssyk"}),
     ("restarts", {"restarts": False}),
     ("size_grid", {"size_grid": [4, "5"]}),
     ("size_grid", {"size_grid": 4}),

@@ -54,6 +54,21 @@ def test_unknown_study_rejected():
         StudyConfig(study="nope", trials=1, base_seed=0)
 
 
+def test_ratio_bench_rejects_an_unknown_pipeline():
+    with pytest.raises(ValueError, match="unknown pipeline 'bogus' in field 'pipeline'"):
+        StudyConfig(study="ratio_bench", trials=1, base_seed=0, pipeline="bogus", n=20, k=2)
+
+
+@pytest.mark.parametrize("pipeline", ["mixed24", "ssyk"])
+def test_ratio_bench_rejects_q_for_a_pipeline_that_never_reads_it(pipeline):
+    # these pipelines draw their own weights, so a q would be recorded but never read
+    StudyConfig(study="ratio_bench", trials=1, base_seed=0, pipeline=pipeline, n=20, k=2)
+    with pytest.raises(ValueError, match=f"pipeline '{pipeline}' does not read field 'q'"):
+        StudyConfig(
+            study="ratio_bench", trials=1, base_seed=0, pipeline=pipeline, n=20, q=6, k=2
+        )
+
+
 def test_concentration_rejects_small_truncation():
     cfg = StudyConfig(
         study="ssyk_concentration", trials=100, base_seed=0, n=40, k=2, k_prime=8

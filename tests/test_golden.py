@@ -409,8 +409,9 @@ def test_golden_theta_sweep_csv(tmp_path):
 # certified path must give the same artifact with asserts stripped.
 
 
-def test_golden_certify_under_optimize_flag():
-    case_id = "ssyk-n400-k2"
+# the ssyk route, and the weight-4 mixed24 branch with its pull-back and repair
+@pytest.mark.parametrize("case_id", ["ssyk-n400-k2", "mixed24-quartic-x10-n200-weight4"])
+def test_golden_certify_under_optimize_flag(case_id):
     expected = next(case[3] for case in CASES if case[0] == case_id)
     env = dict(os.environ)
     pkg_root = str(Path(fermiopt.__file__).resolve().parent.parent)

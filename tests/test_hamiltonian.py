@@ -19,7 +19,7 @@ from fermiopt.oracle import lambda_max_exact
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
 from fermiopt.optimizer import optimize_strict_q
 
-from bruteforce import sign_by_inversions
+from bruteforce import mode_terms, sign_by_inversions
 
 
 def test_canonical_sign_identity():
@@ -101,7 +101,7 @@ def test_profile_degree_map_is_read_only():
     profile = sparsity_profile(ham)
     with pytest.raises(TypeError):
         profile.degree[0] = 99
-    assert dict(profile.degree) == {m: len(ids) for m, ids in enumerate(ham.mode_terms)}
+    assert dict(profile.degree) == {m: len(ids) for m, ids in enumerate(mode_terms(ham))}
 
 
 @pytest.mark.parametrize(

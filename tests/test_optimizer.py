@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 import fermiopt
-from fermiopt.combinatorics import ContractError, build_conflict_graph, greedy_color
+from fermiopt.combinatorics import (
+    ContractError,
+    build_conflict_graph,
+    diffuse_partition,
+    greedy_color,
+)
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
 from fermiopt.gaussian import (
     Matching,
@@ -25,6 +30,7 @@ from fermiopt.hamiltonian import (
 from fermiopt.optimizer import (
     PullBackError,
     RatioCertificate,
+    _ranked_parts,
     lift_to_strict4,
     optimize,
     optimize_mixed_24,
@@ -390,6 +396,29 @@ def test_auto_routes_by_weights():
     assert optimize(quartic).certificate.pipeline == "strictq"
     mixed = gen_mixed_24(16, 2, seed=0)
     assert optimize(mixed).certificate.pipeline == "mixed24"
+
+
+def test_parts_list_terms_by_index_tuple_and_rank_ties_by_key():
+    # terms out of index order, and +-1 couplings so that part weights tie
+    drawn = gen_sparse_random(60, 4, 2, "pm1", seed=4)
+    ham = MajoranaHamiltonian(n_modes=60, terms=drawn.terms[::-1])
+    partition = diffuse_partition(ham)
+    for ids in partition.parts.values():
+        supports = [ham.terms[i].indices for i in ids]
+        assert supports == sorted(supports)
+    ranked = _ranked_parts(partition, ham)
+    for _, ids, weight in ranked:
+        assert weight == sum(abs(ham.terms[i].coeff) for i in ids)
+    order = [(-w, key) for key, _, w in ranked]
+    assert order == sorted(order) and len({w for _, _, w in ranked}) < len(ranked)
+
+
+@pytest.mark.parametrize("pipeline", ["auto", "strictq", "mixed24", "ssyk"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_optimize_rejects_k_below_one(pipeline, k):
+    ham = gen_sparse_random(20, 4, 2, "normal", seed=0)
+    with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+        optimize(ham, pipeline, k=k)
 
 
 def test_certificate_json_round_trip():

@@ -208,7 +208,7 @@ def test_gradient_matches_finite_differences(seed, q):
     for j in range(0, 8, 2):
         ref[j, j + 1], ref[j + 1, j] = 1.0, -1.0
     gamma = basis @ ref @ basis.T
-    evaluate = _TermEvaluator(ham.terms, ham.n_majoranas)
+    evaluate = _TermEvaluator(ham.index.blocks, ham.index.coeffs, ham.n_majoranas)
     value, grad = evaluate(gamma)
     flow = rng.standard_normal((8, 8))
     flow = flow - flow.T

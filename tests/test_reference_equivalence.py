@@ -115,6 +115,7 @@ from bruteforce import (
     pull_back_by_dict,
     random_antisymmetric,
     repair_two_mode_overlaps_by_dict,
+    repair_two_mode_overlaps_per_quartic,
     slope_fd_by_expm,
     sparse_random_per_batch,
     sparse_random_per_candidate,
@@ -126,6 +127,7 @@ from bruteforce import (
     unrank_combination_searchsorted,
     zeta_by_tau_products,
 )
+from test_golden import CASES as GOLDEN_CASES
 from test_golden import _mixed24_quartic_x10
 from test_optimizer import hand_built_branch_states
 
@@ -858,7 +860,7 @@ def test_ascent_evaluator_repeats_reference_bits(weights, n):
     if weights == (2, 4):
         hams.append(gen_mixed_24(n, 2, seed=n))  # interleaved weights, sparse supports
     for ham in hams:
-        evaluate = _TermEvaluator(ham.terms, ham.n_majoranas)
+        evaluate = _TermEvaluator(ham.index.blocks, ham.index.coeffs, ham.n_majoranas)
         reference = CofactorTermEvaluator(ham.terms)
         for gamma in _evaluation_points(ham.n_majoranas, seed=n, count=50):
             energy, grad = evaluate(gamma)
@@ -872,7 +874,7 @@ def test_ascent_evaluator_repeats_reference_bits(weights, n):
 )
 def test_ascent_evaluator_matches_cofactors_above_weight_four(n, weights):
     ham = _syk_sum(n, weights, seed=3)
-    evaluate = _TermEvaluator(ham.terms, ham.n_majoranas)
+    evaluate = _TermEvaluator(ham.index.blocks, ham.index.coeffs, ham.n_majoranas)
     reference = CofactorTermEvaluator(ham.terms)
     for gamma in _evaluation_points(ham.n_majoranas, seed=n, count=5):
         energy, grad = evaluate(gamma)
@@ -883,7 +885,7 @@ def test_ascent_evaluator_matches_cofactors_above_weight_four(n, weights):
 
 def test_ascent_evaluator_on_empty_hamiltonian():
     gamma = _reference_gamma(6)
-    energy, grad = _TermEvaluator((), 6)(gamma)
+    energy, grad = _TermEvaluator((), np.zeros(0), 6)(gamma)
     assert energy == 0.0
     assert grad.shape == (6, 6) and not grad.any()
     assert gaussian_numeric_max(MajoranaHamiltonian(n_modes=3, terms=()), restarts=2).value == 0.0
@@ -1092,15 +1094,28 @@ def test_assign_signs_repeats_the_dict_reference_on_drawn_targets(data):
     )
 
 
+# The overlap repair reads the closed form's per-weight gather; the per-quartic
+# verdict loop it replaced must give the same state bytes or the same error.
+repair = optimizer._repair_two_mode_overlaps
+
+
+def _same_repair(matching, signs, ham):
+    _same_outcome(
+        lambda: (matching, repair(matching, signs, ham)),
+        lambda: (matching, repair_two_mode_overlaps_per_quartic(matching, signs, ham)),
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(matching_states(min_modes=2), st.integers(0, 2**32 - 1))
 def test_overlap_repair_repeats_the_dict_reference_on_drawn_states(state, seed):
     matching, signs = state
     ham = _drawn_hamiltonian(seed, matching, (2, 4))
     _same_outcome(
-        lambda: (matching, optimizer._repair_two_mode_overlaps(matching, signs, ham)),
+        lambda: (matching, repair(matching, signs, ham)),
         lambda: (matching, repair_two_mode_overlaps_by_dict(matching, signs, ham)),
     )
+    _same_repair(matching, signs, ham)
 
 
 @st.composite
@@ -1129,6 +1144,38 @@ def test_pull_back_repeats_the_dict_reference_on_drawn_states(branch, seed):
     lifted = lift_to_strict4(ham)
     args = (tilde_matching, tilde_signs, ham, lifted)
     _same_outcome(lambda: optimizer.pull_back(*args), lambda: pull_back_by_dict(*args))
+
+
+@settings(max_examples=150, deadline=None)
+@given(branch_states(), st.integers(0, 2**32 - 1))
+def test_overlap_repair_repeats_the_per_quartic_reference_in_drawn_pull_backs(branch, seed):
+    n, (tilde_matching, tilde_signs) = branch
+    rng = np.random.default_rng(seed)
+    half = Matching([(2 * j, 2 * j + 1) for j in range(n)])  # for the term draw only
+    ham = MajoranaHamiltonian(n, _terms_around(rng, half, (2, 4), 10, 2 * n))
+    handed = []
+
+    def recording(matching, signs, ham):
+        handed.append((matching, signs))
+        return repair(matching, signs, ham)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_repair_two_mode_overlaps", recording)
+        try:
+            optimizer.pull_back(tilde_matching, tilde_signs, ham, lift_to_strict4(ham))
+        except (ValueError, optimizer.PullBackError):
+            pass
+    for matching, signs in handed:
+        _same_repair(matching, signs, ham)
+
+
+def test_overlap_repair_rejects_quartics_sharing_a_dimer():
+    matching, signs = signed_matching([(0, 1), (2, 3), (4, 5)], [1, -1, 1])
+    terms = (InteractionTerm((0, 1, 2, 3), 1.0), InteractionTerm((0, 1, 4, 5), -2.0))
+    ham = MajoranaHamiltonian(n_modes=3, terms=terms)
+    with pytest.raises(ValueError, match="share a dimer"):
+        repair(matching, signs, ham)
+    _same_repair(matching, signs, ham)
 
 
 # --------------------------------------------------------- the mixed pull-back
@@ -1180,6 +1227,19 @@ def test_pull_back_matches_schur_on_small_mixed_draws(weight4_pull_backs):
         winners += any("weight 4" in note for note in result.certificate.notes)
     assert winners == 11
     assert _assert_schur_agreement(weight4_pull_backs) == winners
+
+
+@pytest.mark.parametrize(
+    "case_id", ["mixed24-k2-n10-weight4", "mixed24-quartic-x10-n200-weight4"]
+)
+def test_overlap_repair_repeats_the_per_quartic_reference_on_golden_states(
+    weight4_pull_backs, case_id
+):
+    ham, _ = next(case[1] for case in GOLDEN_CASES if case[0] == case_id)()
+    handed = [state for call in weight4_pull_backs for state in call[2]]
+    assert len(handed) == 2  # one weight-4 pull-back, both outcomes
+    for matching, signs in handed:
+        _same_repair(matching, signs, ham)
 
 
 def test_pull_back_matches_schur_on_the_scaled_fixture(weight4_pull_backs):

@@ -5,13 +5,32 @@ import ast
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fermiopt
 from fermiopt.cli import main
-from fermiopt.combinatorics import DiracError, diffuse_matching
-from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
-from fermiopt.optimizer import optimize_strict_q
+from fermiopt.combinatorics import DiracError, diffuse_matching, diffuse_partition
+from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_syk_q
+from fermiopt.gaussian import (
+    CorrelationMatrix,
+    correlation_from_matching,
+    hamiltonian_expectation,
+    matching_state_expectation,
+    state_to_json,
+)
+from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian, total_strength
+from fermiopt.optimizer import (
+    _ranked_parts,
+    _repair_two_mode_overlaps,
+    lift_to_strict4,
+    optimize_mixed_24,
+    optimize_strict_q,
+    pull_back,
+)
+from fermiopt.oracle import gaussian_numeric_max
+
+from test_optimizer import hand_built_branch_states
 
 
 def ham_of(n_modes, *index_sets, coeffs=None):
@@ -76,3 +95,81 @@ def test_package_reads_matching_views_only_at_the_json_edge():
                 if isinstance(node, ast.Attribute) and node.attr in VIEWS:
                     found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not found, f"matching views read outside the JSON edge: {', '.join(found)}"
+
+
+# ------------------------------------------------- one term index per Hamiltonian
+
+
+class _Unreadable(tuple):
+    """Terms that refuse to be iterated or indexed; ``len`` still works."""
+
+    def __iter__(self):
+        raise RuntimeError("ham.terms read after its index was built")
+
+    def __getitem__(self, item):
+        raise RuntimeError("ham.terms read after its index was built")
+
+
+def _guarded(ham):
+    """A copy of ``ham`` that holds its built index and unreadable terms."""
+    copy = MajoranaHamiltonian(n_modes=ham.n_modes, terms=ham.terms)
+    copy.index
+    object.__setattr__(copy, "terms", _Unreadable(ham.terms))
+    return copy
+
+
+def _random_pure_state(m, seed):
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    reference = np.kron(np.eye(m // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    gamma = basis @ reference @ basis.T
+    return CorrelationMatrix((gamma - gamma.T) / 2.0)
+
+
+def test_certify_and_wick_layers_read_only_the_term_index():
+    strict = gen_sparse_random(40, 4, 2, "normal", seed=3)
+    mixed = gen_mixed_24(10, 2, seed=1)
+    heavy = MajoranaHamiltonian(
+        n_modes=6,
+        terms=(
+            InteractionTerm((0, 1), 0.5),
+            InteractionTerm((2, 3, 4, 5), -1.25),
+            InteractionTerm((0, 2, 4, 6, 8, 10), 0.75),
+            InteractionTerm(tuple(range(10)), 1.5),  # past the Pfaffian expansion
+        ),
+    )
+    for ham in (strict, mixed, heavy):
+        assert total_strength(_guarded(ham)) == total_strength(ham)
+
+    for ham, optimize in ((strict, optimize_strict_q), (mixed, optimize_mixed_24)):
+        guarded = _guarded(ham)
+        partition = diffuse_partition(ham)
+        assert diffuse_partition(guarded) == partition
+        ranked = _ranked_parts(partition, ham)
+        assert _ranked_parts(partition, guarded) == ranked
+        expected, fallback = diffuse_matching(ham, ranked[0][1])
+        got = diffuse_matching(guarded, ranked[0][1])
+        assert np.array_equal(got[0].partner, expected.partner) and got[1] == fallback
+        result = optimize(ham)
+        state = (result.matching, result.signs)
+        closed = matching_state_expectation(*state, ham)
+        assert repr(matching_state_expectation(*state, guarded)) == repr(closed)
+        corr = correlation_from_matching(*state)
+        assert hamiltonian_expectation(corr, guarded) == hamiltonian_expectation(corr, ham)
+
+    corr = _random_pure_state(heavy.n_majoranas, seed=5)
+    assert hamiltonian_expectation(corr, _guarded(heavy)) == hamiltonian_expectation(corr, heavy)
+
+    for ham, tilde_matching, tilde_signs in hand_built_branch_states():
+        lifted = lift_to_strict4(ham)
+        guarded = (_guarded(ham), _guarded(lifted))
+        expected = pull_back(tilde_matching, tilde_signs, ham, lifted)
+        got = pull_back(tilde_matching, tilde_signs, *guarded)
+        assert state_to_json(*got) == state_to_json(*expected)
+        repaired = _repair_two_mode_overlaps(*expected, guarded[0])
+        assert repaired.signs.tolist() == _repair_two_mode_overlaps(*expected, ham).signs.tolist()
+
+    small = gen_syk_q(4, 4, seed=1)
+    expected = gaussian_numeric_max(small, restarts=2, seed=0)
+    got = gaussian_numeric_max(_guarded(small), restarts=2, seed=0)
+    assert repr(got.value) == repr(expected.value)
+    assert got.corr.gamma.tobytes() == expected.corr.gamma.tobytes()

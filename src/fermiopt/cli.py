@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -102,23 +103,18 @@ def _cmd_gen(args) -> int:
     )
     out = generate(spec)
     ham = out[0] if isinstance(out, tuple) else out
-    with open(args.out, "w") as fh:
-        fh.write(serialize_hamiltonian(ham))
-    with open(args.out + ".spec.json", "w") as fh:
-        fh.write(spec.to_json())
-    print(f"wrote {args.out} ({len(ham.terms)} terms on {ham.n_majoranas} Majoranas)")
+    Path(args.out).write_text(serialize_hamiltonian(ham))
+    Path(args.out + ".spec.json").write_text(spec.to_json())
+    print(f"wrote {args.out} ({ham.n_terms} terms on {ham.n_majoranas} Majoranas)")
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    with open(args.infile) as fh:
-        ham = parse_hamiltonian(fh.read())
+    ham = parse_hamiltonian(Path(args.infile).read_text())
     result = optimize(ham, args.pipeline, k=args.k)
-    with open(args.out_state, "w") as fh:
-        fh.write(state_to_json(result.matching, result.signs))
+    Path(args.out_state).write_text(state_to_json(result.matching, result.signs))
     cert = result.certificate
-    with open(args.out_cert, "w") as fh:
-        fh.write(cert.to_json())
+    Path(args.out_cert).write_text(cert.to_json())
     ratio = cert.achieved / cert.upper_bound if cert.upper_bound > 0 else float("nan")
     print(
         f"achieved {cert.achieved:.9g} of strength {cert.upper_bound:.9g} "
@@ -129,10 +125,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.infile) as fh:
-        ham = parse_hamiltonian(fh.read())
-    with open(args.state) as fh:
-        matching, signs = state_from_json(fh.read())
+    ham = parse_hamiltonian(Path(args.infile).read_text())
+    matching, signs = state_from_json(Path(args.state).read_text())
     if matching.n_majoranas != ham.n_majoranas:
         raise ValueError(f"state on {matching.n_majoranas} Majoranas, H on {ham.n_majoranas}")
     values = {
@@ -155,8 +149,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    with open(args.infile) as fh:
-        ham = parse_hamiltonian(fh.read())
+    ham = parse_hamiltonian(Path(args.infile).read_text())
     print(repr(lambda_max_exact(ham, method=args.method)))
     return 0
 
@@ -176,29 +169,24 @@ def _cmd_sweep(args) -> int:
                 "of one sign, points >= 1"
             )
         grid = np.geomspace(low, high, points)
-    with open(args.infile) as fh:
-        ham = parse_hamiltonian(fh.read())
+    ham = parse_hamiltonian(Path(args.infile).read_text())
     spec_path = args.spec or args.infile + ".spec.json"
-    with open(spec_path) as fh:
-        spec = EnsembleSpec.from_json(fh.read())
+    spec = EnsembleSpec.from_json(Path(spec_path).read_text())
     if spec.family != "two_colored":
         raise ValueError("sweep needs a two-colored instance (see gen --family two_colored)")
     ham2, meta = gen_two_colored(spec.n1, spec.n2, spec.q, spec.seed)
     if ham2 != ham:
         raise ValueError("input Hamiltonian does not match its provenance sidecar")
     curve = rho_theta_sweep(ham2, meta, theta_grid=grid)
-    with open(args.out, "w") as fh:
-        fh.write("theta,value\n")
-        for theta, value in curve:
-            fh.write(f"{theta!r},{value!r}\n")
+    lines = (f"{theta!r},{value!r}\n" for theta, value in curve)
+    Path(args.out).write_text("theta,value\n" + "".join(lines))
     best_theta, best_value = max(curve, key=lambda tv: tv[1])
     print(f"best value {best_value!r} at theta {best_theta!r}")
     return 0
 
 
 def _cmd_study(args) -> int:
-    with open(args.config) as fh:
-        cfg = experiments.StudyConfig.from_json(fh.read())
+    cfg = experiments.StudyConfig.from_json(Path(args.config).read_text())
     out = args.out or cfg.out
     if out is None:
         raise ValueError("no output path: set 'out' in the config or pass --out")

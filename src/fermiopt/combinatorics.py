@@ -83,7 +83,7 @@ def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
     share a Majorana, its square wherever they do or a third term bridges
     them)."""
     index = ham.index
-    n_terms, m = len(ham.terms), ham.n_majoranas
+    n_terms, m = ham.n_terms, ham.n_majoranas
     if n_terms * m <= DENSE_CONFLICT_CELLS:
         incidence = np.zeros((n_terms, m), dtype=np.float32)
         incidence[np.repeat(np.arange(n_terms), index.weights), index.modes] = 1.0
@@ -115,7 +115,7 @@ def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
         term_rank=index.lex_rank,
     )
     profile = sparsity_profile(ham)
-    if ham.terms:
+    if ham.n_terms:
         q = max(profile.weights_present)
         bound = conflict_degree_bound(q, max(profile.max_degree, 1))
         if graph.max_degree > bound:
@@ -192,7 +192,7 @@ def is_diffuse(
     first = np.where(owners < 0, last[:, None], owners).min(axis=1)
     if (first != last).any():
         return DiffuseCheck(False, 2)
-    if ham.terms:
+    if ham.n_terms:
         q = locality if locality is not None else max(sparsity_profile(ham).weights_present)
         if support.size >= 2 * q * ham.n_modes / (q + 1):
             return DiffuseCheck(False, 3)

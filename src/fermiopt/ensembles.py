@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import rng
-from .hamiltonian import InteractionTerm, MajoranaHamiltonian, dataclass_fields_from_json
+from .hamiltonian import MajoranaHamiltonian, _load_json, dataclass_fields_from_json
 
 FAMILIES = ("sykq", "ssyk", "sparse_random", "two_colored")
 
@@ -58,9 +58,15 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "EnsembleSpec":
-        doc = json.loads(text)
+        doc = _load_json(text)
         spec = doc.get("spec") if isinstance(doc, dict) else None
         return cls(**dataclass_fields_from_json(cls, spec, ("seed", "n", "q", "k", "n1", "n2")))
+
+
+def _of_rows(n_modes: int, rows: np.ndarray, coeffs) -> MajoranaHamiltonian:
+    """The Hamiltonian whose term ``t`` is row ``t`` of ``rows``."""
+    ptr = np.arange(0, rows.size + 1, rows.shape[1])
+    return MajoranaHamiltonian.from_arrays(n_modes, ptr, rows.ravel(), coeffs)
 
 
 @functools.lru_cache(maxsize=8)
@@ -151,11 +157,9 @@ def gen_syk_q(n: int, q: int, seed: int) -> MajoranaHamiltonian:
     count = math.comb(2 * n, q)
     scale = count**-0.5
     draws = rng.normals(seed, "sykq-coeff", count)
-    terms = tuple(
-        InteractionTerm(idx, scale * float(draws[r]))
-        for r, idx in enumerate(itertools.combinations(range(2 * n), q))
-    )
-    return MajoranaHamiltonian(n_modes=n, terms=terms)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(2 * n), q))
+    rows = np.fromiter(flat, np.intp, count=count * q).reshape(count, q)
+    return _of_rows(n, rows, scale * draws)
 
 
 def gen_ssyk(n: int, k: int, seed: int) -> MajoranaHamiltonian:
@@ -198,10 +202,8 @@ def gen_ssyk(n: int, k: int, seed: int) -> MajoranaHamiltonian:
         kept = np.concatenate((kept, fresh[:need]))
     ranks = np.sort(kept)
     scale = 1.0 / math.sqrt(2 * k * n)
-    rows = _unrank_combination(ranks, 2 * n, 4).tolist()
-    coeffs = (scale * rng.normals_at(seed, "ssyk-coeff", ranks)).tolist()
-    terms = tuple(InteractionTerm(tuple(idx), c) for idx, c in zip(rows, coeffs))
-    return MajoranaHamiltonian(n_modes=n, terms=terms)
+    rows = _unrank_combination(ranks, 2 * n, 4)
+    return _of_rows(n, rows, scale * rng.normals_at(seed, "ssyk-coeff", ranks))
 
 
 # The 60 candidate batches of gen_sparse_random, drawn and unranked a stage
@@ -300,8 +302,8 @@ def gen_sparse_random(
         coeffs = rng.normals_at(seed, "sparse-coeff", ranks)
     else:
         coeffs = np.where(rng.uniforms_at(seed, "sparse-coeff", ranks) < 0.5, 1.0, -1.0)
-    terms = tuple(InteractionTerm(kept[r], c) for r, c in zip(ranks.tolist(), coeffs.tolist()))
-    return MajoranaHamiltonian(n_modes=n, terms=terms)
+    rows = np.array([kept[r] for r in ranks.tolist()], dtype=np.intp).reshape(-1, q)
+    return _of_rows(n, rows, coeffs)
 
 
 def gen_mixed_24(n: int, k: int, seed: int) -> MajoranaHamiltonian:
@@ -314,11 +316,11 @@ def gen_mixed_24(n: int, k: int, seed: int) -> MajoranaHamiltonian:
             f"gen_mixed_24 needs k >= {least_k('mixed24')}, a budget for each weight; got k = {k}"
         )
     k4 = k // 2
-    quartic = gen_sparse_random(n, 4, k4, "normal", seed)
-    quadratic = gen_sparse_random(n, 2, k - k4, "normal", seed + 1)
-    return MajoranaHamiltonian(
-        n_modes=n, terms=tuple(quartic.terms) + tuple(quadratic.terms)
-    )
+    four = gen_sparse_random(n, 4, k4, "normal", seed).index
+    two = gen_sparse_random(n, 2, k - k4, "normal", seed + 1).index
+    ptr = np.concatenate((four.term_ptr, four.term_ptr[-1] + two.term_ptr[1:]))
+    modes = np.concatenate((four.modes, two.modes))
+    return MajoranaHamiltonian.from_arrays(n, ptr, modes, np.concatenate((four.coeffs, two.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -355,15 +357,12 @@ def gen_two_colored(
         raise ValueError("need 1 <= n2 <= n1")
     subsets = list(itertools.combinations(range(n1), q - 1))
     norm = 1.0 / math.sqrt(n2 * math.comb(n1, q - 1))
-    couplings = rng.normals_at(seed, "twocolor-coeff", np.arange(n2 * len(subsets))).tolist()
-    terms = []
-    entries = []
-    for (j, subset), coupling in zip(itertools.product(range(n2), subsets), couplings):
-        entries.append(TwoColoredEntry(phi=subset, chi=j, coupling=coupling))
-        terms.append(InteractionTerm(subset + (n1 + j,), norm * coupling))
-    n_modes = (n1 + n2 + 1) // 2
-    ham = MajoranaHamiltonian(n_modes=n_modes, terms=tuple(terms))
-    return ham, TwoColoredMeta(n1=n1, n2=n2, q=q, entries=tuple(entries))
+    couplings = rng.normals_at(seed, "twocolor-coeff", np.arange(n2 * len(subsets)))
+    labels = list(itertools.product(range(n2), subsets))
+    entries = tuple(TwoColoredEntry(phi, j, c) for (j, phi), c in zip(labels, couplings.tolist()))
+    rows = np.array([phi + (n1 + j,) for j, phi in labels], dtype=np.intp).reshape(-1, q)
+    ham = _of_rows((n1 + n2 + 1) // 2, rows, norm * couplings)
+    return ham, TwoColoredMeta(n1=n1, n2=n2, q=q, entries=entries)
 
 
 def generate(spec: EnsembleSpec):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, field, fields
 import numpy as np
 
 from . import ensembles
-from .hamiltonian import _is_int, dataclass_fields_from_json, total_strength
+from .hamiltonian import _is_int, _load_json, dataclass_fields_from_json, total_strength
 from .optimizer import optimize, truncate_to_sparse
 from .oracle import (
     ITER_EIG_MODE_BUDGET,
@@ -88,6 +88,9 @@ class StudyConfig:
             raise ValueError(f"field 'k' must be at least {least_k}{reason}, got {self.k}")
         if self.q is not None and self.pipeline in ("mixed24", "ssyk"):
             raise ValueError(f"pipeline {self.pipeline!r} does not read field 'q'")
+        least_q = 4 if self.study == "theta_sweep" else 2
+        if self.q is not None and (self.q % 2 != 0 or self.q < least_q):
+            raise ValueError(f"field 'q' must be even and at least {least_q}, got {self.q}")
         if self.size_grid is not None:
             grid = tuple(int(v) for v in self.size_grid)
             increasing = all(a < b for a, b in zip(grid, grid[1:]))
@@ -107,7 +110,7 @@ class StudyConfig:
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
         ints = ("trials", "base_seed", "n", "q", "k", "k_prime", "n1", "n2", "restarts")
-        doc = dataclass_fields_from_json(cls, json.loads(text), ints)
+        doc = dataclass_fields_from_json(cls, _load_json(text), ints)
         grid = doc.get("size_grid", [])
         if not isinstance(grid, list) or not all(map(_is_int, grid)):
             raise ValueError(f"field 'size_grid' must be a list of integers, got {grid!r}")
@@ -186,7 +189,7 @@ def run_ssyk_concentration(cfg: StudyConfig) -> StudyResult:
         res_strength = total_strength(residual) * unit
         below_low += total < low
         above_cut += res_strength > residual_cut
-        rows.append([trial, seed, len(ham.terms), total, res_strength])
+        rows.append([trial, seed, ham.n_terms, total, res_strength])
     lo1, hi1 = wilson_interval(below_low, cfg.trials)
     lo2, hi2 = wilson_interval(above_cut, cfg.trials)
     summary = {
@@ -202,13 +205,7 @@ def run_ssyk_concentration(cfg: StudyConfig) -> StudyResult:
         "k_prime": k_prime,
     }
     return StudyResult(
-        header=[
-            "trial",
-            "seed",
-            "n_terms",
-            "total_strength_unit",
-            "residual_strength_unit",
-        ],
+        header=["trial", "seed", "n_terms", "total_strength_unit", "residual_strength_unit"],
         rows=rows,
         summary=summary,
     )
@@ -219,9 +216,9 @@ def run_ssyk_concentration(cfg: StudyConfig) -> StudyResult:
 
 def _bench_instance(cfg: StudyConfig, seed: int):
     """One draw of the pipeline's own ensemble, and its certified state."""
-    pipeline = cfg.pipeline or "strictq"
+    pipeline, q = cfg.pipeline or "strictq", 4 if cfg.q is None else cfg.q
     if pipeline == "strictq":
-        ham = ensembles.gen_sparse_random(cfg.n, cfg.q or 4, cfg.k, "normal", seed)
+        ham = ensembles.gen_sparse_random(cfg.n, q, cfg.k, "normal", seed)
     elif pipeline == "mixed24":
         ham = ensembles.gen_mixed_24(cfg.n, cfg.k, seed)
     else:  # "ssyk", the one pipeline left: StudyConfig rejects any other
@@ -258,16 +255,8 @@ def run_ratio_bench(cfg: StudyConfig) -> StudyResult:
         "n_guaranteed": len(guaranteed_ratios),
     }
     return StudyResult(
-        header=[
-            "trial",
-            "seed",
-            "achieved",
-            "total_strength",
-            "ratio_vs_strength",
-            "guarantee_holds",
-            "lambda_max",
-            "ratio_vs_lambda_max",
-        ],
+        header=["trial", "seed", "achieved", "total_strength", "ratio_vs_strength",
+                "guarantee_holds", "lambda_max", "ratio_vs_lambda_max"],
         rows=rows,
         summary=summary,
     )
@@ -300,7 +289,7 @@ def run_syk_scaling(cfg: StudyConfig) -> StudyResult:
     Qualitative by design: the underlying statements are asymptotic and
     high-probability, so only the direction of the medians is checked here.
     """
-    q = cfg.q or 4
+    q = 4 if cfg.q is None else cfg.q
     sizes = cfg.size_grid or (4, 5, 6, 7, 8)
     rows = []
     per_size: dict[int, list[float]] = {n: [] for n in sizes}
@@ -346,7 +335,7 @@ def run_theta_sweep_study(cfg: StudyConfig) -> StudyResult:
     positive = 0
     for trial in range(cfg.trials):
         seed = trial_seed(cfg.base_seed, trial)
-        ham2, meta = ensembles.gen_two_colored(cfg.n1, cfg.n2, cfg.q or 4, seed)
+        ham2, meta = ensembles.gen_two_colored(cfg.n1, cfg.n2, 4 if cfg.q is None else cfg.q, seed)
         commutator, finite_diff = sweep_slope(ham2, meta)
         curve = rho_theta_sweep(ham2, meta)
         best_theta, best_value = max(curve, key=lambda tv: tv[1])

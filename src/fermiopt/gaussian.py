@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hamiltonian import (
-    FormatError,
-    InteractionTerm,
-    MajoranaHamiltonian,
-    _is_int,
-    canonical_sign,
-)
+from .hamiltonian import FormatError, MajoranaHamiltonian, _is_int, _load_json, canonical_sign
 
 ANTISYM_TOL = 1e-12
 SINGVAL_TOL = 1e-9
@@ -441,24 +435,26 @@ def matching_state_expectation(
     return total
 
 
-def assign_signs(matching: Matching, targets: Iterable[InteractionTerm]) -> SignAssignment:
-    """Pick dimer signs so every target term contributes ``+|J|``.
+def assign_signs(matching: Matching, ham: MajoranaHamiltonian, ids) -> SignAssignment:
+    """Pick dimer signs so every target term ``ids`` of ``ham`` gives ``+|J|``.
 
     Target supports must be pairwise disjoint and each consistent with the
     matching; at most one dimer per target is flipped (its lowest pair).
     Pairs not touched by any target keep the sign +1; a target finds its
     dimers at +1, so it flips when its parity and the sign of J disagree.
     """
+    index, ids = ham.index, np.asarray(ids, dtype=np.intp).reshape(-1)
     used: set[int] = set()
     flipped = []  # the lower Majorana of each flipped dimer
-    for term in targets:
-        if used & set(term.indices):
+    for row, coeff in zip(index.padded[ids].tolist(), index.coeffs[ids].tolist()):
+        indices = tuple(i for i in row if i >= 0)
+        if used & set(indices):
             raise ValueError("targets not disjoint")
-        used.update(term.indices)
-        verdict = classify_consistency(matching, term.indices)
+        used.update(indices)
+        verdict = classify_consistency(matching, indices)
         if not verdict.consistent:
-            raise ValueError(f"target {term.indices} is inconsistent with the matching")
-        if term.coeff != 0.0 and verdict.sign * (1 if term.coeff > 0 else -1) < 0:
+            raise ValueError(f"target {indices} is inconsistent with the matching")
+        if coeff != 0.0 and verdict.sign * (1 if coeff > 0 else -1) < 0:
             flipped.append(verdict.inner_pairs[0][0])
     values = np.ones(matching.n_majoranas // 2, dtype=np.int64)
     values[np.searchsorted(matching.dimers[:, 0], flipped)] = -1
@@ -480,7 +476,7 @@ def state_from_json(text: str) -> tuple[Matching, SignAssignment]:
     """Parse what ``state_to_json`` writes: a JSON integer ``n_modes``, pairs
     of JSON integers in increasing order and one sign per pair, the integer
     1 or -1 (a bool is not an integer here); else ``FormatError("malformed")``."""
-    doc = json.loads(text)
+    doc = _load_json(text)
     if not (
         isinstance(doc, dict)
         and _is_int(n_modes := doc.get("n_modes"))

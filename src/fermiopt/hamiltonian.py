@@ -4,20 +4,17 @@ A system of ``2n`` Majorana operators ``c_0, ..., c_{2n-1}`` (0-based
 throughout) hosts Hamiltonians of the form ``H = sum_I J_I C_I`` where each
 ``C_I = i^{|I|/2} c_{i_1} ... c_{i_q}`` is a Hermitian monomial over a
 strictly increasing, even-sized index set ``I``.  This module provides the
-term/Hamiltonian containers, locality and sparsity bookkeeping, reordering
-signs, and the JSON wire format.
+Hamiltonian container, which holds its terms as one read-only array index,
+one validator for every way of building it, locality and sparsity
+bookkeeping, reordering signs, and the JSON wire format.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
-import operator
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,84 +33,50 @@ class FormatError(ValueError):
 
 
 def canonical_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Sort Majorana indices, returning the parity sign of the permutation.
-
-    Parameters
-    ----------
-    indices:
-        Pairwise-distinct mode indices in any order.
-
-    Returns
-    -------
-    (sorted_indices, sign) where ``sign`` is +1 for an even sorting
-    permutation and -1 for an odd one.
-    """
+    """Sort pairwise-distinct Majorana indices: ``(sorted_indices, sign)``,
+    ``sign`` +1 for an even sorting permutation and -1 for an odd one."""
     seq = list(indices)
     if len(set(seq)) != len(seq):
         raise FormatError("repeated-majorana", f"repeated Majorana in {seq}")
-    sign = 1
-    # insertion sort; input sizes are term weights (tiny)
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(seq), sign
+    # the parity of the inversions; input sizes are term weights (tiny)
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+    return tuple(sorted(seq)), 1 - 2 * (inversions & 1)
 
 
 @dataclass(frozen=True)
 class InteractionTerm:
-    """A coefficient-weighted Majorana monomial ``J * C_I``.
-
-    ``indices`` must be strictly increasing, of even length >= 2, and
-    ``coeff`` finite.  Instances are immutable and hashable on ``indices``.
-    """
+    """A coefficient-weighted Majorana monomial ``J * C_I``: one entry of
+    ``MajoranaHamiltonian.terms``.  The Hamiltonian checks its terms; a term
+    on its own is not checked."""
 
     indices: tuple[int, ...]
     coeff: float
-
-    def __post_init__(self):
-        idx = tuple(map(int, self.indices))
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "coeff", float(self.coeff))
-        if len(idx) == 0 or len(idx) % 2 != 0:
-            raise FormatError("odd-weight", f"term weight must be even and >= 2, got {idx}")
-        if any(map(operator.le, idx[1:], idx)):
-            if len(set(idx)) != len(idx):
-                raise FormatError("repeated-majorana", f"repeated Majorana in {idx}")
-            raise FormatError("malformed", f"indices must be strictly increasing, got {idx}")
-        if idx[0] < 0:  # strictly increasing, so the first index is the least
-            raise FormatError("index-range", f"negative Majorana index in {idx}")
-        if not math.isfinite(self.coeff):
-            raise FormatError("malformed", f"non-finite coefficient {self.coeff}")
 
     @property
     def weight(self) -> int:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsityProfile:
-    """Per-Majorana interaction counts of a Hamiltonian.
+    """Per-Majorana interaction counts: ``degree[c]`` (read-only) terms
+    contain Majorana ``c``, and ``max_degree`` is the smallest ``k`` for
+    which the Hamiltonian is k-sparse."""
 
-    ``max_degree`` is the smallest ``k`` for which the Hamiltonian is
-    k-sparse (no Majorana occurs in more than ``k`` terms).
-    """
-
-    degree: Mapping[int, int]
+    degree: np.ndarray
     max_degree: int
-    weights_present: frozenset[int] = field(default_factory=frozenset)
+    weights_present: frozenset[int]
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.flags.writeable = False
+def _read_only(array: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    for each in (array, *more):
+        each.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
 class TermIndex:
-    """A Hamiltonian's terms as arrays, built once and shared read-only.
+    """A Hamiltonian's terms as read-only arrays: the one copy it holds.
 
     ``modes[term_ptr[t]:term_ptr[t + 1]]`` are the Majoranas of term ``t``
     in increasing order, ``coeffs`` and ``weights`` are per term, and
@@ -121,28 +84,21 @@ class TermIndex:
     containing Majorana ``c``, ascending.
     """
 
+    _n_majoranas: int
     term_ptr: np.ndarray
     modes: np.ndarray
     coeffs: np.ndarray
     weights: np.ndarray
-    mode_ptr: np.ndarray
-    mode_term_ids: np.ndarray
 
-    @classmethod
-    def build(cls, terms: Sequence[InteractionTerm], n_majoranas: int) -> "TermIndex":
-        n_terms = len(terms)
-        weights = np.fromiter(map(len, (t.indices for t in terms)), np.intp, count=n_terms)
-        term_ptr = np.zeros(n_terms + 1, np.intp)
-        np.cumsum(weights, out=term_ptr[1:])
-        flat = itertools.chain.from_iterable(t.indices for t in terms)
-        modes = np.fromiter(flat, np.intp, count=int(term_ptr[-1]))
-        coeffs = np.fromiter((t.coeff for t in terms), float, count=n_terms)
-        owner = np.repeat(np.arange(n_terms, dtype=np.intp), weights)
-        mode_term_ids = owner[np.argsort(modes, kind="stable")]
-        mode_ptr = np.zeros(n_majoranas + 1, np.intp)
-        np.cumsum(np.bincount(modes, minlength=n_majoranas), out=mode_ptr[1:])
-        _read_only(term_ptr, modes, coeffs, weights, mode_ptr, mode_term_ids)
-        return cls(term_ptr, modes, coeffs, weights, mode_ptr, mode_term_ids)
+    @cached_property
+    def mode_ptr(self) -> np.ndarray:
+        degree = np.bincount(self.modes, minlength=self._n_majoranas)
+        return _read_only(np.concatenate(([0], np.cumsum(degree))))
+
+    @cached_property
+    def mode_term_ids(self) -> np.ndarray:
+        owner = np.repeat(np.arange(self.weights.size), self.weights)
+        return _read_only(owner[np.argsort(self.modes, kind="stable")])
 
     @cached_property
     def padded(self) -> np.ndarray:
@@ -152,8 +108,7 @@ class TermIndex:
         out = np.full((n_terms, int(self.weights.max(initial=1))), -1, dtype=np.intp)
         owner = np.repeat(np.arange(n_terms), self.weights)
         out[owner, np.arange(self.modes.size) - self.term_ptr[owner]] = self.modes
-        _read_only(out)
-        return out
+        return _read_only(out)
 
     @cached_property
     def lex_rank(self) -> np.ndarray:
@@ -161,8 +116,7 @@ class TermIndex:
         the -1 padding puts a prefix first, as with tuples."""
         rank = np.empty(self.weights.size, dtype=np.intp)
         rank[np.lexsort(self.padded.T[::-1])] = np.arange(self.weights.size)
-        _read_only(rank)
-        return rank
+        return _read_only(rank)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
@@ -178,55 +132,126 @@ class TermIndex:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+def _check_terms(term_ptr, modes, coeffs):
+    """Copies ``(term_ptr, weights, modes, coeffs)`` of a term list with no
+    term at fault on its own (odd or zero weight, indices not increasing,
+    negative index, non-finite coefficient); else the first term's first
+    fault.  An index past int64 keeps ``modes`` an exact object array."""
+    term_ptr, coeffs = np.array(term_ptr, dtype=np.intp), np.array(coeffs, dtype=float)
+    try:
+        modes = np.array(modes, dtype=np.intp)
+    except OverflowError:
+        modes = np.array(modes, dtype=object)
+    weights, n_terms = np.diff(term_ptr), coeffs.size
+    ends = term_ptr[:1].tolist() == [0] and term_ptr[-1] == modes.size and modes.ndim == 1
+    if not (ends and weights.shape == coeffs.shape and (weights >= 0).all()):
+        raise FormatError("malformed", "term_ptr, modes and coeffs do not list one set of terms")
+    owner = np.repeat(np.arange(n_terms), weights)
+    odd = (weights % 2 == 1) | (weights == 0)
+    drop = (modes[1:] <= modes[:-1]) & (owner[1:] == owner[:-1])
+    unsorted = np.bincount(owner[1:], drop, minlength=n_terms) > 0
+    negative = np.bincount(owner, modes < 0, minlength=n_terms) > 0  # any, when increasing
+    bad = odd | unsorted | negative | ~np.isfinite(coeffs)
+    if not bad.any():
+        return term_ptr, weights, modes, coeffs
+    t = int(bad.argmax())
+    idx = tuple(modes[term_ptr[t] : term_ptr[t + 1]].tolist())
+    if odd[t]:
+        raise FormatError("odd-weight", f"term weight must be even and >= 2, got {idx}")
+    if unsorted[t] and len(set(idx)) != len(idx):
+        raise FormatError("repeated-majorana", f"repeated Majorana in {idx}")
+    if unsorted[t]:
+        raise FormatError("malformed", f"indices must be strictly increasing, got {idx}")
+    if negative[t]:
+        raise FormatError("index-range", f"negative Majorana index in {idx}")
+    raise FormatError("malformed", f"non-finite coefficient {coeffs[t]}")
+
+
+def _checked_index(n_modes: int, term_ptr, modes, coeffs) -> TermIndex:
+    """A read-only ``TermIndex`` of copies of the arrays, or the first fault
+    that reading the terms one by one finds: each term's own, then the mode
+    count, then term by term an index out of range or a repeated index set."""
+    term_ptr, weights, modes, coeffs = _check_terms(term_ptr, modes, coeffs)
+    if n_modes < 1:
+        raise FormatError("malformed", f"n_modes must be positive, got {n_modes}")
+    m, n_terms = 2 * n_modes, weights.size
+    # every index is now >= 0; clipped at m, only the out-of-range terms
+    # change, and a duplicate among terms before the first of them is exact
+    index = TermIndex(m, term_ptr, np.minimum(modes, m).astype(np.intp), coeffs, weights)
+    _read_only(index.term_ptr, index.modes, coeffs, weights)
+    first_out = int(np.append(index.modes[term_ptr[1:] - 1] == m, True).argmax())  # n_terms: none
+    by_tuple = np.argsort(index.lex_rank)  # equal index sets in term order
+    rows = index.padded[by_tuple]
+    repeats = by_tuple[1:][(rows[1:] == rows[:-1]).all(axis=1)]
+    first_repeat = int(repeats.min(initial=n_terms))
+    if first_out < n_terms and first_out <= first_repeat:
+        last = modes[term_ptr[first_out + 1] - 1]
+        raise FormatError("index-range", f"index {last} out of range for {m} Majoranas")
+    if first_repeat < n_terms:
+        idx = tuple(index.padded[first_repeat][: weights[first_repeat]].tolist())
+        raise FormatError("duplicate-term", f"duplicate index set {idx}")
+    return index
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MajoranaHamiltonian:
     """A traceless Hamiltonian ``sum_I J_I C_I`` on ``2 * n_modes`` Majoranas.
 
     Index sets are pairwise distinct; all indices lie in ``[0, 2*n_modes)``.
-    It carries its own read-only indexes, each built once: ``term_id``
-    (index tuple -> term id) and the array ``index``, which every certify
-    and Wick layer reads and from which the profile behind
-    ``sparsity_profile`` derives.
+    The terms are held once, as the read-only arrays of ``index`` that every
+    layer reads, built by ``from_arrays`` and its one validator, into which
+    ``MajoranaHamiltonian(n_modes, terms)`` flattens ``InteractionTerm``s.
+    ``terms`` is that tuple again, built on first read, for tests and tools.
     """
 
     n_modes: int
-    terms: tuple[InteractionTerm, ...]
-    term_id: Mapping[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    index: TermIndex
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if self.n_modes < 1:
-            raise FormatError("malformed", f"n_modes must be positive, got {self.n_modes}")
-        term_id: dict[tuple[int, ...], int] = {}
-        for t_id, t in enumerate(self.terms):
-            if t.indices[-1] >= 2 * self.n_modes:
-                raise FormatError(
-                    "index-range",
-                    f"index {t.indices[-1]} out of range for {2 * self.n_modes} Majoranas",
-                )
-            if term_id.setdefault(t.indices, t_id) != t_id:
-                raise FormatError("duplicate-term", f"duplicate index set {t.indices}")
-        object.__setattr__(self, "term_id", MappingProxyType(term_id))
+    def __init__(self, n_modes: int, terms: Iterable[InteractionTerm] = ()):
+        terms = tuple(terms)
+        ptr = np.cumsum([0, *(len(t.indices) for t in terms)])
+        modes, coeffs = [i for t in terms for i in t.indices], [t.coeff for t in terms]
+        self.__dict__.update(self.from_arrays(n_modes, ptr, modes, coeffs).__dict__)
 
-    def __reduce__(self):  # the indexes are derived: pickle the terms alone
-        return (MajoranaHamiltonian, (self.n_modes, self.terms))
+    @classmethod
+    def from_arrays(cls, n_modes: int, term_ptr, modes, coeffs) -> "MajoranaHamiltonian":
+        """Term ``t`` is ``modes[term_ptr[t]:term_ptr[t + 1]]`` (increasing)
+        with coefficient ``coeffs[t]``; the arrays are copied and checked."""
+        ham = cls.__new__(cls)
+        index = _checked_index(n_modes, term_ptr, modes, coeffs)
+        ham.__dict__.update(n_modes=n_modes, index=index)
+        return ham
+
+    def _args(self) -> tuple:
+        """The ``from_arrays`` arguments that build this Hamiltonian again."""
+        return self.n_modes, self.index.term_ptr, self.index.modes, self.index.coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, MajoranaHamiltonian):
+            return NotImplemented
+        return all(map(np.array_equal, self._args(), other._args()))
+
+    def __reduce__(self):  # the arrays alone; the derived ones are rebuilt
+        return (MajoranaHamiltonian.from_arrays, self._args())
 
     @property
     def n_majoranas(self) -> int:
         return 2 * self.n_modes
 
+    @property
+    def n_terms(self) -> int:
+        return self.index.coeffs.size
+
     @cached_property
-    def index(self) -> TermIndex:
-        return TermIndex.build(self.terms, self.n_majoranas)
+    def terms(self) -> tuple[InteractionTerm, ...]:
+        ptr, modes, coeffs = (array.tolist() for array in self._args()[1:])
+        return tuple(InteractionTerm(tuple(modes[a:b]), c) for a, b, c in zip(ptr, ptr[1:], coeffs))
 
     @cached_property
     def _profile(self) -> SparsityProfile:
-        degree = np.diff(self.index.mode_ptr)
-        return SparsityProfile(
-            degree=MappingProxyType(dict(enumerate(degree.tolist()))),
-            max_degree=int(degree.max()),
-            weights_present=frozenset(np.unique(self.index.weights).tolist()),
-        )
+        degree = _read_only(np.diff(self.index.mode_ptr))
+        weights = frozenset(np.unique(self.index.weights).tolist())
+        return SparsityProfile(degree, int(degree.max()), weights)
 
 
 def sparsity_profile(ham: MajoranaHamiltonian) -> SparsityProfile:
@@ -237,6 +262,14 @@ def sparsity_profile(ham: MajoranaHamiltonian) -> SparsityProfile:
 def total_strength(ham: MajoranaHamiltonian) -> float:
     """Sum of |J_I| over all terms; an upper bound on the largest eigenvalue."""
     return float(sum(np.abs(ham.index.coeffs).tolist()))
+
+
+def _load_json(text: str):
+    """``json.loads`` for every reader; any failure, deep nesting too, is malformed."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also integers past the digit limit
+        raise FormatError("malformed", f"not valid JSON: {exc}") from exc
 
 
 def _is_int(value) -> bool:
@@ -263,18 +296,12 @@ def dataclass_fields_from_json(cls, doc, int_fields: Iterable[str]) -> dict:
 
 
 def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
-    """Parse the Hamiltonian JSON document.
-
-    Schema: ``{"n_modes": int, "terms": [{"indices": [int...], "coeff": float}...]}``
+    """Parse ``{"n_modes": int, "terms": [{"indices": [int...], "coeff": float}...]}``
     with strictly increasing, even-length index lists.  Counts and indices
     must be JSON integers and coefficients JSON numbers; bools, strings and
     fractional indices are rejected, never coerced, and ``n_modes`` is at
-    most ``2**17``.
-    """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also integers past Python's digit limit
-        raise FormatError("malformed", f"not valid JSON: {exc}") from exc
+    most ``2**17``."""
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "n_modes" not in doc or "terms" not in doc:
         raise FormatError("malformed", "document must carry 'n_modes' and 'terms'")
     n_modes = doc["n_modes"]
@@ -287,29 +314,32 @@ def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):
         raise FormatError("malformed", "'terms' must be a list")
-    terms = []
+    term_ptr, modes, coeffs = [0], [], []
+
+    def malformed(message: str) -> FormatError:
+        # the entries before this one were read first: their own faults come first
+        _check_terms(term_ptr, modes, coeffs)
+        return FormatError("malformed", message)
+
     for entry in raw_terms:
         if not isinstance(entry, dict) or "indices" not in entry or "coeff" not in entry:
-            raise FormatError("malformed", f"bad term entry {entry!r}")
+            raise malformed(f"bad term entry {entry!r}")
         indices, coeff = entry["indices"], entry["coeff"]
         if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
-            raise FormatError("malformed", f"indices must be a list of integers, got {indices!r}")
+            raise malformed(f"indices must be a list of integers, got {indices!r}")
         if not (_is_int(coeff) or isinstance(coeff, float)):
-            raise FormatError("malformed", f"coefficient must be a number, got {coeff!r}")
+            raise malformed(f"coefficient must be a number, got {coeff!r}")
         try:
-            coeff = float(coeff)
+            coeffs.append(float(coeff))
         except OverflowError:
-            raise FormatError("malformed", "coefficient out of float range") from None
-        terms.append(InteractionTerm(tuple(indices), coeff))
-    return MajoranaHamiltonian(n_modes=n_modes, terms=tuple(terms))
+            raise malformed("coefficient out of float range") from None
+        modes.extend(indices)
+        term_ptr.append(len(modes))
+    return MajoranaHamiltonian.from_arrays(n_modes, term_ptr, modes, coeffs)
 
 
 def serialize_hamiltonian(ham: MajoranaHamiltonian) -> str:
     """Serialize to the JSON wire format (stable key order, round-trip safe)."""
-    doc = {
-        "n_modes": ham.n_modes,
-        "terms": [
-            {"indices": list(t.indices), "coeff": t.coeff} for t in ham.terms
-        ],
-    }
-    return json.dumps(doc, indent=1, sort_keys=False)
+    ptr, modes, coeffs = (array.tolist() for array in ham._args()[1:])
+    terms = [{"indices": modes[a:b], "coeff": c} for a, b, c in zip(ptr, ptr[1:], coeffs)]
+    return json.dumps({"n_modes": ham.n_modes, "terms": terms}, indent=1, sort_keys=False)

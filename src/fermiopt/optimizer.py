@@ -37,7 +37,7 @@ from .gaussian import (
     matching_state_expectation,
     signed_matching,
 )
-from .hamiltonian import InteractionTerm, MajoranaHamiltonian, sparsity_profile, total_strength
+from .hamiltonian import MajoranaHamiltonian, sparsity_profile, total_strength
 
 PIPELINE_STRICTQ = "strictq"
 PIPELINE_MIXED24 = "mixed24"
@@ -201,7 +201,7 @@ def optimize_strict_q(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     weights = sparsity_profile(ham).weights_present
     if len(weights) > 1:
         raise ValueError(f"strictly local Hamiltonian required, weights {sorted(weights)}")
-    if not ham.terms:
+    if not ham.n_terms:
         bound = part_bound(2, 1)
         return _best_effort(
             ham, PIPELINE_STRICTQ, bound, 1.0 / bound, ["no terms; nothing to certify"]
@@ -209,7 +209,7 @@ def optimize_strict_q(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     partition = diffuse_partition(ham, sparsity=k)
 
     def build(key, ids, value, matching):
-        signs = assign_signs(matching, [ham.terms[i] for i in ids])
+        signs = assign_signs(matching, ham, ids)
         check = matching_state_expectation(matching, signs, ham)
         if not math.isclose(check, value, rel_tol=1e-9, abs_tol=1e-12):
             raise ContractError(f"closed form {check} disagrees with the part weight {value}")
@@ -230,12 +230,12 @@ def lift_to_strict4(ham: MajoranaHamiltonian) -> MajoranaHamiltonian:
     weights = sparsity_profile(ham).weights_present
     if not weights <= {2, 4}:
         raise ValueError(f"weights must be within {{2, 4}}, got {sorted(weights)}")
-    aux = (ham.n_majoranas, ham.n_majoranas + 1)
-    lifted_terms = [
-        InteractionTerm(term.indices + aux, -term.coeff) if term.weight == 2 else term
-        for term in ham.terms
-    ]
-    return MajoranaHamiltonian(n_modes=ham.n_modes + 1, terms=tuple(lifted_terms))
+    index = ham.index  # padded is 2 or 4 wide, or 1 when there are no terms
+    rows = np.hstack((index.padded, np.full((index.weights.size, 4 - index.padded.shape[1]), -1)))
+    rows[rows[:, 3] < 0, 2:] = (ham.n_majoranas, ham.n_majoranas + 1)
+    coeffs = np.where(index.weights == 2, -index.coeffs, index.coeffs)
+    ptr = np.arange(0, rows.size + 1, 4)
+    return MajoranaHamiltonian.from_arrays(ham.n_modes + 1, ptr, rows.ravel(), coeffs)
 
 
 def pull_back(
@@ -330,7 +330,7 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     the construction stayed on the guaranteed path.
     """
     lifted = lift_to_strict4(ham)  # rejects weights outside {2, 4}
-    if not ham.terms:
+    if not ham.n_terms:
         bound = part_bound(4, 1)
         return _best_effort(
             ham, PIPELINE_MIXED24, bound, 1.0 / (2 * bound), ["no terms; nothing to certify"]
@@ -340,7 +340,7 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
 
     def build(key, ids, value, matching):
         dimers = matching.dimers
-        values = assign_signs(matching, [ham.terms[i] for i in ids]).signs
+        values = assign_signs(matching, ham, ids).signs
         if key[0] == 1:
             # weight-2 branch: append the auxiliary dimer, the last one, in
             # the state that makes every lifted coefficient count positively
@@ -354,7 +354,8 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
                 raise DiracError("no outer edge available to mark")
             i1, i2 = dimers[outer[0]].tolist()
             # outer edges are permitted edges, so never a weight-2 term
-            if (i1, i2) in ham.term_id:
+            blocks = ham.index.blocks
+            if any(w == 2 and (rows == (i1, i2)).all(axis=1).any() for w, _, rows in blocks):
                 raise ContractError(f"marked outer edge {(i1, i2)} is a weight-2 term")
             rerouted = [(i1, aux[0]), (i2, aux[1])]
             dimers = np.vstack((np.delete(dimers, outer[0], axis=0), rerouted))
@@ -388,15 +389,15 @@ def truncate_to_sparse(
     mode = np.repeat(np.arange(ham.n_majoranas), np.diff(index.mode_ptr))
     ids = index.mode_term_ids[np.lexsort((index.lex_rank[index.mode_term_ids], mode))]
     beyond = np.arange(ids.size) - index.mode_ptr[mode] >= k_prime
-    marked = np.zeros(len(ham.terms), dtype=bool)
+    marked = np.zeros(ham.n_terms, dtype=bool)
     marked[ids[beyond]] = True
-    marks = marked.tolist()
-    core = tuple(t for t, cut in zip(ham.terms, marks) if not cut)
-    residual = tuple(t for t, cut in zip(ham.terms, marks) if cut)
-    return (
-        MajoranaHamiltonian(n_modes=ham.n_modes, terms=core),
-        MajoranaHamiltonian(n_modes=ham.n_modes, terms=residual),
-    )
+
+    def part(keep: np.ndarray) -> MajoranaHamiltonian:
+        term_ptr = np.concatenate(([0], np.cumsum(index.weights[keep])))
+        modes = index.modes[np.repeat(keep, index.weights)]
+        return MajoranaHamiltonian.from_arrays(ham.n_modes, term_ptr, modes, index.coeffs[keep])
+
+    return part(~marked), part(marked)
 
 
 def ssyk_part_bound(k: int) -> int:
@@ -417,13 +418,13 @@ def optimize_ssyk(ham: MajoranaHamiltonian, k: int) -> OptimizationResult:
     and the ratio inequality itself (the underlying statement is a
     high-probability one, so a rare draw may miss it).
     """
-    if ham.terms and sparsity_profile(ham).weights_present != {4}:
+    if ham.n_terms and sparsity_profile(ham).weights_present != {4}:
         raise ValueError("strictly 4-local input required")
     k_prime = 8 * (k + 1)
     bound = ssyk_part_bound(k)
     ratio = 1.0 / bound
     core, residual = truncate_to_sparse(ham, k_prime)
-    if not core.terms:
+    if not core.n_terms:
         return _best_effort(ham, PIPELINE_SSYK, bound, ratio, ["empty core after truncation"])
     inner = optimize_strict_q(core, k=k_prime)
     residual_value = matching_state_expectation(inner.matching, inner.signs, residual)

@@ -93,10 +93,7 @@ def _pauli_sum(x, z, scalars, n_modes: int) -> list[tuple[np.ndarray, np.ndarray
 def _hamiltonian_sum(ham: MajoranaHamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pauli sum of ``sum_I J_I C_I``, strings built one weight block at a time."""
     index = ham.index
-    n_terms = index.coeffs.size
-    x = np.zeros(n_terms, dtype=np.int64)
-    z = np.zeros(n_terms, dtype=np.int64)
-    power = np.zeros(n_terms, dtype=np.int64)
+    x, z, power = (np.zeros(ham.n_terms, dtype=np.int64) for _ in range(3))
     for w, ids, rows in index.blocks:
         x[ids], z[ids], power[ids] = _strings(rows)
         power[ids] += w // 2  # C_I = i^{q/2} c_{i1} ... c_{iq}
@@ -158,7 +155,7 @@ def matvec_operator(ham: MajoranaHamiltonian):
 
 def lambda_max_exact(ham: MajoranaHamiltonian, method: str = "auto") -> float:
     """Largest eigenvalue of H, dense (<=10 modes) or Lanczos (<=16 modes)."""
-    if not ham.terms:
+    if not ham.n_terms:
         return 0.0
     if method == "auto":
         method = "dense" if ham.n_modes <= DENSE_EIG_MODE_BUDGET else "iterative"
@@ -288,7 +285,7 @@ def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
     zeta = _string_matrix(_pauli_sum(x, z, scale * couplings * _UNITS[power & 3], n_modes), n_modes)
 
     # the model Hamiltonian acts on the first n1 + n2 Majoranas only
-    embedded = MajoranaHamiltonian(n_modes=n_modes, terms=ham2.terms)
+    embedded = MajoranaHamiltonian.from_arrays(n_modes, *ham2._args()[1:])
     hmat = dense_hamiltonian(embedded).matrix
 
     dimers = [((n1 + j, n1 + n2 + j), -1) for j in range(n2)]

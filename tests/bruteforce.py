@@ -437,9 +437,10 @@ def repair_two_mode_overlaps_by_dict(matching, signs, ham):
     from fermiopt.gaussian import SignAssignment, classify_consistency
 
     sd = signs.as_dict()
+    term_id = {t.indices: t_id for t_id, t in enumerate(ham.terms)}
 
     def riding(pair):
-        t_id = ham.term_id.get(pair)
+        t_id = term_id.get(pair)
         return 0.0 if t_id is None else ham.terms[t_id].coeff * sd[pair]
 
     seen_pairs = set()
@@ -462,14 +463,15 @@ def repair_two_mode_overlaps_by_dict(matching, signs, ham):
 def repair_two_mode_overlaps_per_quartic(matching, signs, ham):
     """The array sign repair as it was before it read the closed form's
     gather: ``classify_consistency`` per quartic in term order, the riding
-    weight-2 coefficients looked up through ``term_id``."""
+    weight-2 coefficients looked up by index tuple."""
     from fermiopt.gaussian import SignAssignment, classify_consistency
 
     values = signs.signs.copy()
     lows = matching.dimers[:, 0]
+    term_id = {t.indices: t_id for t_id, t in enumerate(ham.terms)}
 
     def riding(pair: tuple[int, int], dimer: int) -> float:
-        t_id = ham.term_id.get(pair)
+        t_id = term_id.get(pair)
         return 0.0 if t_id is None else ham.terms[t_id].coeff * int(values[dimer])
 
     seen: set[int] = set()
@@ -827,3 +829,46 @@ def conditioned_by_schur(tilde_matching, tilde_signs) -> list[tuple[float, np.nd
         prob, reduced = condition_on_dimer(corr, m - 2, m - 1, outcome)
         out.append((prob, reduced.gamma))
     return out
+
+
+# -------------------------------------------------------------------------
+# The checks a Hamiltonian's terms went through one term at a time, before
+# the terms became arrays: each term's own checks when it was built, then
+# the mode count, then per term its range and whether an earlier term has
+# its index set.
+
+
+def own_term_fault(indices, coeff) -> tuple[str, str] | None:
+    """``(code, message)`` of a term's own first fault, or None."""
+    idx = tuple(indices)
+    if len(idx) == 0 or len(idx) % 2 != 0:
+        return "odd-weight", f"term weight must be even and >= 2, got {idx}"
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        if len(set(idx)) != len(idx):
+            return "repeated-majorana", f"repeated Majorana in {idx}"
+        return "malformed", f"indices must be strictly increasing, got {idx}"
+    if idx[0] < 0:
+        return "index-range", f"negative Majorana index in {idx}"
+    if not math.isfinite(coeff):
+        return "malformed", f"non-finite coefficient {float(coeff)}"
+    return None
+
+
+def first_fault_per_term(n_modes: int, terms) -> tuple[str, str] | None:
+    """``(code, message)`` of the first fault of ``(indices, coeff)`` pairs
+    on ``n_modes`` modes, in the order the per-term checks found it."""
+    for indices, coeff in terms:
+        fault = own_term_fault(indices, coeff)
+        if fault is not None:
+            return fault
+    if n_modes < 1:
+        return "malformed", f"n_modes must be positive, got {n_modes}"
+    seen = set()
+    for indices, _ in terms:
+        idx = tuple(indices)
+        if idx[-1] >= 2 * n_modes:
+            return "index-range", f"index {idx[-1]} out of range for {2 * n_modes} Majoranas"
+        if idx in seen:
+            return "duplicate-term", f"duplicate index set {idx}"
+        seen.add(idx)
+    return None

@@ -206,7 +206,7 @@ def test_criterion_4_mixed_route_and_pull_back():
             lifted = lift_to_strict4(ham)
             quartic_id = next(i for i, t in enumerate(ham.terms) if t.weight == 4)
             matching, _ = diffuse_matching(ham, [quartic_id])
-            signs = assign_signs(matching, [ham.terms[quartic_id]])
+            signs = assign_signs(matching, ham, [quartic_id])
             support = set(ham.terms[quartic_id].indices)
             i1, i2 = next(p for p in matching.pairs if not set(p) & support)
             kept = tuple(p for p in matching.pairs if p != (i1, i2))

@@ -427,6 +427,28 @@ def test_verify_rejects_state_that_is_not_json(tmp_path, capsys):
     _one_error_line(capsys)
 
 
+DEEP = "[" * 100_000
+
+
+def test_every_document_reader_ends_deep_nesting_in_one_line(tmp_path, capsys):
+    h, h2, deep = tmp_path / "h.json", tmp_path / "h2.json", tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    h.write_text(json.dumps({"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": 2.0}]}))
+    run(["gen", "--family", "two_colored", "--n1", "6", "--n2", "2", "--q", "4",
+         "--seed", "5", "--out", str(h2)])
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    for argv in (
+        ["optimize", "--in", str(deep), "--out-state", out, "--out-cert", out],
+        ["verify", "--in", str(h), "--state", str(deep)],
+        ["study", "--config", str(deep)],
+        ["sweep-theta", "--in", str(h2), "--spec", str(deep), "--out", out],
+    ):
+        assert run(argv) == 1
+        assert "not valid JSON" in _one_error_line(capsys).err
+    assert not Path(out).exists()
+
+
 @pytest.mark.parametrize("signs", [[1, 1], [-1, 1], [1, -1]])
 def test_verify_accepts_matching_state(tmp_path, capsys, signs):
     assert _verify(tmp_path, json.dumps({"n_modes": 2, "pairs": _PAIRS, "signs": signs})) == 0
@@ -457,6 +479,9 @@ BAD_CONFIGS = [
     ("'pipeline'", {"pipeline": "bogus"}),
     ("'q'", {"pipeline": "mixed24"}),
     ("'q'", {"pipeline": "ssyk"}),
+    ("'q'", {"q": 0}),
+    ("'q'", {"q": 3}),
+    ("'q'", {"q": -2}),
     ("restarts", {"restarts": False}),
     ("size_grid", {"size_grid": [4, "5"]}),
     ("size_grid", {"size_grid": 4}),

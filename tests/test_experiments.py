@@ -7,6 +7,7 @@ import pytest
 from fermiopt.experiments import (
     STUDIES,
     StudyConfig,
+    _bench_instance,
     run_ratio_bench,
     run_ssyk_concentration,
     run_study,
@@ -67,6 +68,29 @@ def test_ratio_bench_rejects_q_for_a_pipeline_that_never_reads_it(pipeline):
         StudyConfig(
             study="ratio_bench", trials=1, base_seed=0, pipeline=pipeline, n=20, q=6, k=2
         )
+
+
+@pytest.mark.parametrize(
+    "study,sizes,least",
+    [
+        ("ratio_bench", {"pipeline": "strictq", "n": 20, "k": 2}, 2),
+        ("syk_scaling", {}, 2),
+        ("theta_sweep", {"n1": 6, "n2": 2}, 4),
+    ],
+)
+def test_study_rejects_q_not_even_or_below_its_least(study, sizes, least):
+    # q=0 used to run as q=4 while the sidecar recorded 0; odd and negative
+    # values used to fail only at the first trial
+    for q in (0, 1, 3, -2, least - 2, least + 1):
+        with pytest.raises(ValueError, match=f"field 'q' must be even and at least {least}"):
+            StudyConfig(study=study, trials=1, base_seed=0, q=q, **sizes)
+    assert StudyConfig(study=study, trials=1, base_seed=0, q=least, **sizes).q == least
+
+
+def test_an_unset_q_draws_quartics():
+    cfg = StudyConfig(study="ratio_bench", trials=1, base_seed=0, pipeline="strictq", n=20, k=2)
+    ham, _ = _bench_instance(cfg, 0)
+    assert set(ham.index.weights.tolist()) == {4} and "q" not in json.loads(cfg.to_json())
 
 
 def test_concentration_rejects_small_truncation():

@@ -380,7 +380,7 @@ def test_all_inconsistent_gives_zero():
 def test_assign_signs_negative_quartic():
     ham = MajoranaHamiltonian(n_modes=2, terms=(InteractionTerm((0, 1, 2, 3), -5.0),))
     matching = Matching(((0, 1), (2, 3)))
-    signs = assign_signs(matching, ham.terms)
+    signs = assign_signs(matching, ham, [0])
     assert matching_state_expectation(matching, signs, ham) == 5.0
     rho = dense_state_from_matching(matching, signs)
     assert dense_expectation(ham, rho) == pytest.approx(5.0, abs=1e-10)
@@ -388,7 +388,8 @@ def test_assign_signs_negative_quartic():
 
 def test_assign_signs_positive_noop():
     matching = Matching(((0, 1), (2, 3)))
-    signs = assign_signs(matching, (InteractionTerm((0, 1, 2, 3), 1.0),))
+    ham = MajoranaHamiltonian(n_modes=2, terms=(InteractionTerm((0, 1, 2, 3), 1.0),))
+    signs = assign_signs(matching, ham, [0])
     assert signs.signs.tolist() == [1, 1]
 
 
@@ -396,7 +397,7 @@ def test_assign_signs_two_disjoint_targets():
     terms = (InteractionTerm((0, 1, 2, 3), -2.0), InteractionTerm((4, 5, 6, 7), -7.0))
     ham = MajoranaHamiltonian(n_modes=4, terms=terms)
     matching = Matching(((0, 1), (2, 3), (4, 5), (6, 7)))
-    signs = assign_signs(matching, terms)
+    signs = assign_signs(matching, ham, [0, 1])
     assert matching_state_expectation(matching, signs, ham) == 9.0
     rho = dense_state_from_matching(matching, signs)
     assert dense_expectation(ham, rho) == pytest.approx(9.0, abs=1e-10)
@@ -404,17 +405,15 @@ def test_assign_signs_two_disjoint_targets():
 
 def test_assign_signs_rejects_overlap():
     matching = Matching(((0, 1), (2, 3)))
+    terms = (InteractionTerm((0, 1), 1.0), InteractionTerm((0, 1, 2, 3), 1.0))
     with pytest.raises(ValueError, match="not disjoint"):
-        assign_signs(
-            matching,
-            (InteractionTerm((0, 1), 1.0), InteractionTerm((0, 1, 2, 3), 1.0)),
-        )
+        assign_signs(matching, MajoranaHamiltonian(n_modes=2, terms=terms), [0, 1])
 
 
 def test_assign_signs_rejects_inconsistent_target():
     matching = Matching(((0, 2), (1, 3), (4, 5)))
     with pytest.raises(ValueError, match="inconsistent"):
-        assign_signs(matching, (InteractionTerm((0, 1), 1.0),))
+        assign_signs(matching, MajoranaHamiltonian(3, (InteractionTerm((0, 1), 1.0),)), [0])
 
 
 # ----------------------------------------------------------- conditioning

@@ -10,13 +10,16 @@ criterion cannot see).
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from fermiopt import gaussian
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk, gen_two_colored
 from fermiopt.gaussian import state_to_json
-from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian, serialize_hamiltonian
+from fermiopt.cli import main
+from fermiopt.hamiltonian import MajoranaHamiltonian, parse_hamiltonian, serialize_hamiltonian
 from fermiopt.optimizer import optimize_mixed_24, optimize_ssyk, optimize_strict_q
 
 
@@ -38,11 +41,9 @@ def _mixed24(n, k, seed):
 def _mixed24_quartic_x10(n, k, seed):
     """A ``gen_mixed_24`` draw with its quartic coefficients scaled by 10, so
     the weight-4 branch wins at sizes where plain draws take the weight-2 one."""
-    ham = gen_mixed_24(n, k, seed=seed)
-    terms = tuple(
-        InteractionTerm(t.indices, 10 * t.coeff) if t.weight == 4 else t for t in ham.terms
-    )
-    ham = MajoranaHamiltonian(n_modes=n, terms=terms)
+    index = gen_mixed_24(n, k, seed=seed).index
+    coeffs = np.where(index.weights == 4, 10 * index.coeffs, index.coeffs)
+    ham = MajoranaHamiltonian.from_arrays(n, index.term_ptr, index.modes, coeffs)
     return ham, optimize_mixed_24(ham)
 
 
@@ -165,6 +166,44 @@ def test_weight4_pull_back_builds_no_correlation_matrix(monkeypatch, case_id):
     build, _, expected = next(case[1:] for case in CASES if case[0] == case_id)
     ham, result = build()
     assert artifact_digest(ham, result) == expected
+
+
+def _refuse_terms(ham):
+    raise RuntimeError("the terms view was built")
+
+
+# gen -> optimize -> closed form on each route and both mixed24 branches
+@pytest.mark.parametrize(
+    "case_id",
+    [
+        "strictq-q4-k2-n40",
+        "mixed24-k2-n40",  # the weight-2 branch
+        "mixed24-k2-n10-weight4",
+        "mixed24-quartic-x10-n200-weight4",
+        "ssyk-n400-k2",
+    ],
+)
+def test_optimize_paths_never_build_the_terms_view(monkeypatch, case_id):
+    monkeypatch.setattr(MajoranaHamiltonian, "terms", property(_refuse_terms))
+    build, notes, expected = next(case[1:] for case in CASES if case[0] == case_id)
+    ham, result = build()
+    for fragment in notes:
+        assert any(fragment in note for note in result.certificate.notes), fragment
+    closed = gaussian.matching_state_expectation(result.matching, result.signs, ham)
+    assert math.isclose(closed, result.certificate.achieved, rel_tol=1e-9, abs_tol=1e-12)
+    assert artifact_digest(ham, result) == expected
+
+
+def test_parsed_optimize_never_builds_the_terms_view(monkeypatch, tmp_path, capsys):
+    ham, result = _strictq(40, 4, 2, 5)
+    h, state, cert = tmp_path / "h.json", tmp_path / "s.json", tmp_path / "c.json"
+    h.write_text(serialize_hamiltonian(ham))
+    monkeypatch.setattr(MajoranaHamiltonian, "terms", property(_refuse_terms))
+    assert parse_hamiltonian(h.read_text()) == ham
+    argv = ["optimize", "--in", str(h), "--out-state", str(state), "--out-cert", str(cert)]
+    assert main(argv) in (0, 2) and "error" not in capsys.readouterr().err
+    assert state.read_text() == state_to_json(result.matching, result.signs)
+    assert cert.read_text() == result.certificate.to_json()
 
 
 # ---------------------------------------------------------- generator outputs

@@ -1,6 +1,7 @@
 import json
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from fermiopt.oracle import lambda_max_exact
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
 from fermiopt.optimizer import optimize_strict_q
 
-from bruteforce import mode_terms, sign_by_inversions
+from bruteforce import first_fault_per_term, mode_terms, own_term_fault, sign_by_inversions
 
 
 def test_canonical_sign_identity():
@@ -82,10 +83,10 @@ def test_sparsity_profile_against_recount():
     for t in ham.terms:
         for i in t.indices:
             recount[i] += 1
-    assert dict(profile.degree) == recount
+    assert profile.degree.tolist() == [recount[i] for i in range(ham.n_majoranas)]
     assert profile.max_degree == max(recount.values())
     assert profile.max_degree >= 2
-    assert sum(profile.degree.values()) == sum(t.weight for t in ham.terms)
+    assert profile.degree.sum() == sum(t.weight for t in ham.terms)
 
 
 def test_profile_is_built_once_and_shared():
@@ -99,9 +100,9 @@ def test_profile_is_built_once_and_shared():
 def test_profile_degree_map_is_read_only():
     ham = gen_ssyk(40, 2, seed=1)
     profile = sparsity_profile(ham)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="read-only"):
         profile.degree[0] = 99
-    assert dict(profile.degree) == {m: len(ids) for m, ids in enumerate(mode_terms(ham))}
+    assert profile.degree.tolist() == [len(ids) for ids in mode_terms(ham)]
 
 
 @pytest.mark.parametrize(
@@ -110,17 +111,26 @@ def test_profile_degree_map_is_read_only():
     + [gen_sparse_random(30, q, 2, "normal", seed=s) for q in (2, 4) for s in range(3)],
 )
 def test_term_id_agrees_with_a_rescan(ham):
-    assert dict(ham.term_id) == {t.indices: t_id for t_id, t in enumerate(ham.terms)}
-    with pytest.raises(TypeError):
-        ham.term_id[(0, 1)] = 0
+    # index tuple -> term id, read off the index's sorted keys
+    by_tuple = np.argsort(ham.index.lex_rank)
+    rows = ham.index.padded[by_tuple].tolist()
+    term_id = {tuple(i for i in row if i >= 0): t for row, t in zip(rows, by_tuple.tolist())}
+    assert term_id == {t.indices: t_id for t_id, t in enumerate(ham.terms)}
+    for array in (ham.index.term_ptr, ham.index.modes, ham.index.coeffs, ham.index.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_pickle_rebuilds_the_index():
     ham = gen_mixed_24(20, 2, seed=0)
     sparsity_profile(ham)
     copy = pickle.loads(pickle.dumps(ham))
-    assert copy == ham and dict(copy.term_id) == dict(ham.term_id)
-    assert sparsity_profile(copy) == sparsity_profile(ham)
+    assert copy == ham and copy.terms == ham.terms
+    assert "terms" not in pickle.loads(pickle.dumps(ham)).__dict__
+    profile, again = sparsity_profile(ham), sparsity_profile(copy)
+    assert np.array_equal(again.degree, profile.degree)
+    assert again.max_degree == profile.max_degree
+    assert again.weights_present == profile.weights_present
 
 
 def test_total_strength_absolute_sum():
@@ -163,6 +173,21 @@ def test_serialize_round_trip():
         ('{"n_modes": true, "terms": []}', "malformed"),  # a JSON bool is a Python int
         ('{"n_modes": 2, "terms": [{"indices": [0, 1, 2], "coeff": 1.0}]}', "odd-weight"),
         ('{"n_modes": 1, "terms": [{"indices": [0, 5], "coeff": 1.0}]}', "index-range"),
+        # indices past int64
+        ('{"n_modes": 1, "terms": [{"indices": [0, %d], "coeff": 1.0}]}' % 10**30, "index-range"),
+        ('{"n_modes": 1, "terms": [{"indices": [%d, 0], "coeff": 1.0}]}' % -10**30, "index-range"),
+        # a term's own fault comes before another term's range
+        (
+            '{"n_modes": 1, "terms": [{"indices": [0, 5], "coeff": 1.0},'
+            ' {"indices": [0, 1, 2], "coeff": 1.0}]}',
+            "odd-weight",
+        ),
+        # the range of term 1 comes before term 2 repeating term 0
+        (
+            '{"n_modes": 1, "terms": [{"indices": [0, 1], "coeff": 1.0},'
+            ' {"indices": [0, 5], "coeff": 1.0}, {"indices": [0, 1], "coeff": 2.0}]}',
+            "index-range",
+        ),
         (
             '{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": 1.0},'
             ' {"indices": [0, 1], "coeff": 2.0}]}',
@@ -217,4 +242,77 @@ def test_duplicate_index_sets_rejected_not_merged():
 def test_degree_sum_equals_weight_sum(seed):
     ham = gen_sparse_random(12, 4, 2, "normal", seed=seed)
     profile = sparsity_profile(ham)
-    assert sum(profile.degree.values()) == sum(t.weight for t in ham.terms)
+    assert profile.degree.sum() == sum(t.weight for t in ham.terms)
+
+
+# ------------------------------------------------- one validator, three routes
+
+INDICES = st.one_of(
+    st.lists(st.integers(-2, 7), max_size=5),
+    st.lists(st.integers(0, 7), min_size=2, max_size=4, unique=True).map(sorted),
+    st.sampled_from([[0, 1], [2, 3], [0, 1, 2, 3], [0, 10**30], [-(10**30), 0]]),
+)
+TERMS = st.lists(
+    st.tuples(INDICES, st.sampled_from([1.0, -0.5, 2, float("inf"), float("nan")])), max_size=6
+)
+
+
+def _document(n_modes, entries) -> str:
+    return json.dumps({"n_modes": n_modes, "terms": entries})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 4), TERMS)
+def test_validator_repeats_the_per_term_checks(n_modes, terms):
+    # the same first fault, code and message, as the checks made term by term
+    expected = first_fault_per_term(n_modes, terms)
+    flat = [i for indices, _ in terms for i in indices]
+    ptr = np.cumsum([0, *(len(indices) for indices, _ in terms)])
+    coeffs = [c for _, c in terms]
+    entries = [{"indices": indices, "coeff": c} for indices, c in terms]
+    builds = (
+        lambda: MajoranaHamiltonian(n_modes, [InteractionTerm(tuple(i), c) for i, c in terms]),
+        lambda: MajoranaHamiltonian.from_arrays(n_modes, ptr, flat, coeffs),
+        lambda: parse_hamiltonian(_document(n_modes, entries)),
+    )
+    for build in builds:
+        if expected is None:
+            assert build().terms == tuple(InteractionTerm(tuple(i), float(c)) for i, c in terms)
+            continue
+        with pytest.raises(FormatError) as err:
+            build()
+        assert (err.value.code, str(err.value)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), TERMS, st.data())
+def test_parse_reports_a_bad_entry_after_the_terms_before_it(n_modes, terms, data):
+    at = data.draw(st.integers(0, len(terms)))
+    entries = [{"indices": indices, "coeff": c} for indices, c in terms]
+    entries.insert(at, {"indices": "01", "coeff": 1.0})
+    faults = (own_term_fault(indices, c) for indices, c in terms[:at])
+    code, message = next(filter(None, faults), ("malformed", None))
+    with pytest.raises(FormatError) as err:
+        parse_hamiltonian(_document(n_modes, entries))
+    assert err.value.code == code and message in (None, str(err.value))
+
+
+def test_from_arrays_rejects_arrays_that_do_not_list_terms():
+    for ptr, modes, coeffs in (
+        ([], [], []),
+        ([1, 2], [0, 1], [1.0]),
+        ([0, 2], [0, 1, 2], [1.0]),
+        ([0, 2], [0, 1], [1.0, 2.0]),
+        ([0, 2, 0], [0, 1], [1.0, 2.0]),
+    ):
+        with pytest.raises(FormatError, match="do not list one set of terms"):
+            MajoranaHamiltonian.from_arrays(2, ptr, modes, coeffs)
+
+
+def test_from_arrays_copies_its_input():
+    ptr, modes, coeffs = np.array([0, 2, 4]), np.array([0, 1, 2, 3]), np.array([1.0, -2.0])
+    ham = MajoranaHamiltonian.from_arrays(2, ptr, modes, coeffs)
+    modes[0], coeffs[0] = 3, 5.0
+    assert ham.terms == (InteractionTerm((0, 1), 1.0), InteractionTerm((2, 3), -2.0))
+    assert ham == MajoranaHamiltonian(2, ham.terms) and ham.n_terms == 2
+    assert ham != MajoranaHamiltonian(2, ham.terms[:1]) and ham != MajoranaHamiltonian(3, ham.terms)

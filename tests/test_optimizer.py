@@ -218,7 +218,7 @@ def branch_b_state(ham, quartic_ids, marked, aux):
     matching, _ = __import__("fermiopt.combinatorics", fromlist=["diffuse_matching"]).diffuse_matching(
         ham, quartic_ids
     )
-    signs = assign_signs(matching, [ham.terms[i] for i in quartic_ids])
+    signs = assign_signs(matching, ham, quartic_ids)
     i1, i2 = marked
     kept = tuple(p for p in matching.pairs if p != marked)
     tilde_matching = Matching(kept + ((i1, aux[0]), (i2, aux[1])))
@@ -232,7 +232,7 @@ def test_pull_back_weight2_branch_is_exact():
     ham = ham_of(4, ((0, 1), 2.0), ((4, 5), -1.0))
     lifted = lift_to_strict4(ham)
     matching = Matching(((0, 1), (2, 3), (4, 5), (6, 7)))
-    signs = assign_signs(matching, ham.terms)
+    signs = assign_signs(matching, ham, range(ham.n_terms))
     tilde_matching = Matching(matching.pairs + ((8, 9),))
     sd = signs.as_dict()
     sd[(8, 9)] = -1
@@ -259,7 +259,7 @@ def marked_edge(ham, quartic_ids):
 def no_overlap_branch_state():
     ham = ham_of(4, ((0, 1, 2, 3), -2.0), ((4, 6), 0.7))
     _, tilde_matching, _ = branch_b_state(ham, [0], marked_edge(ham, [0]), (8, 9))
-    return ham, tilde_matching, assign_signs(tilde_matching, [ham.terms[0]])
+    return ham, tilde_matching, assign_signs(tilde_matching, ham, [0])
 
 
 def adversarial_branch_state(two_mode_coeffs):

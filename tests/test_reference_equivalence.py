@@ -1088,8 +1088,9 @@ def test_assign_signs_repeats_the_dict_reference_on_drawn_targets(data):
         idx = sorted(i for pair, g in zip(matching.pairs, label) if g == group for i in pair)
         if idx:
             targets.append(InteractionTerm(tuple(idx), data.draw(COEFFS)))
+    ham = MajoranaHamiltonian(n_modes=n, terms=targets)
     _same_outcome(
-        lambda: (matching, assign_signs(matching, targets)),
+        lambda: (matching, assign_signs(matching, ham, range(ham.n_terms))),
         lambda: (matching, assign_signs_by_dict(matching, targets)),
     )
 

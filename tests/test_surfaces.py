@@ -97,6 +97,20 @@ def test_package_reads_matching_views_only_at_the_json_edge():
     assert not found, f"matching views read outside the JSON edge: {', '.join(found)}"
 
 
+def test_package_builds_no_term_objects_outside_the_hamiltonian_module():
+    # every other module reads a Hamiltonian's index arrays
+    found = []
+    for path in sorted(Path(fermiopt.__file__).parent.rglob("*.py")):
+        if path.name == "hamiltonian.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                found.append(f"{path.name}:{node.lineno} .terms")
+            if isinstance(node, ast.Call) and "InteractionTerm" in ast.unparse(node.func):
+                found.append(f"{path.name}:{node.lineno} InteractionTerm(...)")
+    assert not found, f"term objects outside hamiltonian.py: {', '.join(found)}"
+
+
 # ------------------------------------------------- one term index per Hamiltonian
 
 

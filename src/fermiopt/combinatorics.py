@@ -71,43 +71,27 @@ class ConflictGraph:
         return at < row.size and row[at] == v
 
 
-# below this many incidence cells (terms x Majoranas) the conflict graph is
-# built by dense products, which cost less than the sparse ones' set-up
-DENSE_CONFLICT_CELLS = 2**15
-
-
 def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
     """Connect terms that overlap or are bridged by a third term: the
     pattern of ``(A A^T)^2`` less its diagonal, ``A`` being the term x
     Majorana incidence matrix (``A A^T`` has an entry wherever two terms
     share a Majorana, its square wherever they do or a third term bridges
-    them)."""
+    them), built as one sparse product."""
     index = ham.index
     n_terms, m = ham.n_terms, ham.n_majoranas
-    if n_terms * m <= DENSE_CONFLICT_CELLS:
-        incidence = np.zeros((n_terms, m), dtype=np.float32)
-        incidence[np.repeat(np.arange(n_terms), index.weights), index.modes] = 1.0
-        overlap = incidence @ incidence.T
-        # entries are small integer counts, exact in float32
-        pattern = (overlap @ overlap) > 0
-        np.fill_diagonal(pattern, False)
-        rows, indices = np.nonzero(pattern)  # row by row, each ascending
-        indptr = np.zeros(n_terms + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n_terms), out=indptr[1:])
-    else:
-        ones = np.ones(index.modes.size, dtype=np.int32)
-        incidence = sparse.csr_matrix((ones, index.modes, index.term_ptr), (n_terms, m))
-        # the mode -> terms CSR is A^T in CSR form already
-        transposed = sparse.csr_matrix((ones, index.mode_term_ids, index.mode_ptr), (m, n_terms))
-        overlap = incidence @ transposed
-        # the square is symmetric, and converting its transpose back to CSR
-        # lays each row out in ascending order, which is cheaper than sorting it
-        two_hop = (overlap @ overlap).T.tocsr()
-        two_hop.sort_indices()
-        # every row holds its diagonal entry (a term overlaps itself): drop it
-        rows = np.repeat(np.arange(n_terms), np.diff(two_hop.indptr))
-        indices = two_hop.indices[two_hop.indices != rows]
-        indptr = two_hop.indptr - np.arange(n_terms + 1)
+    ones = np.ones(index.modes.size, dtype=np.int32)
+    incidence = sparse.csr_matrix((ones, index.modes, index.term_ptr), (n_terms, m))
+    # the mode -> terms CSR is A^T in CSR form already
+    transposed = sparse.csr_matrix((ones, index.mode_term_ids, index.mode_ptr), (m, n_terms))
+    overlap = incidence @ transposed
+    # the square is symmetric, and converting its transpose back to CSR
+    # lays each row out in ascending order, which is cheaper than sorting it
+    two_hop = (overlap @ overlap).T.tocsr()
+    two_hop.sort_indices()
+    # every row holds its diagonal entry (a term overlaps itself): drop it
+    rows = np.repeat(np.arange(n_terms), np.diff(two_hop.indptr))
+    indices = two_hop.indices[two_hop.indices != rows]
+    indptr = two_hop.indptr - np.arange(n_terms + 1)
     graph = ConflictGraph(
         n_vertices=n_terms,
         indptr=indptr.astype(np.intp),
@@ -285,26 +269,21 @@ def diffuse_partition(
 
 
 class _Complement(AbstractSet[int]):
-    """Neighbors of ``v`` in a permitted graph: the vertex set minus ``v``
-    and its forbidden partners.  Membership and size are O(1) in the
-    vertex count; iteration yields the neighbors in ascending order."""
+    """Neighbors of ``v`` in a permitted graph: the vertex set (the keys of
+    ``graph_forbidden``) minus ``v`` and its forbidden partners.  Membership
+    and size are O(1) in the vertex count; iteration yields the neighbors
+    in ascending order."""
 
-    __slots__ = ("_v", "_order", "_vertex_set", "_forbidden")
+    __slots__ = ("_v", "_order", "_graph_forbidden", "_forbidden")
 
-    def __init__(
-        self,
-        v: int,
-        order: tuple[int, ...],
-        vertex_set: frozenset[int],
-        forbidden: tuple[int, ...],
-    ):
+    def __init__(self, v: int, order: tuple[int, ...], graph_forbidden: dict[int, tuple[int, ...]]):
         self._v = v
         self._order = order
-        self._vertex_set = vertex_set
-        self._forbidden = forbidden
+        self._graph_forbidden = graph_forbidden
+        self._forbidden = graph_forbidden[v]
 
     def __contains__(self, u) -> bool:
-        return u != self._v and u in self._vertex_set and u not in self._forbidden
+        return u != self._v and u in self._graph_forbidden and u not in self._forbidden
 
     def __len__(self) -> int:
         return len(self._order) - 1 - len(self._forbidden)
@@ -324,7 +303,8 @@ class PermittedGraph:
 
     Only the forbidden partners are stored, ``forbidden[v]`` ascending, so
     the graph costs memory in the number of terms, not in the square of
-    the vertex count.  ``adjacency[v]`` is a set view of the complement.
+    the vertex count; its keys are the vertex set.  ``adjacency[v]`` is a
+    set view of the complement.
     """
 
     vertices: tuple[int, ...]
@@ -335,19 +315,14 @@ class PermittedGraph:
         return len(self.vertices)
 
     @cached_property
-    def _vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    @cached_property
     def adjacency(self) -> dict[int, AbstractSet[int]]:
-        verts, vset = self.vertices, self._vertex_set
-        return {v: _Complement(v, verts, vset, self.forbidden[v]) for v in verts}
+        return {v: _Complement(v, self.vertices, self.forbidden) for v in self.vertices}
 
     def neighbors(self, v: int) -> AbstractSet[int]:
         return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v != u and v in self._vertex_set and v not in self.forbidden[u]
+        return v != u and v in self.forbidden and v not in self.forbidden[u]
 
     def min_degree(self) -> int:
         if not self.vertices:

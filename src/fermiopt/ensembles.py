@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import rng
-from .hamiltonian import MajoranaHamiltonian, _load_json, dataclass_fields_from_json
+from .hamiltonian import MajoranaHamiltonian, _load_json, _read_only, dataclass_fields_from_json
 
 FAMILIES = ("sykq", "ssyk", "sparse_random", "two_colored")
 
@@ -323,22 +323,15 @@ def gen_mixed_24(n: int, k: int, seed: int) -> MajoranaHamiltonian:
     return MajoranaHamiltonian.from_arrays(n, ptr, modes, np.concatenate((four.coeffs, two.coeffs)))
 
 
-@dataclass(frozen=True)
-class TwoColoredEntry:
-    """One coupling of the two-colored model: first-color subset, the
-    second-color index it multiplies, and the raw normal coupling."""
-
-    phi: tuple[int, ...]
-    chi: int
-    coupling: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoColoredMeta:
+    """Sizes of a two-colored draw and its raw normal couplings, read-only
+    and in term order; compared by identity, as the sweep's cache tag."""
+
     n1: int
     n2: int
     q: int
-    entries: tuple[TwoColoredEntry, ...]
+    couplings: np.ndarray
 
 
 def gen_two_colored(
@@ -348,8 +341,9 @@ def gen_two_colored(
     and one second-color mode, normalized by ``sqrt(n2 * binom(n1, q-1))``.
 
     Mode layout: first color occupies ``0..n1-1``, second color
-    ``n1..n1+n2-1``.  The metadata keeps the (subset, index) labels and raw
-    couplings for the rotated-state construction.
+    ``n1..n1+n2-1``.  Term ``j * binom(n1, q-1) + s`` is the ``s``-th
+    first-color subset (lexicographic) times second-color mode ``n1 + j``;
+    the metadata keeps the raw couplings for the rotated-state construction.
     """
     if q % 2 != 0 or q < 4:
         raise ValueError("q must be even and >= 4")
@@ -357,12 +351,10 @@ def gen_two_colored(
         raise ValueError("need 1 <= n2 <= n1")
     subsets = list(itertools.combinations(range(n1), q - 1))
     norm = 1.0 / math.sqrt(n2 * math.comb(n1, q - 1))
-    couplings = rng.normals_at(seed, "twocolor-coeff", np.arange(n2 * len(subsets)))
-    labels = list(itertools.product(range(n2), subsets))
-    entries = tuple(TwoColoredEntry(phi, j, c) for (j, phi), c in zip(labels, couplings.tolist()))
-    rows = np.array([phi + (n1 + j,) for j, phi in labels], dtype=np.intp).reshape(-1, q)
-    ham = _of_rows((n1 + n2 + 1) // 2, rows, norm * couplings)
-    return ham, TwoColoredMeta(n1=n1, n2=n2, q=q, entries=entries)
+    couplings = _read_only(rng.normals_at(seed, "twocolor-coeff", np.arange(n2 * len(subsets))))
+    rows = np.array([phi + (n1 + j,) for j in range(n2) for phi in subsets], dtype=np.intp)
+    ham = _of_rows((n1 + n2 + 1) // 2, rows.reshape(-1, q), norm * couplings)
+    return ham, TwoColoredMeta(n1=n1, n2=n2, q=q, couplings=couplings)
 
 
 def generate(spec: EnsembleSpec):

@@ -37,7 +37,14 @@ from .gaussian import (
     matching_state_expectation,
     signed_matching,
 )
-from .hamiltonian import MajoranaHamiltonian, sparsity_profile, total_strength
+from .hamiltonian import (
+    FormatError,
+    MajoranaHamiltonian,
+    _is_int,
+    _load_json,
+    sparsity_profile,
+    total_strength,
+)
 
 PIPELINE_STRICTQ = "strictq"
 PIPELINE_MIXED24 = "mixed24"
@@ -87,7 +94,18 @@ class RatioCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "RatioCertificate":
-        doc = json.loads(text)
+        """Read ``to_json``'s document; any other shape is malformed."""
+        doc = _load_json(text)
+        numbers = ("achieved", "upper_bound", "guaranteed_ratio")
+        notes = doc.get("notes", []) if isinstance(doc, dict) else None
+        if not (
+            isinstance(notes, list)
+            and doc.keys() - {"notes"} == {"pipeline", "Q", "guarantee_holds", *numbers}
+            and all(isinstance(value, str) for value in (doc["pipeline"], *notes))
+            and all(_is_int(doc[key]) or isinstance(doc[key], float) for key in numbers)
+            and _is_int(doc["Q"]) and isinstance(doc["guarantee_holds"], bool)
+        ):
+            raise FormatError("malformed", "not a ratio certificate document")
         return cls(
             pipeline=doc["pipeline"],
             achieved=doc["achieved"],
@@ -95,7 +113,7 @@ class RatioCertificate:
             part_bound=doc["Q"],
             guaranteed_ratio=doc["guaranteed_ratio"],
             guarantee_holds=doc["guarantee_holds"],
-            notes=tuple(doc.get("notes", ())),
+            notes=tuple(notes),
         )
 
 

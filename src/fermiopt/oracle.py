@@ -279,10 +279,11 @@ def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
         raise BudgetError(f"dense path capped at {DENSE_OP_MODE_BUDGET} modes")
 
     scale = (1.0 / math.sqrt(math.comb(n1, q - 1))) * 1j ** (q // 2 - 1)
-    rows = np.array([e.phi + (n1 + n2 + e.chi,) for e in meta.entries], dtype=np.int64)
-    x, z, power = _strings(rows.reshape(-1, q))
-    couplings = np.array([e.coupling for e in meta.entries], dtype=float)
-    zeta = _string_matrix(_pauli_sum(x, z, scale * couplings * _UNITS[power & 3], n_modes), n_modes)
+    rows = ham2.index.padded.copy()
+    rows[:, -1] += n2  # each second-color mode moves onto its auxiliary partner
+    x, z, power = _strings(rows)
+    scalars = scale * meta.couplings * _UNITS[power & 3]
+    zeta = _string_matrix(_pauli_sum(x, z, scalars, n_modes), n_modes)
 
     # the model Hamiltonian acts on the first n1 + n2 Majoranas only
     embedded = MajoranaHamiltonian.from_arrays(n_modes, *ham2._args()[1:])
@@ -311,7 +312,7 @@ def _sweep_scaffold(ham2: MajoranaHamiltonian, meta) -> tuple[float, np.ndarray,
     once per ``(ham2, meta)``: kept in ``ham2.__dict__``, as ``cached_property``
     keeps ``ham2.index``, tagged with ``meta`` and freed with ``ham2``."""
     kept = ham2.__dict__.get("_sweep_scaffold")
-    if kept is None or kept[0] != meta:
+    if kept is None or kept[0] is not meta:
         pieces = _two_colored_dense(ham2, meta)
         pieces["evals"].flags.writeable = pieces["kernel"].flags.writeable = False
         kept = (meta, pieces["slope"], pieces["evals"], pieces["kernel"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -207,25 +208,25 @@ def test_mixed_24_splits_the_budget_between_weights(k):
 
 def test_two_colored_minimal():
     ham, meta = gen_two_colored(3, 1, 4, seed=0)
-    assert len(ham.terms) == 1  # binom(3,3) subsets, one second-color mode
-    assert ham.terms[0].indices == (0, 1, 2, 3)
-    assert meta.entries[0].phi == (0, 1, 2)
-    assert meta.entries[0].chi == 0
+    assert ham.n_terms == 1  # binom(3,3) subsets, one second-color mode
+    assert ham.index.padded.tolist() == [[0, 1, 2, 3]]
+    assert (meta.n1, meta.n2, meta.q, meta.couplings.shape) == (3, 1, 4, (1,))
 
 
 def test_two_colored_term_structure():
     ham, meta = gen_two_colored(6, 2, 4, seed=4)
-    assert len(ham.terms) == 2 * math.comb(6, 3)
-    for term, entry in zip(ham.terms, meta.entries):
-        assert term.weight == 4
-        first_color = [i for i in term.indices if i < 6]
-        second_color = [i for i in term.indices if i >= 6]
-        assert len(first_color) == 3 and len(second_color) == 1
-        assert tuple(first_color) == entry.phi
-        assert second_color[0] - 6 == entry.chi
-        # coupling recoverable from the stored normalization
-        norm = math.sqrt(2 * math.comb(6, 3))
-        assert term.coeff * norm == pytest.approx(entry.coupling, rel=1e-12)
+    n_subsets = math.comb(6, 3)
+    assert ham.n_terms == 2 * n_subsets == meta.couplings.size
+    assert (ham.index.weights == 4).all()
+    # term j * n_subsets + s: the s-th first-color subset, then mode 6 + j
+    rows = ham.index.padded
+    subsets = [list(phi) for phi in itertools.combinations(range(6), 3)]
+    assert rows[:, :3].tolist() == subsets * 2
+    assert rows[:, 3].tolist() == [6] * n_subsets + [7] * n_subsets
+    # coupling recoverable from the stored normalization
+    norm = math.sqrt(2 * n_subsets)
+    np.testing.assert_allclose(ham.index.coeffs * norm, meta.couplings, rtol=1e-12, atol=0)
+    assert not meta.couplings.flags.writeable
 
 
 def test_two_colored_rejects_bad_shapes():

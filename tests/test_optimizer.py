@@ -22,6 +22,7 @@ from fermiopt.gaussian import (
     matching_state_expectation,
 )
 from fermiopt.hamiltonian import (
+    FormatError,
     InteractionTerm,
     MajoranaHamiltonian,
     sparsity_profile,
@@ -467,6 +468,27 @@ def test_forged_certificate_file_rejected():
     forged = honest.replace('"guarantee_holds": false', '"guarantee_holds": true')
     with pytest.raises(ContractError):
         RatioCertificate.from_json(forged)
+
+
+_HONEST_CERTIFICATE = RatioCertificate("strictq", 0.0, 1.0, 2, 0.5, False).to_json()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        "[1]",
+        "{}",
+        _HONEST_CERTIFICATE.replace('"achieved": 0.0', '"achieved": "1.0"').replace(
+            '"guarantee_holds": false', '"guarantee_holds": true'
+        ),
+    ],
+    ids=["deep-nesting", "list", "empty-object", "string-achieved"],
+)
+def test_malformed_certificate_file_is_a_format_error(text):
+    with pytest.raises(FormatError) as caught:
+        RatioCertificate.from_json(text)
+    assert caught.value.code == "malformed"
 
 
 def test_failed_recheck_is_not_skipped_as_a_thin_part(monkeypatch):

@@ -307,15 +307,19 @@ def test_sweep_builds_one_scaffold_per_draw(monkeypatch):
 def test_sweep_rebuilds_for_another_meta_or_hamiltonian(monkeypatch):
     builds = _count_scaffold_builds(monkeypatch)
     ham2, meta = gen_two_colored(6, 2, 4, seed=3)
-    other = replace(meta, entries=tuple(replace(e, coupling=-e.coupling) for e in meta.entries))
+    other = replace(meta, couplings=-meta.couplings)
     slope = sweep_slope(ham2, meta)
     flipped = sweep_slope(ham2, other)
     assert len(builds) == 2 and builds[1] is other
     assert flipped[0] == pytest.approx(-slope[0], rel=1e-12)
     assert sweep_slope(ham2, meta) == slope  # the scaffold for meta is built again
+    assert sweep_slope(ham2, meta) == slope and len(builds) == 3  # the same meta reuses it
+    # the tag is the meta object itself: an equal but distinct one rebuilds
+    twin = replace(meta)
+    assert sweep_slope(ham2, twin) == slope and len(builds) == 4 and builds[3] is twin
     again, again_meta = gen_two_colored(6, 2, 4, seed=3)
     sweep_slope(again, again_meta)
-    assert len(builds) == 4
+    assert len(builds) == 5
 
 
 def test_sweep_scaffold_is_freed_with_the_hamiltonian():

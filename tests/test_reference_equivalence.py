@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiopt import combinatorics, gaussian, optimizer
+from fermiopt import gaussian, optimizer
 from fermiopt.combinatorics import (
     DiffuseCheck,
     DiracError,
@@ -375,9 +375,17 @@ def test_ssyk_matches_per_rank_draws(n, k, seed):
 @pytest.mark.parametrize("n1,n2,q,seed", [(3, 1, 4, 0), (8, 4, 4, 3), (9, 3, 6, 2**64 - 1)])
 def test_two_colored_couplings_match_per_rank_draws(n1, n2, q, seed):
     _, meta = gen_two_colored(n1, n2, q, seed=seed)
-    assert [e.coupling for e in meta.entries] == [
-        normal_at(seed, "twocolor-coeff", rank) for rank in range(len(meta.entries))
+    labels = _two_colored_labels(n1, n2, q, meta)
+    assert [coupling for _, _, coupling in labels] == [
+        normal_at(seed, "twocolor-coeff", rank) for rank in range(len(labels))
     ]
+
+
+def _two_colored_labels(n1, n2, q, meta) -> list[tuple[int, tuple[int, ...], float]]:
+    """``(chi, phi, coupling)`` per term of a two-colored draw: the labels
+    rebuilt in the generator's documented order, not read from its rows."""
+    labels = itertools.product(range(n2), itertools.combinations(range(n1), q - 1))
+    return [(chi, phi, c) for (chi, phi), c in zip(labels, meta.couplings.tolist(), strict=True)]
 
 
 # ------------------------------------------------------------ conflict graph
@@ -390,6 +398,13 @@ def test_two_colored_couplings_match_per_rank_draws(n1, n2, q, seed):
         gen_mixed_24(120, 2, 8),
         *(gen_sparse_random(60, q, 3, "normal", seed=q) for q in (2, 4, 6)),
         MajoranaHamiltonian(3, ()),
+        # small draws, down to a single term
+        gen_sparse_random(40, 4, 2, "normal", seed=5),
+        gen_mixed_24(40, 2, 7),
+        gen_mixed_24(10, 2, 1),
+        gen_sparse_random(5, 2, 2, "normal", seed=0),
+        gen_sparse_random(13, 6, 2, "normal", seed=0),
+        MajoranaHamiltonian(3, [InteractionTerm((0, 2, 3, 5), 0.5)]),
     ],
     ids=lambda ham: f"{len(ham.terms)}-terms-n{ham.n_modes}",
 )
@@ -401,26 +416,6 @@ def test_conflict_graph_equals_bridge_loop(ham):
     assert graph.indptr.tolist() == np.cumsum([0, *map(len, expected)]).tolist()
     for t, neighbors in enumerate(expected):
         assert graph.neighbors(t).tolist() == sorted(neighbors)
-
-
-@pytest.mark.parametrize(
-    "ham",
-    [
-        gen_ssyk(200, 2, seed=6),
-        gen_mixed_24(60, 3, 1),
-        gen_sparse_random(40, 4, 2, "normal", seed=2),
-    ],
-    ids=lambda ham: f"{len(ham.terms)}-terms-n{ham.n_modes}",
-)
-def test_conflict_graph_dense_and_sparse_products_agree(monkeypatch, ham):
-    graphs = []
-    for cells in (0, 2**40):  # every input sparse, then every input dense
-        monkeypatch.setattr(combinatorics, "DENSE_CONFLICT_CELLS", cells)
-        graphs.append(build_conflict_graph(ham))
-    sparse_graph, dense_graph = graphs
-    assert sparse_graph.indptr.tolist() == dense_graph.indptr.tolist()
-    assert sparse_graph.indices.tolist() == dense_graph.indices.tolist()
-    assert sparse_graph.indices.size > 0
 
 
 @pytest.mark.parametrize(
@@ -674,11 +669,11 @@ def test_zeta_matches_tau_products(n1, n2, q, seed):
     n_modes = n1 // 2 + n2
     scale = (1.0 / math.sqrt(math.comb(n1, q - 1))) * 1j ** (q // 2 - 1)
     tau_terms = []
-    for entry in meta.entries:
+    for chi, phi, coupling in _two_colored_labels(n1, n2, q, meta):
         prod = (0, 0, 1.0 + 0.0j)
-        for s in entry.phi:
+        for s in phi:
             prod = string_product(prod, majorana_string(s, n_modes))
-        tau_terms.append((entry.chi, prod, entry.coupling))
+        tau_terms.append((chi, prod, coupling))
     sigmas = [majorana_string(n1 + n2 + j, n_modes) for j in range(n2)]
     expected = zeta_by_tau_products(n_modes, scale, tau_terms, sigmas)
     zeta = _two_colored_dense(ham2, meta)["zeta"]
@@ -793,13 +788,13 @@ def test_zeta_sum_repeats_the_per_term_loop(n1, n2, q, seed):
     ham2, meta = gen_two_colored(n1, n2, q, seed=seed)
     n_modes = n1 // 2 + n2
     scale = (1.0 / math.sqrt(math.comb(n1, q - 1))) * 1j ** (q // 2 - 1)
+    labels = _two_colored_labels(n1, n2, q, meta)
+    rows = [phi + (n1 + n2 + chi,) for chi, phi, _ in labels]
     strings = [
-        (majorana_product_string(e.phi + (n1 + n2 + e.chi,), n_modes), scale * e.coupling)
-        for e in meta.entries
+        (majorana_product_string(row, n_modes), scale * c) for row, (_, _, c) in zip(rows, labels)
     ]
-    rows = np.array([e.phi + (n1 + n2 + e.chi,) for e in meta.entries])
-    x, z, power = _strings(rows)
-    scalars = scale * np.array([e.coupling for e in meta.entries]) * _UNITS[power & 3]
+    x, z, power = _strings(np.array(rows))
+    scalars = scale * meta.couplings * _UNITS[power & 3]
     expected = pauli_sum_per_term(strings, n_modes)
     _same_pauli_sum(_pauli_sum(x, z, scalars, n_modes), expected)
     zeta = _two_colored_dense(ham2, meta)["zeta"]

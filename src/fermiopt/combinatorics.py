@@ -120,18 +120,17 @@ def greedy_color(graph: ConflictGraph) -> list[int]:
     position[order] = np.arange(n)
     # only the neighbors that come earlier in the order are colored when a
     # vertex is reached: keep those, row by row
-    rows = np.repeat(np.arange(n), degree)
-    earlier = position[graph.indices] < position[rows]
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows[earlier], minlength=n), out=ptr[1:])
-    ptr, neighbors = ptr.tolist(), graph.indices[earlier].tolist()
-    colors = [-1] * n
+    earlier = position[graph.indices] < np.repeat(position, degree)
+    ptr = np.concatenate(([0], np.cumsum(earlier)))[graph.indptr].tolist()
+    neighbors = graph.indices[earlier].tolist()
+    # bit[v] = 1 << color of v: v takes the lowest bit no earlier neighbor holds
+    bit = [0] * n
     for v in order.tolist():
-        taken = {colors[u] for u in neighbors[ptr[v] : ptr[v + 1]]}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
+        taken = 0
+        for u in neighbors[ptr[v] : ptr[v + 1]]:
+            taken |= bit[u]
+        bit[v] = ~taken & (taken + 1)
+    colors = [b.bit_length() - 1 for b in bit]
     if any(c < 0 for c in colors) or max(colors, default=-1) > graph.max_degree:
         raise ContractError(f"coloring exceeds max degree + 1 = {graph.max_degree + 1} colors")
     return colors
@@ -369,17 +368,16 @@ def _close_path_to_cycle(path: list[int], graph) -> list[int]:
 def validate_cycle(cycle: Sequence[int], graph) -> None:
     if sorted(cycle) != sorted(graph.vertices):
         raise ContractError("cycle must visit every vertex once")
-    for i, v in enumerate(cycle):
-        if not graph.has_edge(v, cycle[(i + 1) % len(cycle)]):
-            raise ContractError("cycle uses a non-edge")
+    if not all(map(graph.has_edge, cycle, [*cycle[1:], *cycle[:1]])):
+        raise ContractError("cycle uses a non-edge")
 
 
-def _take_first_neighbor(end: int, outside: list[int], graph) -> int | None:
+def _take_first_neighbor(end: int, outside: list[int], has_edge) -> int | None:
     """Remove and return the smallest vertex of ``outside`` adjacent to
     ``end``.  ``outside`` is kept in descending order, so the scan starts at
     its tail and a removal there moves little."""
     for j in range(len(outside) - 1, -1, -1):
-        if graph.has_edge(end, outside[j]):
+        if has_edge(end, outside[j]):
             return outside.pop(j)
     return None
 
@@ -398,32 +396,30 @@ def hamiltonian_cycle_dense(graph) -> list[int]:
     nv = len(verts)
     if nv < 3 or graph.min_degree() <= nv / 2:
         raise DiracError("Dirac condition unmet")
+    has_edge = graph.has_edge
     path = [verts[0]]
     outside = verts[:0:-1]  # descending: the smallest candidate sits at the end
     while True:
         while outside:
-            u = _take_first_neighbor(path[-1], outside, graph)
-            if u is not None:
+            if has_edge(path[-1], outside[-1]):  # the smallest is most often adjacent
+                path.append(outside.pop())
+            elif (u := _take_first_neighbor(path[-1], outside, has_edge)) is not None:
                 path.append(u)
-                continue
-            u = _take_first_neighbor(path[0], outside, graph)
-            if u is None:
+            elif (u := _take_first_neighbor(path[0], outside, has_edge)) is not None:
+                path.insert(0, u)
+            else:
                 break
-            path.insert(0, u)
         cycle = _close_path_to_cycle(path, graph)
         if len(cycle) == nv:
             validate_cycle(cycle, graph)
             return cycle
-        attach = None
         for j in range(len(outside) - 1, -1, -1):
             w = outside[j]
-            i = next((i for i, v in enumerate(cycle) if graph.has_edge(w, v)), None)
+            i = next((i for i, v in enumerate(cycle) if has_edge(w, v)), None)
             if i is not None:
-                attach = (j, i)
                 break
-        if attach is None:
+        else:
             raise DiracError("Dirac condition unmet: cycle cannot be extended")
-        j, i = attach
         path = [outside.pop(j)] + cycle[i:] + cycle[:i]
 
 

@@ -10,13 +10,13 @@ consistency of the matching with each interaction's support.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .hamiltonian import FormatError, MajoranaHamiltonian, _is_int, _load_json, canonical_sign
+from .hamiltonian import FormatError, MajoranaHamiltonian, _is_int, _json_list, _load_json
+from .hamiltonian import canonical_sign
 
 ANTISYM_TOL = 1e-12
 SINGVAL_TOL = 1e-9
@@ -464,12 +464,11 @@ def assign_signs(matching: Matching, ham: MajoranaHamiltonian, ids) -> SignAssig
 def state_to_json(matching: Matching, signs: SignAssignment) -> str:
     """Matching-form state document: pairs with their dimer signs."""
     _check_state(matching, signs)
-    doc = {
-        "n_modes": matching.n_majoranas // 2,
-        "pairs": matching.dimers.tolist(),
-        "signs": signs.signs.tolist(),
-    }
-    return json.dumps(doc, indent=1)
+    # the text of json.dumps(doc, indent=1), written directly
+    pairs = _json_list([f"[\n   {a},\n   {b}\n  ]" for a, b in matching.dimers.tolist()], 1)
+    signs_text = _json_list(list(map(str, signs.signs.tolist())), 1)
+    n_modes = matching.n_majoranas // 2
+    return f'{{\n "n_modes": {n_modes},\n "pairs": {pairs},\n "signs": {signs_text}\n}}'
 
 
 def state_from_json(text: str) -> tuple[Matching, SignAssignment]:

@@ -338,8 +338,20 @@ def parse_hamiltonian(text: str) -> MajoranaHamiltonian:
     return MajoranaHamiltonian.from_arrays(n_modes, term_ptr, modes, coeffs)
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """The text ``json.dumps(..., indent=1)`` gives a list at nesting
+    ``depth`` whose items are already written: ``[]`` when it is empty."""
+    inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
+    return "[" + inner + ("," + inner).join(items) + outer + "]" if items else "[]"
+
+
 def serialize_hamiltonian(ham: MajoranaHamiltonian) -> str:
-    """Serialize to the JSON wire format (stable key order, round-trip safe)."""
-    ptr, modes, coeffs = (array.tolist() for array in ham._args()[1:])
-    terms = [{"indices": modes[a:b], "coeff": c} for a, b, c in zip(ptr, ptr[1:], coeffs)]
-    return json.dumps({"n_modes": ham.n_modes, "terms": terms}, indent=1, sort_keys=False)
+    """Serialize to the JSON wire format: exactly the text of
+    ``json.dumps(doc, indent=1)``, a float written as its ``repr``."""
+    ptr, coeffs = ham.index.term_ptr.tolist(), ham.index.coeffs.tolist()
+    modes, sep = list(map(str, ham.index.modes.tolist())), ",\n    "
+    terms = [
+        f'{{\n   "indices": [\n    {sep.join(modes[a:b])}\n   ],\n   "coeff": {c!r}\n  }}'
+        for a, b, c in zip(ptr, ptr[1:], coeffs)
+    ]
+    return f'{{\n "n_modes": {ham.n_modes},\n "terms": {_json_list(terms, 1)}\n}}'

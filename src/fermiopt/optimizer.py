@@ -398,10 +398,13 @@ def truncate_to_sparse(
 
     Terms are ranked lexicographically by index tuple; for each Majorana,
     the terms beyond its first k' are marked, and any term marked at least
-    once lands in the residual.
+    once lands in the residual.  When no Majorana is in more than k'
+    terms nothing is marked, and the core is ``ham`` itself.
     """
     if k_prime < 1:
         raise ValueError("k' must be >= 1")
+    if sparsity_profile(ham).max_degree <= k_prime:
+        return ham, MajoranaHamiltonian(ham.n_modes)
     index = ham.index
     # the mode -> terms entries, each Majorana's terms in lexicographic order
     mode = np.repeat(np.arange(ham.n_majoranas), np.diff(index.mode_ptr))

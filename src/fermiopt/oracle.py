@@ -269,9 +269,17 @@ def _two_colored_dense(ham2: MajoranaHamiltonian, meta) -> dict:
     the second color in the reference state.  ``zeta`` is the Pauli sum of
     the ``coupling * P_phi * sigma_chi`` strings, and ``slope`` is the
     first-order response ``Tr([zeta, H] rho0)``.  ``evals`` and ``kernel``
-    hold every rotated expectation (see ``_rotated_value``).
+    hold every rotated expectation (see ``_rotated_value``).  ``meta`` must be
+    ``ham2``'s own: its sizes, and its couplings scaled bit for bit as drawn.
     """
     n1, n2, q = meta.n1, meta.n2, meta.q
+    count = n2 * math.comb(n1, q - 1)
+    if not (
+        ham2.n_modes == (n1 + n2 + 1) // 2
+        and ham2.n_terms == meta.couplings.size == count > 0
+        and ((1.0 / math.sqrt(count)) * meta.couplings).tobytes() == ham2.index.coeffs.tobytes()
+    ):
+        raise ValueError("meta does not describe ham2: another two-colored draw")
     if n1 % 2 != 0:
         raise ValueError("sweep needs an even first-color count")
     n_modes = (n1 + 2 * n2) // 2

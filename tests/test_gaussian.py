@@ -1,4 +1,5 @@
 
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from fermiopt.gaussian import (
     matching_state_expectation,
     monomial_expectation,
     pfaffian,
+    state_from_json,
     state_to_json,
 )
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
@@ -494,3 +496,43 @@ def dense_hamiltonian_embedded(ham, n_modes):
     from fermiopt.oracle import dense_hamiltonian
 
     return dense_hamiltonian(MH(n_modes=n_modes, terms=ham.terms)).matrix
+
+
+# ------------------------------------------------------- the state writer
+
+
+def _assert_state_text_is_json_dumps(matching, signs):
+    reference = {
+        "n_modes": matching.n_majoranas // 2,
+        "pairs": matching.dimers.tolist(),
+        "signs": signs.signs.tolist(),
+    }
+    text = state_to_json(matching, signs)
+    assert text == json.dumps(reference, indent=1)
+    again, again_signs = state_from_json(text)
+    assert np.array_equal(again.partner, matching.partner)
+    assert np.array_equal(again_signs.signs, signs.signs)
+
+
+@pytest.mark.parametrize(
+    "pairs,signs",
+    [
+        ((), ()),  # no modes: both lists empty
+        (((0, 1),), (1,)),  # one dimer
+        (((0, 3), (1, 2)), (-1, -1)),  # all minus
+        (((4, 5), (0, 2), (1, 3)), (1, -1, 1)),
+    ],
+    ids=["empty", "one-dimer", "all-minus", "three-dimers"],
+)
+def test_state_writer_gives_the_json_dumps_text(pairs, signs):
+    _assert_state_text_is_json_dumps(*gaussian.signed_matching(pairs, signs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.permutations(range(2 * n)), st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
+)))
+def test_state_writer_gives_the_json_dumps_text_on_random_states(drawn):
+    order, signs = drawn
+    pairs = np.sort(np.asarray(order, dtype=np.intp).reshape(-1, 2), axis=1)
+    _assert_state_text_is_json_dumps(*gaussian.signed_matching(pairs, signs))

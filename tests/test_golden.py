@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from fermiopt import gaussian
+from fermiopt.combinatorics import (
+    build_conflict_graph, greedy_color, hamiltonian_cycle_dense, permitted_graph,
+)
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk, gen_two_colored
 from fermiopt.gaussian import state_to_json
 from fermiopt.cli import main
@@ -153,6 +156,46 @@ def test_golden_closed_form_digest(build, expected):
     closed = gaussian.matching_state_expectation(result.matching, result.signs, ham)
     blob = artifact_digest(ham, result) + "\n" + repr(closed)
     assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# ssyk at the benchmark's largest size (k=2, so k' = 24 cuts nothing), pinned
+# before the truncation, coloring, cycle and state writer were rewritten for
+# speed: the state and certificate documents, the raw greedy colors, and
+# the Hamiltonian cycle on the leftovers of the largest class.
+# (seed, state sha256, certificate sha256, colors sha256, cycle sha256)
+SSYK_BENCH_CASES = [
+    (
+        5,
+        "5dea905e7554c8e869b9b87b2c438435df7312986649dbdb6571885d08532891",
+        "72a9cb16be2c53b578f0244598fd0dae12389810bb932ff4bda52a176930a200",
+        "946ef173586fcf384c8d81b0dad66095ed94d015c11c6a516c237cd33abefb6d",
+        "20dc662bff32fdf73da245d0b82dfbe189fe81c297f08d2b9225908356f48bab",
+    ),
+    (
+        41,
+        "b6a3db98987992ac50378f22a612bd6f04cd2fa8c207e203686cfd8f9461cf5f",
+        "eb8221ce11bced589c31601fd671b169a6d73f74c75afc13ed538cd5749d58e2",
+        "508a455686eb68819c1af93ebc9734156d8508c86a8a62cf2da9bf694c26959e",
+        "f516a637d90df87183a3363dd8907bf4580eedc6616dc9e554945934f4bb28cc",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,state,cert,colors,cycle", SSYK_BENCH_CASES, ids=[f"seed{c[0]}" for c in SSYK_BENCH_CASES]
+)
+def test_golden_ssyk_bench_size(seed, state, cert, colors, cycle):
+    ham, result = _ssyk(1600, 2, seed)
+    assert _sha256(state_to_json(result.matching, result.signs)) == state
+    assert _sha256(result.certificate.to_json()) == cert
+    assert _sha256(repr(greedy_color(build_conflict_graph(ham)))) == colors
+    parts = result.partition.parts
+    rows = ham.index.padded[np.asarray(parts[max(parts, key=lambda key: len(parts[key]))])]
+    assert _sha256(repr(hamiltonian_cycle_dense(permitted_graph(ham, rows[rows >= 0])))) == cycle
 
 
 @pytest.mark.parametrize(

@@ -158,6 +158,61 @@ def test_parse_quartic_document():
     assert ham.terms[0].coeff == 1.0
 
 
+def _assert_hamiltonian_text_is_json_dumps(ham):
+    reference = {
+        "n_modes": ham.n_modes,
+        "terms": [{"indices": list(t.indices), "coeff": t.coeff} for t in ham.terms],
+    }
+    text = serialize_hamiltonian(ham)
+    assert text == json.dumps(reference, indent=1)
+    again = parse_hamiltonian(text)
+    assert again == ham and again.index.coeffs.tobytes() == ham.index.coeffs.tobytes()
+
+
+# -0.0 and the subnormal keep their bits; 1e22 is written "1e+22"; an
+# integer-valued coefficient is still a float, written "3.0"
+SPECIAL_COEFFS = (-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 3.0, -1.0, 0.1, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        MajoranaHamiltonian(3),  # no terms
+        MajoranaHamiltonian(1, [InteractionTerm((0, 1), -0.0)]),
+        MajoranaHamiltonian(
+            4, [InteractionTerm((i, i + 1, i + 2, i + 3), c) for i, c in enumerate(SPECIAL_COEFFS[:5])]
+        ),
+        MajoranaHamiltonian(
+            6, [InteractionTerm((2 * i, 2 * i + 1), c) for i, c in enumerate(SPECIAL_COEFFS[5:])]
+        ),
+        gen_mixed_24(10, 2, seed=1),
+    ],
+    ids=["no-terms", "negative-zero", "special-quartics", "special-quadratics", "mixed24"],
+)
+def test_hamiltonian_writer_gives_the_json_dumps_text(ham):
+    _assert_hamiltonian_text_is_json_dumps(ham)
+
+
+@st.composite
+def _hamiltonians(draw):
+    n_modes = draw(st.integers(1, 5))
+    sets = draw(st.lists(
+        st.sets(st.integers(0, 2 * n_modes - 1), min_size=1, max_size=2 * n_modes).filter(
+            lambda s: len(s) % 2 == 0
+        ),
+        max_size=8,
+        unique_by=frozenset,
+    ))
+    coeff = st.one_of(st.sampled_from(SPECIAL_COEFFS), st.floats(allow_nan=False, allow_infinity=False))
+    return MajoranaHamiltonian(n_modes, [InteractionTerm(tuple(sorted(s)), draw(coeff)) for s in sets])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hamiltonians())
+def test_hamiltonian_writer_gives_the_json_dumps_text_on_random_documents(ham):
+    _assert_hamiltonian_text_is_json_dumps(ham)
+
+
 def test_serialize_round_trip():
     ham = gen_sparse_random(10, 4, 2, "normal", seed=5)
     text = serialize_hamiltonian(ham)

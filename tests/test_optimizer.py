@@ -43,6 +43,8 @@ from fermiopt.optimizer import (
 )
 from fermiopt.oracle import dense_expectation, dense_state_from_matching, lambda_max_exact
 
+from bruteforce import truncation_marks_scan
+
 
 def ham_of(n_modes, *pairs):
     return MajoranaHamiltonian(
@@ -347,6 +349,22 @@ def test_truncate_core_is_k_sparse(seed):
         assert sparsity_profile(core).max_degree <= k_prime
         assert len(core.terms) + len(residual.terms) == len(ham.terms)
         assert set(core.terms) | set(residual.terms) == set(ham.terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_truncate_returns_the_input_exactly_when_nothing_is_cut(seed):
+    ham = gen_ssyk(400, 2, seed=seed)
+    max_degree = sparsity_profile(ham).max_degree
+    for k_prime in (max_degree, max_degree + 1, 24):  # 24 = 8(k+1), the ssyk route's k'
+        core, residual = truncate_to_sparse(ham, k_prime)
+        assert core is ham
+        assert residual.n_terms == 0 and residual.n_modes == ham.n_modes
+    # one below the max degree some term is marked, and the cut matches the scan
+    marked = truncation_marks_scan(ham, max_degree - 1)
+    core, residual = truncate_to_sparse(ham, max_degree - 1)
+    assert marked and core is not ham
+    assert residual.terms == tuple(t for i, t in enumerate(ham.terms) if i in marked)
+    assert core.terms == tuple(t for i, t in enumerate(ham.terms) if i not in marked)
 
 
 # ------------------------------------------------------------- ssyk route

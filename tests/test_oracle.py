@@ -307,19 +307,55 @@ def test_sweep_builds_one_scaffold_per_draw(monkeypatch):
 def test_sweep_rebuilds_for_another_meta_or_hamiltonian(monkeypatch):
     builds = _count_scaffold_builds(monkeypatch)
     ham2, meta = gen_two_colored(6, 2, 4, seed=3)
-    other = replace(meta, couplings=-meta.couplings)
     slope = sweep_slope(ham2, meta)
-    flipped = sweep_slope(ham2, other)
-    assert len(builds) == 2 and builds[1] is other
-    assert flipped[0] == pytest.approx(-slope[0], rel=1e-12)
-    assert sweep_slope(ham2, meta) == slope  # the scaffold for meta is built again
-    assert sweep_slope(ham2, meta) == slope and len(builds) == 3  # the same meta reuses it
     # the tag is the meta object itself: an equal but distinct one rebuilds
     twin = replace(meta)
-    assert sweep_slope(ham2, twin) == slope and len(builds) == 4 and builds[3] is twin
+    assert sweep_slope(ham2, twin) == slope and len(builds) == 2 and builds[1] is twin
+    assert sweep_slope(ham2, meta) == slope  # the scaffold for meta is built again
+    assert sweep_slope(ham2, meta) == slope and len(builds) == 3  # the same meta reuses it
+    # negated couplings describe the negated draw: zeta and H both flip, the slope does not
+    other = replace(meta, couplings=-meta.couplings)
+    index = ham2.index
+    negated = MajoranaHamiltonian.from_arrays(ham2.n_modes, index.term_ptr, index.modes, -index.coeffs)
+    flipped = sweep_slope(negated, other)
+    assert len(builds) == 4 and builds[3] is other
+    assert flipped[0] == pytest.approx(slope[0], rel=1e-12)
     again, again_meta = gen_two_colored(6, 2, 4, seed=3)
     sweep_slope(again, again_meta)
     assert len(builds) == 5
+
+
+def _foreign_meta_pair(case: str):
+    """A two-colored draw paired with a meta that does not describe it."""
+    ham2, meta = gen_two_colored(6, 2, 4, 3)
+    index = ham2.index
+    if case == "other-n2":  # the call that used to fail inside numpy
+        return ham2, gen_two_colored(6, 3, 4, 3)[1]
+    if case == "other-seed":  # the call that used to pass silently
+        return ham2, gen_two_colored(6, 2, 4, 4)[1]
+    if case == "other-q":  # same mode and coupling counts, another term count
+        return ham2, replace(meta, q=6)
+    if case == "short-couplings":
+        return ham2, replace(meta, couplings=meta.couplings[:-1])
+    if case == "n-modes":
+        return MajoranaHamiltonian.from_arrays(6, index.term_ptr, index.modes, index.coeffs), meta
+    coeffs = np.nextafter(index.coeffs, np.inf)  # "one-ulp"
+    return MajoranaHamiltonian.from_arrays(ham2.n_modes, index.term_ptr, index.modes, coeffs), meta
+
+
+@pytest.mark.parametrize("sweep", [sweep_slope, rho_theta_sweep])
+@pytest.mark.parametrize(
+    "case", ["other-n2", "other-seed", "other-q", "short-couplings", "n-modes", "one-ulp"]
+)
+def test_sweep_rejects_a_meta_of_another_draw(monkeypatch, sweep, case):
+    ham2, meta = _foreign_meta_pair(case)
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a dense matrix for a foreign meta")
+
+    monkeypatch.setattr("fermiopt.oracle._string_matrix", never)
+    with pytest.raises(ValueError, match="^meta does not describe ham2: another two-colored draw$"):
+        sweep(ham2, meta)
 
 
 def test_sweep_scaffold_is_freed_with_the_hamiltonian():

@@ -178,8 +178,7 @@ def _cmd_sweep(args) -> int:
     if ham2 != ham:
         raise ValueError("input Hamiltonian does not match its provenance sidecar")
     curve = rho_theta_sweep(ham2, meta, theta_grid=grid)
-    lines = (f"{theta!r},{value!r}\n" for theta, value in curve)
-    Path(args.out).write_text("theta,value\n" + "".join(lines))
+    Path(args.out).write_text(experiments.StudyResult(["theta", "value"], curve).to_csv())
     best_theta, best_value = max(curve, key=lambda tv: tv[1])
     print(f"best value {best_value!r} at theta {best_theta!r}")
     return 0

@@ -11,12 +11,13 @@ consistency of the matching with each interaction's support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .hamiltonian import FormatError, MajoranaHamiltonian, _is_int, _json_list, _load_json
-from .hamiltonian import canonical_sign
+from .hamiltonian import _sum_in_order, canonical_sign
 
 ANTISYM_TOL = 1e-12
 SINGVAL_TOL = 1e-9
@@ -42,7 +43,7 @@ class Matching:
         flat, m = pairs.ravel(), pairs.size
         # m values in [0, m), each once: a permutation, so no fixed points either
         if m and not (flat.min() >= 0 and flat.max() < m and (np.bincount(flat) == 1).all()):
-            raise ValueError(f"pairs {pairs.tolist()} do not perfectly match [0, {m})")
+            raise ValueError(f"pairs {pairs.tolist()!r:.80} do not perfectly match [0, {m})")
         partner = np.empty(m, dtype=np.intp)
         partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
         partner.flags.writeable = False
@@ -238,42 +239,13 @@ class _TermEvaluator:
         return energy, grad - grad.T
 
 
-def _pfaffian_exact_int(mat: np.ndarray) -> float:
-    """Same elimination over exact rationals; for integer-valued inputs."""
-    from fractions import Fraction
-
-    m = mat.shape[0]
-    a = [[Fraction(int(v)) for v in row] for row in np.rint(mat).astype(np.int64)]
-    value = Fraction(1)
-    for k in range(0, m - 2, 2):
-        kp = max(range(k + 1, m), key=lambda r: abs(a[r][k]))
-        if a[kp][k] == 0:
-            return 0.0
-        if kp != k + 1:
-            a[k + 1], a[kp] = a[kp], a[k + 1]
-            for row in a:
-                row[k + 1], row[kp] = row[kp], row[k + 1]
-            value = -value
-        pivot = a[k][k + 1]
-        value *= pivot
-        tau = [a[i][k] / pivot for i in range(k + 2, m)]
-        coupling = [a[i][k + 1] for i in range(k + 2, m)]
-        for i in range(k + 2, m):
-            ci, ti = coupling[i - k - 2], tau[i - k - 2]
-            if ci == 0 and ti == 0:
-                continue
-            for j in range(k + 2, m):
-                a[i][j] += ci * tau[j - k - 2] - ti * coupling[j - k - 2]
-    return float(value * a[m - 2][m - 1])
-
-
 def pfaffian(mat: np.ndarray) -> float:
     """Pfaffian of a real antisymmetric matrix of even dimension.
 
-    Skew-symmetric tridiagonalization with partial pivoting; each 2x2
-    elimination block contributes one factor, row/column swaps flip the
-    sign.  ``Pf(A)^2 = det(A)``.  Integer-valued inputs take an exact
-    rational path, so e.g. matching-state submatrices evaluate exactly.
+    Skew-symmetric tridiagonalization with partial pivoting (Parlett-Reid):
+    each 2x2 elimination block gives one factor, each swap flips the sign;
+    ``Pf(A)^2 = det(A)``.  Integer-valued inputs run the same elimination over
+    exact rationals, so e.g. matching-state submatrices evaluate exactly.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -287,13 +259,13 @@ def pfaffian(mat: np.ndarray) -> float:
     if np.max(np.abs(mat + mat.T)) > 100 * ANTISYM_TOL * scale:
         raise PfaffianError("matrix is not antisymmetric")
     if m <= 24 and scale <= 2**26 and np.all(mat == np.rint(mat)):
-        return _pfaffian_exact_int(mat)
-    a = (mat - mat.T) / 2.0
-    value = 1.0
+        mat = np.frompyfunc(Fraction, 1, 1)(mat)  # an object array of exact rationals
+    # written so that floats take the float arithmetic bit for bit
+    a = (mat - mat.T) / 2
+    value = 1
     for k in range(0, m - 2, 2):
-        col = np.abs(a[k + 1 :, k])
-        kp = k + 1 + int(np.argmax(col))
-        if a[kp, k] == 0.0:
+        kp = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
+        if a[kp, k] == 0:
             return 0.0
         if kp != k + 1:
             a[[k + 1, kp], :] = a[[kp, k + 1], :]
@@ -301,9 +273,8 @@ def pfaffian(mat: np.ndarray) -> float:
             value = -value
         pivot = a[k, k + 1]
         value *= pivot
-        tail = a[k + 2 :, k]
+        tau = a[k + 2 :, k] / pivot
         coupling = a[k + 2 :, k + 1]
-        tau = tail / pivot
         # rank-2 skew update of the trailing block (congruence by the
         # eliminating Gauss transform, unit determinant)
         a[k + 2 :, k + 2 :] += np.outer(coupling, tau) - np.outer(tau, coupling)
@@ -352,10 +323,7 @@ def hamiltonian_expectation(corr: CorrelationMatrix, ham: MajoranaHamiltonian) -
     pfs = _TermEvaluator(expanded, index.coeffs, corr.n_majoranas).pfaffians(corr.gamma)
     for t in np.flatnonzero(index.weights > EXPANSION_MAX_WEIGHT).tolist():
         pfs[t] = monomial_expectation(corr, index.padded[t, : index.weights[t]])
-    total = 0.0
-    for coeff, pf in zip(index.coeffs.tolist(), pfs.tolist()):
-        total += coeff * pf
-    return total
+    return _sum_in_order(index.coeffs * pfs)
 
 
 def classify_consistency(matching: Matching, indices: Sequence[int]) -> ConsistencyVerdict:
@@ -418,8 +386,7 @@ def matching_state_expectation(
     dimer_sign[partner > np.arange(partner.size)] = signs.signs
 
     index = ham.index
-    contribution = np.zeros(index.coeffs.size)
-    consistent = np.zeros(index.coeffs.size, dtype=bool)
+    contribution = np.zeros(index.coeffs.size)  # +0.0 leaves a running sum's bits alone
     for w, ids, rows in index.blocks:
         ids, rows, opener, closer = _inner_pairs(partner, ids, rows)
         order = np.stack((opener, closer), axis=2).reshape(-1, w)
@@ -428,11 +395,7 @@ def matching_state_expectation(
         sign = dimer_sign[np.take_along_axis(rows, opener, axis=1)]
         value = (1 - 2 * (inversions & 1)) * sign.prod(axis=1)
         contribution[ids] = index.coeffs[ids] * value
-        consistent[ids] = True
-    total = 0.0
-    for value in contribution[consistent].tolist():
-        total += value
-    return total
+    return _sum_in_order(contribution)
 
 
 def assign_signs(matching: Matching, ham: MajoranaHamiltonian, ids) -> SignAssignment:
@@ -472,25 +435,25 @@ def state_to_json(matching: Matching, signs: SignAssignment) -> str:
 
 
 def state_from_json(text: str) -> tuple[Matching, SignAssignment]:
-    """Parse what ``state_to_json`` writes: a JSON integer ``n_modes``, pairs
-    of JSON integers in increasing order and one sign per pair, the integer
-    1 or -1 (a bool is not an integer here); else ``FormatError("malformed")``."""
+    """Parse what ``state_to_json`` writes: a JSON integer ``n_modes`` and that
+    many pairs ``a < b`` of JSON integers, pairing ``[0, 2 n_modes)``, each with
+    a sign, the integer 1 or -1 (not a bool); else ``FormatError("malformed")``."""
     doc = _load_json(text)
     if not (
         isinstance(doc, dict)
         and _is_int(n_modes := doc.get("n_modes"))
         and isinstance(pairs := doc.get("pairs"), list)
         and isinstance(signs := doc.get("signs"), list)
-        and len(pairs) == len(signs)
+        and len(pairs) == len(signs) == n_modes
         and all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs)
         and all(p[0] < p[1] for p in pairs)
         and all(_is_int(s) and s in (-1, 1) for s in signs)
     ):
-        raise FormatError("malformed", "a state needs integer n_modes, pairs a<b, one sign +-1 each")
-    matching, signs = signed_matching(pairs, signs)
-    if matching.n_majoranas != 2 * n_modes:
-        raise FormatError("malformed", "pairs do not cover the declared mode count")
-    return matching, signs
+        raise FormatError("malformed", "a state needs n_modes pairs a<b of integers, signs +-1")
+    try:  # an index past int64, or pairs that are not one pairing
+        return signed_matching(pairs, signs)
+    except (OverflowError, ValueError):
+        raise FormatError("malformed", f"pairs do not pair [0, {2 * n_modes}) perfectly") from None
 
 
 def condition_on_dimer(

@@ -259,9 +259,16 @@ def sparsity_profile(ham: MajoranaHamiltonian) -> SparsityProfile:
     return ham._profile
 
 
+def _sum_in_order(values: np.ndarray) -> float | list[float]:
+    """Left-to-right sums from 0.0 along the last axis, a ``+=`` loop's bits on every
+    Python (the builtin ``sum`` compensates from 3.12): a float, or a list of them."""
+    zero = np.zeros((*values.shape[:-1], 1))
+    return np.cumsum(np.concatenate((zero, values), axis=-1), axis=-1)[..., -1].tolist()
+
+
 def total_strength(ham: MajoranaHamiltonian) -> float:
     """Sum of |J_I| over all terms; an upper bound on the largest eigenvalue."""
-    return float(sum(np.abs(ham.index.coeffs).tolist()))
+    return _sum_in_order(np.abs(ham.index.coeffs))
 
 
 def _load_json(text: str):

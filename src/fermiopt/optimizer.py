@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .hamiltonian import (
     MajoranaHamiltonian,
     _is_int,
     _load_json,
+    _sum_in_order,
     sparsity_profile,
     total_strength,
 )
@@ -53,6 +55,11 @@ PIPELINE_SSYK = "ssyk"
 CONTRACT_SLACK = 1e-9
 
 
+def _guarantee_floor(ratio: float, upper: float) -> float:
+    """A guarantee's floor: ``ratio * upper`` less the relative slack ``CONTRACT_SLACK``."""
+    return ratio * upper - CONTRACT_SLACK * upper
+
+
 class PullBackError(RuntimeError):
     """The pulled-back state lost energy; the contract is violated."""
 
@@ -62,8 +69,8 @@ class RatioCertificate:
     """Machine-checkable record of a constructed state's guarantee.
 
     ``part_bound`` is serialized as ``"Q"``; when ``guarantee_holds`` the
-    achieved energy is at least ``guaranteed_ratio * upper_bound`` up to a
-    1e-9 relative slack.
+    achieved energy is at least ``_guarantee_floor(guaranteed_ratio,
+    upper_bound)``.
     """
 
     pipeline: str
@@ -76,7 +83,7 @@ class RatioCertificate:
 
     def __post_init__(self):
         if self.guarantee_holds:
-            floor = self.guaranteed_ratio * self.upper_bound - 1e-9 * self.upper_bound
+            floor = _guarantee_floor(self.guaranteed_ratio, self.upper_bound)
             if not self.achieved >= floor:
                 raise ContractError(f"achieved {self.achieved} below the guaranteed floor {floor}")
 
@@ -149,10 +156,14 @@ def _best_effort(
 
 
 def _ranked_parts(partition: DiffusePartition, ham: MajoranaHamiltonian):
-    """Parts by descending absolute weight, ties toward low (weight, color)."""
-    magnitude = np.abs(ham.index.coeffs).tolist()
+    """Parts by descending absolute weight, ties toward low (weight, color); each
+    weight is one running sum along a row padded with +0.0, which keeps its bits."""
     parts = partition.parts
-    weight = {key: float(sum(magnitude[i] for i in ids)) for key, ids in parts.items()}
+    sizes = np.fromiter(map(len, parts.values()), np.intp, len(parts))
+    ids = np.fromiter(chain.from_iterable(parts.values()), np.intp, int(sizes.sum()))
+    magnitude = np.zeros((sizes.size, sizes.max(initial=0)))
+    magnitude[np.arange(magnitude.shape[1]) < sizes[:, None]] = np.abs(ham.index.coeffs[ids])
+    weight = dict(zip(parts, _sum_in_order(magnitude)))
     ranked = sorted(parts, key=lambda key: (-weight[key], key))
     return [(key, parts[key], weight[key]) for key in ranked]
 
@@ -468,7 +479,7 @@ def optimize_ssyk(ham: MajoranaHamiltonian, k: int) -> OptimizationResult:
     threshold_ok = ham.n_modes > 120 * (k + 1)
     if not threshold_ok:
         notes.append(f"below size threshold n > 120(k+1) = {120 * (k + 1)}")
-    ratio_met = upper > 0 and achieved >= ratio * upper - 1e-9 * upper
+    ratio_met = upper > 0 and achieved >= _guarantee_floor(ratio, upper)
     if threshold_ok and inner.certificate.guarantee_holds and not ratio_met:
         notes.append("ratio bound missed on this draw (tail event)")
     guarantee = threshold_ok and inner.certificate.guarantee_holds and ratio_met

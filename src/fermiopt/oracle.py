@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import CorrelationMatrix, Matching, SignAssignment, _check_state, _TermEvaluator
-from .hamiltonian import MajoranaHamiltonian
+from .hamiltonian import MajoranaHamiltonian, _sum_in_order
 
 DENSE_OP_MODE_BUDGET = 13
 DENSE_EIG_MODE_BUDGET = 10
@@ -113,13 +113,11 @@ def _string_matrix(pauli_sum, n_modes: int) -> np.ndarray:
 def _apply_string(pauli_sum, vec: np.ndarray, out: np.ndarray) -> None:
     """``out += P @ vec`` for the Pauli sum ``P``, one gather per X mask.
 
-    ``vec`` may be a matrix, acted on from the left.  Each gather is a copy
-    taken before ``out`` changes, so a one-group sum may update ``vec`` in place.
+    Each gather is a copy taken before ``out`` changes, so a one-group sum
+    may update ``vec`` in place.
     """
     for cols, coef in pauli_sum:
-        gathered = vec[cols]
-        gathered *= coef if vec.ndim == 1 else coef[:, None]
-        out += gathered
+        out += vec[cols] * coef
 
 
 def dense_hamiltonian(ham: MajoranaHamiltonian) -> DenseOperator:
@@ -252,8 +250,8 @@ def dense_expectation(ham: MajoranaHamiltonian, rho: DenseOperator) -> float:
     if rho.n_modes != ham.n_modes:
         raise ValueError(f"state on {rho.n_modes} modes, Hamiltonian on {ham.n_modes}")
     rows = np.arange(2**ham.n_modes)
-    total = sum(coef @ rho.matrix[cols, rows] for cols, coef in _hamiltonian_sum(ham))
-    return float(np.real(total))
+    traces = [coef @ rho.matrix[cols, rows] for cols, coef in _hamiltonian_sum(ham)]
+    return _sum_in_order(np.real(traces))  # the real parts add on their own
 
 
 # ---------------------------------------------------------------------------

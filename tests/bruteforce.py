@@ -100,6 +100,25 @@ def quadratic_gaussian_max(n_majoranas: int, terms) -> float:
     return 0.5 * float(np.sum(np.linalg.svd(coeff, compute_uv=False)))
 
 
+def bareiss_determinant(rows) -> int:
+    """Exact determinant of a square integer matrix (a list of rows) by
+    fraction-free elimination: Bareiss, every division exact."""
+    a = [[int(v) for v in row] for row in rows]
+    n, sign, previous = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def random_antisymmetric(rng, m: int, integer: bool = False) -> np.ndarray:
     if integer:
         upper = rng.integers(-4, 5, size=(m, m)).astype(float)

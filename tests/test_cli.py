@@ -400,6 +400,8 @@ BAD_STATES = {
     "pair-bools": {"n_modes": 2, "pairs": [[False, True], [2, 3]], "signs": [1, 1]},
     "pair-triple": {"n_modes": 2, "pairs": [[0, 1, 2], [2, 3]], "signs": [1, 1]},
     "pair-decreasing": {"n_modes": 2, "pairs": [[1, 0], [2, 3]], "signs": [1, 1]},
+    "pair-past-int64": {"n_modes": 2, "pairs": [[0, 1], [2, 2**63]], "signs": [1, 1]},
+    "pairs-overlapping": {"n_modes": 2, "pairs": [[0, 1], [1, 2]], "signs": [1, 1]},
     "n-modes-float": {"n_modes": 2.0, "pairs": _PAIRS, "signs": [1, 1]},
     "n-modes-true": {"n_modes": True, "pairs": [[0, 1]], "signs": [1]},
     "n-modes-undercovered": {"n_modes": 3, "pairs": _PAIRS, "signs": [1, 1]},
@@ -420,6 +422,13 @@ def _verify(tmp_path, state_text):
 def test_verify_rejects_malformed_state(tmp_path, capsys, doc):
     assert _verify(tmp_path, json.dumps(doc)) == 1
     assert _one_error_line(capsys).out == ""  # no route ran
+
+
+@pytest.mark.parametrize("last", [[1998, 2**63], [1998, 2000]], ids=["past-int64", "out-of-range"])
+def test_verify_rejects_a_bad_pair_of_a_large_state_in_one_short_line(tmp_path, capsys, last):
+    pairs = [[2 * i, 2 * i + 1] for i in range(999)] + [last]
+    assert _verify(tmp_path, json.dumps({"n_modes": 1000, "pairs": pairs, "signs": [1] * 1000})) == 1
+    assert len(_one_error_line(capsys).err) < 100
 
 
 def test_verify_rejects_state_that_is_not_json(tmp_path, capsys):

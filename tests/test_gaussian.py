@@ -27,10 +27,10 @@ from fermiopt.gaussian import (
     state_from_json,
     state_to_json,
 )
-from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
+from fermiopt.hamiltonian import FormatError, InteractionTerm, MajoranaHamiltonian
 from fermiopt.oracle import dense_dimer_state, dense_expectation, dense_state_from_matching
 
-from bruteforce import dense_term, pfaffian_matching_sum, random_antisymmetric
+from bruteforce import bareiss_determinant, dense_term, pfaffian_matching_sum, random_antisymmetric
 
 
 def random_matching_state(rng, n_modes):
@@ -104,6 +104,28 @@ def test_pfaffian_squares_to_determinant(seed, m):
     pf = pfaffian(mat)
     det = np.linalg.det(mat)
     assert np.isclose(pf * pf, det, rtol=1e-8, atol=1e-10)
+
+
+def test_bareiss_determinant_on_small_cases():
+    assert bareiss_determinant([]) == 1
+    assert bareiss_determinant([[0, 2], [-2, 0]]) == 4
+    assert bareiss_determinant([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
+    assert bareiss_determinant([[1, 2], [2, 4]]) == 0
+
+
+@pytest.mark.parametrize("m", range(10, 25, 2))
+def test_integer_pfaffian_is_exact_up_to_24_majoranas(m):
+    # entries |a| <= 3 take the exact rational route; the float route would
+    # miss the exact determinant here by rounding
+    rng = np.random.default_rng(m)
+    for trial in range(4):
+        upper = np.triu(rng.integers(-3, 4, size=(m, m)), 1)
+        if trial == 3:
+            upper[:, m // 2] = 0  # a singular draw: one Majorana uncoupled
+        mat = upper - upper.T
+        pf = pfaffian(mat.astype(float))
+        assert pf == int(pf)
+        assert int(pf) ** 2 == bareiss_determinant(mat.tolist())
 
 
 # ------------------------------------------------- matchings and matrices
@@ -526,6 +548,30 @@ def _assert_state_text_is_json_dumps(matching, signs):
 )
 def test_state_writer_gives_the_json_dumps_text(pairs, signs):
     _assert_state_text_is_json_dumps(*gaussian.signed_matching(pairs, signs))
+
+
+def _state_with_last_pair(n_modes, last):
+    pairs = [[2 * i, 2 * i + 1] for i in range(n_modes - 1)] + [last]
+    return json.dumps({"n_modes": n_modes, "pairs": pairs, "signs": [1] * n_modes})
+
+
+@pytest.mark.parametrize(
+    "last",
+    [[1998, 2**63], [-(2**63) - 1, 1999], [1998, 2000], [1997, 1999]],
+    ids=["past-int64", "below-int64", "out-of-range", "overlapping"],
+)
+def test_state_reader_rejects_a_bad_pair_as_malformed_in_short(last):
+    with pytest.raises(FormatError) as info:
+        state_from_json(_state_with_last_pair(1000, last))
+    assert info.value.code == "malformed"
+    assert len(str(info.value)) < 80
+
+
+def test_matching_error_quotes_a_bounded_prefix_of_the_pairs():
+    pairs = [(2 * i, 2 * i + 1) for i in range(999)] + [(1998, 2000)]
+    with pytest.raises(ValueError, match="do not perfectly match") as info:
+        Matching(pairs)
+    assert len(str(info.value)) < 140
 
 
 @settings(max_examples=60, deadline=None)

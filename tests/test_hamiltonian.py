@@ -10,6 +10,7 @@ from fermiopt.hamiltonian import (
     FormatError,
     InteractionTerm,
     MajoranaHamiltonian,
+    _sum_in_order,
     canonical_sign,
     parse_hamiltonian,
     serialize_hamiltonian,
@@ -140,6 +141,48 @@ def test_total_strength_absolute_sum():
     )
     assert total_strength(ham) == 5.0
     assert total_strength(MajoranaHamiltonian(n_modes=1, terms=())) == 0.0
+
+
+def _loop_sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+SUMS = {
+    "empty": [],
+    "negative-zero": [-0.0],
+    "negative-zeros": [-0.0, -0.0, -0.0],
+    "zero-signs": [0.0, -0.0, -0.0],
+    "subnormals": [5e-324, -1e-323, 2.5e-323, 2.2250738585072014e-308, -5e-324],
+    "mixed-magnitudes": [1e16, 1.0, -1e16, 1e-8, 3.0, 1e8, 0.1, 0.2, -0.3],
+}
+
+
+@pytest.mark.parametrize("values", SUMS.values(), ids=SUMS.keys())
+def test_sum_in_order_is_the_loop_sum(values):
+    assert _sum_in_order(np.array(values, dtype=float)).hex() == _loop_sum(values).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e300, 1e300) | st.sampled_from([-0.0, 5e-324])),
+    st.integers(1, 4),
+)
+def test_sum_in_order_matches_the_loop_bit_for_bit(values, n_rows):
+    assert _sum_in_order(np.array(values, dtype=float)).hex() == _loop_sum(values).hex()
+    width = len(values) // n_rows
+    table = np.array(values[: n_rows * width], dtype=float).reshape(n_rows, width)
+    rows = _sum_in_order(table)
+    assert [v.hex() for v in rows] == [_loop_sum(row).hex() for row in table.tolist()]
+
+
+def test_total_strength_is_the_running_sum_on_every_python():
+    # Python 3.12+ sums this |J| list with compensation to 15.831284021954081
+    ham = gen_ssyk(1600, 2, 5)
+    assert total_strength(ham) == _loop_sum(np.abs(ham.index.coeffs).tolist())
+    assert total_strength(ham) == 15.83128402195409
 
 
 @pytest.mark.parametrize("seed", range(8))

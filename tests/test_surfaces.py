@@ -76,6 +76,24 @@ def test_package_has_no_bare_assert():
     assert not found, f"bare assert in fermiopt: {', '.join(found)}"
 
 
+def test_package_has_no_builtin_sum_but_the_inversion_count():
+    # from Python 3.12 on the builtin sum adds floats with compensation, so a
+    # total built with it changes bits with the interpreter; term-order sums
+    # go through hamiltonian._sum_in_order, and canonical_sign counts integers
+    found = []
+    for path in sorted(Path(fermiopt.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "canonical_sign":
+                allowed.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            if call and node.func.id == "sum" and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"builtin sum in fermiopt: {', '.join(found)}"
+
+
 # the views of a matching state that only the JSON edge may read in the package
 VIEWS = ("pairs", "as_dict", "from_dict")
 VIEW_READERS = {

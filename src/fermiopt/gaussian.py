@@ -258,10 +258,10 @@ def pfaffian(mat: np.ndarray) -> float:
     scale = np.max(np.abs(mat)) or 1.0
     if np.max(np.abs(mat + mat.T)) > 100 * ANTISYM_TOL * scale:
         raise PfaffianError("matrix is not antisymmetric")
-    if m <= 24 and scale <= 2**26 and np.all(mat == np.rint(mat)):
-        mat = np.frompyfunc(Fraction, 1, 1)(mat)  # an object array of exact rationals
-    # written so that floats take the float arithmetic bit for bit
     a = (mat - mat.T) / 2
+    if m <= 24 and scale <= 2**26 and np.all(mat == np.rint(mat)):
+        a = np.frompyfunc(lambda v: Fraction(v) if v else 0, 1, 1)(a)  # zeros: a cheap int 0
+    # written so that floats take the float arithmetic bit for bit
     value = 1
     for k in range(0, m - 2, 2):
         kp = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
@@ -275,8 +275,11 @@ def pfaffian(mat: np.ndarray) -> float:
         value *= pivot
         tau = a[k + 2 :, k] / pivot
         coupling = a[k + 2 :, k + 1]
-        # rank-2 skew update of the trailing block (congruence by the
-        # eliminating Gauss transform, unit determinant)
+        # the rank-2 skew update of the trailing block (a unit-determinant congruence)
+        # is zero if either factor is, as at every step on a matching-state submatrix;
+        # floats add it anyway, since its +-0.0 terms can change the sign of a zero
+        if a.dtype == object and not (tau.any() and coupling.any()):
+            continue
         a[k + 2 :, k + 2 :] += np.outer(coupling, tau) - np.outer(tau, coupling)
     return float(value * a[m - 2, m - 1])
 
@@ -303,8 +306,7 @@ def monomial_expectation(corr: CorrelationMatrix, indices: Sequence[int]) -> flo
         raise FormatError("repeated-majorana", f"repeated Majorana in {idx}")
     if len(idx) == 0:
         return 1.0
-    sub = corr.gamma[np.ix_(idx, idx)]
-    return pfaffian(sub)
+    return pfaffian(corr.gamma[np.ix_(idx, idx)])
 
 
 def hamiltonian_expectation(corr: CorrelationMatrix, ham: MajoranaHamiltonian) -> float:
@@ -315,9 +317,7 @@ def hamiltonian_expectation(corr: CorrelationMatrix, ham: MajoranaHamiltonian) -
     heavier terms take ``pfaffian`` one at a time.
     """
     if ham.n_majoranas > corr.n_majoranas:
-        raise ValueError(
-            f"Hamiltonian on {ham.n_majoranas} Majoranas, state on {corr.n_majoranas}"
-        )
+        raise ValueError(f"Hamiltonian on {ham.n_majoranas} Majoranas, state on {corr.n_majoranas}")
     index = ham.index
     expanded = [block for block in index.blocks if block[0] <= EXPANSION_MAX_WEIGHT]
     pfs = _TermEvaluator(expanded, index.coeffs, corr.n_majoranas).pfaffians(corr.gamma)

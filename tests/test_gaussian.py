@@ -126,6 +126,21 @@ def test_integer_pfaffian_is_exact_up_to_24_majoranas(m):
         pf = pfaffian(mat.astype(float))
         assert pf == int(pf)
         assert int(pf) ** 2 == bareiss_determinant(mat.tolist())
+    # signed matchings of shuffled Majoranas, the shape of a matching-state
+    # submatrix: every elimination step meets a block already split off, and
+    # a few coupled blocks make some steps update.  A pure matching has
+    # Pf = +-1, which the float route at half scale gets with no rounding.
+    for coupled in (0, 0, 2, 3):
+        mat = np.zeros((m, m), dtype=np.int64)
+        for a, b in rng.permutation(m).reshape(-1, 2):
+            mat[a, b] = rng.choice([-1, 1])
+            mat[b, a] = -mat[a, b]
+        for a, b in rng.choice(m, size=(coupled, 2), replace=False):
+            mat[a, b], mat[b, a] = 2, -2
+        pf = pfaffian(mat.astype(float))
+        assert int(pf) ** 2 == bareiss_determinant(mat.tolist())
+        if not coupled:
+            assert abs(pf) == 1.0 and pf == pfaffian(mat / 2.0) * 2.0 ** (m // 2)
 
 
 # ------------------------------------------------- matchings and matrices

@@ -158,16 +158,13 @@ def is_diffuse(
     members = np.asarray(subset_ids, dtype=np.intp).reshape(-1)
     rows = padded[members]
     support = rows[rows >= 0]
-    # owner[c]: who claimed Majorana c; the extra last slot takes the -1
-    # padding.  A Majorana claimed twice keeps only one of its claims.
-    owner = np.full(ham.n_majoranas + 1, -1, dtype=np.intp)
-    claim = np.arange(support.size)
-    owner[support] = claim
-    if (owner[support] != claim).any():
+    if np.bincount(support).max(initial=0) > 1:
         return DiffuseCheck(False, 1)
     # Condition 1 holds from here on, so every Majorana of the united
     # support belongs to exactly one member: a term touches two distinct
-    # members exactly when the owners of its Majoranas differ
+    # members exactly when the owners of its Majoranas differ.  owner[c]:
+    # the member holding Majorana c; the extra last slot takes the -1 padding
+    owner = np.full(ham.n_majoranas + 1, -1, dtype=np.intp)
     owner[rows] = members[:, None]
     owner[-1] = -1
     owners = owner[padded]
@@ -186,14 +183,15 @@ def is_diffuse(
 class DiffusePartition:
     """Disjoint cover of the term set by per-weight diffuse classes.
 
-    Keys are ``(half_weight, color)``; values are term-id tuples.  ``bound``
+    Keys are ``(half_weight, color)``; values are read-only ``np.intp``
+    arrays of term ids in index-tuple (``lex_rank``) order.  ``bound``
     is the printed class-count bound per weight, ``part_bound(locality,
     sparsity)``: the (q, k) resolved once here, which the routes also read
     for their size thresholds.  ``diffuse_flags`` records the per-part
     separation verdicts (all true above the size thresholds).
     """
 
-    parts: dict[tuple[int, int], tuple[int, ...]]
+    parts: dict[tuple[int, int], np.ndarray]
     bound: int
     locality: int
     sparsity: int
@@ -229,39 +227,33 @@ def diffuse_partition(
     k = max(sparsity if sparsity is not None else profile.max_degree, 1)
     bound = part_bound(q, k)
 
-    graph = build_conflict_graph(ham)
-    colors = greedy_color(graph)
-    classes: dict[tuple[int, int], list[int]] = {}
-    for t_id, key in enumerate(zip((ham.index.weights // 2).tolist(), colors)):
-        classes.setdefault(key, []).append(t_id)
+    colors = greedy_color(build_conflict_graph(ham))
+    # weight -> color -> term ids, each in order of first appearance
+    classes: dict[int, dict[int, list[int]]] = {}
+    for t_id, (q_half, color) in enumerate(zip((ham.index.weights // 2).tolist(), colors)):
+        classes.setdefault(q_half, {}).setdefault(color, []).append(t_id)
 
     n_colors = max(colors, default=-1) + 1
-    rank = ham.index.lex_rank.tolist()
-    parts: dict[tuple[int, int], tuple[int, ...]] = {}
-    by_weight: dict[int, list[tuple[int, int]]] = {}
-    for key, ids in classes.items():
-        ids.sort(key=rank.__getitem__)
-        parts[key] = tuple(ids)
-        by_weight.setdefault(key[0], []).append(key)
-
+    rank = ham.index.lex_rank
+    parts: dict[tuple[int, int], np.ndarray] = {}
     flags: dict[tuple[int, int], bool] = {}
-    for q_half, keys in by_weight.items():
-        # conditions 1-2 hold per coloring; a class that breaches the
-        # support bound is halved, each violator into its own new color
-        for key in keys:
-            check = is_diffuse(parts[key], ham, locality=q)
+    for q_half, by_color in classes.items():
+        for color, members in by_color.items():
+            ids = np.asarray(members, dtype=np.intp)
+            ids = ids[np.argsort(rank[ids])]
+            ids.flags.writeable = False  # and so are its halves
+            # conditions 1-2 hold per coloring; a class that breaches the
+            # support bound is halved, each violator into its own new color
+            check = is_diffuse(ids, ham, locality=q)
             if check.violated != 3:
-                flags[key] = check.ok
+                parts[(q_half, color)], flags[(q_half, color)] = ids, check.ok
                 continue
-            ids = parts[key]
-            parts[key] = ids[: len(ids) // 2]
-            parts[(q_half, n_colors)] = ids[len(ids) // 2 :]
-            for half in (key, (q_half, n_colors)):
-                if parts[half]:
-                    flags[half] = is_diffuse(parts[half], ham, locality=q).ok
+            half = ids.size // 2
+            for key, part in (((q_half, color), ids[:half]), ((q_half, n_colors), ids[half:])):
+                if part.size:
+                    parts[key], flags[key] = part, is_diffuse(part, ham, locality=q).ok
             n_colors += 1
 
-    parts = {key: ids for key, ids in parts.items() if ids}
     return DiffusePartition(
         parts=parts, bound=bound, locality=q, sparsity=k, diffuse_flags=flags
     )
@@ -427,9 +419,7 @@ def _backtrack_matching(vertices: list[int], graph) -> list[tuple[int, int]] | N
     if not vertices:
         return []
     head, rest = vertices[0], vertices[1:]
-    for partner in sorted(graph.neighbors(head)):
-        if partner not in rest:
-            continue
+    for partner in [v for v in rest if graph.has_edge(head, v)]:
         remaining = [v for v in rest if v != partner]
         sub = _backtrack_matching(remaining, graph)
         if sub is not None:

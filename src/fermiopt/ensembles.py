@@ -48,7 +48,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        missing = [name for name in _FAMILY_PARAMS[self.family] if getattr(self, name) is None]
+        read = _FAMILY_PARAMS[self.family]
+        for name in ("n", "q", "k", "n1", "n2"):
+            if name not in read and getattr(self, name) is not None:
+                raise ValueError(f"family {self.family!r} does not read field {name!r}")
+        missing = [name for name in read if getattr(self, name) is None]
         if missing:
             raise ValueError(f"family {self.family!r} needs {', '.join(missing)}")
 

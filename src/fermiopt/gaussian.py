@@ -407,13 +407,12 @@ def assign_signs(matching: Matching, ham: MajoranaHamiltonian, ids) -> SignAssig
     dimers at +1, so it flips when its parity and the sign of J disagree.
     """
     index, ids = ham.index, np.asarray(ids, dtype=np.intp).reshape(-1)
-    used: set[int] = set()
+    rows = index.padded[ids]
+    if np.bincount(rows[rows >= 0]).max(initial=0) > 1:
+        raise ValueError("targets not disjoint")
     flipped = []  # the lower Majorana of each flipped dimer
-    for row, coeff in zip(index.padded[ids].tolist(), index.coeffs[ids].tolist()):
+    for row, coeff in zip(rows.tolist(), index.coeffs[ids].tolist()):
         indices = tuple(i for i in row if i >= 0)
-        if used & set(indices):
-            raise ValueError("targets not disjoint")
-        used.update(indices)
         verdict = classify_consistency(matching, indices)
         if not verdict.consistent:
             raise ValueError(f"target {indices} is inconsistent with the matching")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -159,8 +158,8 @@ def _ranked_parts(partition: DiffusePartition, ham: MajoranaHamiltonian):
     """Parts by descending absolute weight, ties toward low (weight, color); each
     weight is one running sum along a row padded with +0.0, which keeps its bits."""
     parts = partition.parts
-    sizes = np.fromiter(map(len, parts.values()), np.intp, len(parts))
-    ids = np.fromiter(chain.from_iterable(parts.values()), np.intp, int(sizes.sum()))
+    sizes = np.array([ids.size for ids in parts.values()], dtype=np.intp)
+    ids = np.concatenate(list(parts.values()))
     magnitude = np.zeros((sizes.size, sizes.max(initial=0)))
     magnitude[np.arange(magnitude.shape[1]) < sizes[:, None]] = np.abs(ham.index.coeffs[ids])
     weight = dict(zip(parts, _sum_in_order(magnitude)))
@@ -377,7 +376,7 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
         else:
             # weight-4 branch: re-route a marked outer edge through the
             # auxiliaries so no lifted weight-2 term can stay consistent
-            rows = ham.index.padded[list(ids)]
+            rows = ham.index.padded[ids]
             outer = np.flatnonzero(~np.isin(dimers, rows[rows >= 0]).any(axis=1))
             if not outer.size:
                 raise DiracError("no outer edge available to mark")

@@ -152,6 +152,40 @@ def test_sweep_theta_rejects_mismatched_sidecar(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        (["--family", "sykq", "--n", "4", "--q", "4", "--k", "9"], "k"),
+        (["--family", "sykq", "--n", "4", "--q", "4", "--n1", "3"], "n1"),
+        (["--family", "ssyk", "--n", "10", "--k", "1", "--q", "4"], "q"),
+        (["--family", "two_colored", "--n1", "6", "--n2", "2", "--q", "4", "--n", "8"], "n"),
+    ],
+)
+def test_gen_rejects_a_field_its_family_does_not_read(tmp_path, capsys, args, field):
+    out = tmp_path / "h.json"
+    assert run(["gen", *args, "--seed", "1", "--out", str(out)]) == 1
+    family = args[1]
+    message = f"error: family {family!r} does not read field {field!r}\n"
+    assert _one_error_line(capsys).err == message
+    assert not out.exists() and not (tmp_path / "h.json.spec.json").exists()
+
+
+def test_sweep_theta_rejects_a_sidecar_field_the_family_does_not_read(tmp_path, capsys):
+    h = tmp_path / "h2.json"
+    run(
+        ["gen", "--family", "two_colored", "--n1", "6", "--n2", "2", "--q", "4",
+         "--seed", "5", "--out", str(h)]
+    )
+    sidecar = tmp_path / "h2.json.spec.json"
+    doc = json.loads(sidecar.read_text())
+    doc["spec"]["k"] = 2
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["sweep-theta", "--in", str(h), "--out", str(tmp_path / "c.csv")]) == 1
+    assert _one_error_line(capsys).err == "error: family 'two_colored' does not read field 'k'\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
 BAD_GRIDS = ["nan,2,4", "1e-3,inf,4", "1e-3,2,0", "1e-3,2,-3", "1e-3,2,2.5", "1e-3,2",
              "1e-3,2,4,8", "a,2,4", "", "-1,2,4", "1e-3,-2,4", "0,2,4"]
 

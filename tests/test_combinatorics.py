@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -21,7 +22,7 @@ from fermiopt.combinatorics import (
 )
 from fermiopt.gaussian import classify_consistency
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
-from fermiopt.ensembles import gen_sparse_random
+from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
 
 from bruteforce import enumerate_hamiltonian_cycles
 
@@ -210,6 +211,43 @@ def test_partition_halves_every_support_violator(n, seed):
     for ids in partition.parts.values():
         assert is_diffuse(ids, ham, locality=2).ok
     assert partition.all_diffuse and partition.within_bound()
+
+
+# (draw, partition arguments, sha256 of repr([(key, ids) ...]) over sorted keys),
+# recorded when the parts were still tuples of ints; the last three are the
+# draws of test_partition_halves_every_support_violator
+PART_DRAWS = [
+    (lambda: gen_sparse_random(120, 4, 2, "normal", 3), {"sparsity": 2},
+     "eaf8c5cabfb5837b79dfe01cd0f0b16291a020c33e0bc94bb068083917ff1419"),
+    (lambda: gen_mixed_24(120, 2, 4), {"locality": 4, "sparsity": 2},
+     "db8d38b5238fc62f867e46b8b5fb5af66a9fccefb2018d5de1f3ee8033e8946c"),
+    (lambda: gen_ssyk(400, 2, 1), {"sparsity": 24},
+     "39c6c74c04fa954d9f160f83851e039e864c69fc1e3a1579e18aadce36e3930b"),
+    (lambda: gen_sparse_random(6, 2, 2, "normal", 2), {"locality": 2, "sparsity": 2},
+     "1637327bb063e804b404cff8eff1ded4a6a3cd6f24d065575a41ee0c35b4e0a1"),
+    (lambda: gen_sparse_random(9, 2, 2, "normal", 29), {"locality": 2, "sparsity": 2},
+     "42a326e2d92a2c2fe8fb5b545993ce4467d636f59341f0b6ba6a0e7f93f9f699"),
+    (lambda: gen_sparse_random(12, 2, 2, "normal", 4), {"locality": 2, "sparsity": 2},
+     "c1e6657c15260b41a4371f9dedeec0016961f3ee5f4f6c55f6ad2337911f5309"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,kwargs,digest",
+    PART_DRAWS,
+    ids=["strictq-n120", "mixed24-n120", "ssyk-n400", "split-n6", "split-n9", "split-n12"],
+)
+def test_parts_are_read_only_id_arrays_in_lex_order(build, kwargs, digest):
+    ham = build()
+    partition = diffuse_partition(ham, **kwargs)
+    for ids in partition.parts.values():
+        assert isinstance(ids, np.ndarray) and ids.dtype == np.intp and ids.ndim == 1
+        assert not ids.flags.writeable
+        assert (np.diff(ham.index.lex_rank[ids]) > 0).all()
+    covered = np.concatenate(list(partition.parts.values()))
+    assert np.array_equal(np.bincount(covered, minlength=ham.n_terms), np.ones(ham.n_terms))
+    rows = [(key, partition.parts[key].tolist()) for key in sorted(partition.parts)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,seed", [(6, 2), (16, 0), (40, 3)])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -270,6 +271,25 @@ def test_fuzzed_specs_emit_valid_hamiltonians(family, seed):
 def test_spec_names_missing_family_parameters(fields, missing):
     with pytest.raises(ValueError, match=f"needs {missing}"):
         EnsembleSpec(seed=0, **fields)
+
+
+@pytest.mark.parametrize(
+    "fields,unread",
+    [
+        ({"family": "sykq", "n": 4, "q": 4, "k": 9}, "k"),
+        ({"family": "sykq", "n": 4, "q": 4, "n1": 3}, "n1"),
+        ({"family": "ssyk", "n": 10, "k": 2, "q": 4}, "q"),
+        ({"family": "sparse_random", "n": 10, "q": 4, "k": 2, "n2": 1}, "n2"),
+        ({"family": "two_colored", "n1": 6, "n2": 2, "q": 4, "n": 8}, "n"),
+    ],
+)
+def test_spec_rejects_a_field_its_family_does_not_read(fields, unread):
+    message = f"^family {fields['family']!r} does not read field {unread!r}$"
+    with pytest.raises(ValueError, match=message):
+        EnsembleSpec(seed=0, **fields)
+    doc = {"spec": {"seed": 0, **fields}}
+    with pytest.raises(ValueError, match=message):
+        EnsembleSpec.from_json(json.dumps(doc))
 
 
 def test_spec_json_round_trip():

@@ -461,7 +461,7 @@ def test_is_diffuse_matches_scan_on_partition_parts():
     partition = diffuse_partition(ham)
     verdicts = set()
     for ids in partition.parts.values():
-        for subset in (ids, ids + ids[:1], ids[: len(ids) // 3]):
+        for subset in (ids, np.append(ids, ids[:1]), ids[: len(ids) // 3]):
             got = _verdict(is_diffuse(subset, ham))
             assert got == diffuse_verdict_scan(subset, ham)
             verdicts.add(got)

@@ -3,6 +3,7 @@ survive ``python -O``."""
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,15 @@ def test_cli_ssyk_pipeline_requires_k(tmp_path):
          "--out-state", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json")]
     )
     assert code == 1
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # the dense oracles call np.bitwise_count, which NumPy added in 2.0
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor is not None, "pyproject.toml declares no numpy floor"
+    assert (int(floor[1]), int(floor[2])) >= (2, 0)
+    assert hasattr(np, "bitwise_count")
 
 
 def test_package_has_no_bare_assert():
@@ -157,6 +167,11 @@ def _random_pure_state(m, seed):
     return CorrelationMatrix((gamma - gamma.T) / 2.0)
 
 
+def _partition_rows(partition):
+    fields = (partition.bound, partition.locality, partition.sparsity, partition.diffuse_flags)
+    return [(key, ids.tolist()) for key, ids in partition.parts.items()], fields
+
+
 def test_certify_and_wick_layers_read_only_the_term_index():
     strict = gen_sparse_random(40, 4, 2, "normal", seed=3)
     mixed = gen_mixed_24(10, 2, seed=1)
@@ -175,9 +190,12 @@ def test_certify_and_wick_layers_read_only_the_term_index():
     for ham, optimize in ((strict, optimize_strict_q), (mixed, optimize_mixed_24)):
         guarded = _guarded(ham)
         partition = diffuse_partition(ham)
-        assert diffuse_partition(guarded) == partition
+        assert _partition_rows(diffuse_partition(guarded)) == _partition_rows(partition)
         ranked = _ranked_parts(partition, ham)
-        assert _ranked_parts(partition, guarded) == ranked
+        got = _ranked_parts(partition, guarded)
+        assert [(k, ids.tolist(), w) for k, ids, w in got] == [
+            (k, ids.tolist(), w) for k, ids, w in ranked
+        ]
         expected, fallback = diffuse_matching(ham, ranked[0][1])
         got = diffuse_matching(guarded, ranked[0][1])
         assert np.array_equal(got[0].partner, expected.partner) and got[1] == fallback

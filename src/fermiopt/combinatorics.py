@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .gaussian import Matching
 from .hamiltonian import MajoranaHamiltonian, sparsity_profile
@@ -46,93 +45,63 @@ def part_bound(q: int, k: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ConflictGraph:
-    """Terms as vertices; edges mark pairs that cannot share a diffuse set.
+    """Terms as vertices, held in factored form: the term-overlap lists.
 
-    A CSR graph: the neighbors of ``v`` are ``indices[indptr[v]:indptr[v + 1]]``,
-    ascending.  ``term_rank[v]`` is the rank of term ``v``'s index tuple
-    among all terms.
+    Row ``v``, ``indices[indptr[v]:indptr[v + 1]]``, lists the terms that
+    share a Majorana with term ``v``: ``v`` itself, and a term sharing two
+    Majoranas twice.  The conflicts of ``v`` are the terms within two steps
+    of it.  ``term_rank[v]`` is the rank of term ``v``'s index tuple among
+    all terms, and ``bound`` is ``conflict_degree_bound(q, k)`` at the
+    measured locality and degree.
     """
 
     n_vertices: int
     indptr: np.ndarray
     indices: np.ndarray
     term_rank: np.ndarray
-
-    @property
-    def max_degree(self) -> int:
-        return int(np.diff(self.indptr).max(initial=0))
+    bound: int
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        at = int(np.searchsorted(row, v))
-        return at < row.size and row[at] == v
-
 
 def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
-    """Connect terms that overlap or are bridged by a third term: the
-    pattern of ``(A A^T)^2`` less its diagonal, ``A`` being the term x
-    Majorana incidence matrix (``A A^T`` has an entry wherever two terms
-    share a Majorana, its square wherever they do or a third term bridges
-    them), built as one sparse product."""
+    """Overlap lists off the term index: term ``t``'s row is the
+    mode -> terms rows of its Majoranas, one after another."""
     index = ham.index
-    n_terms, m = ham.n_terms, ham.n_majoranas
-    ones = np.ones(index.modes.size, dtype=np.int32)
-    incidence = sparse.csr_matrix((ones, index.modes, index.term_ptr), (n_terms, m))
-    # the mode -> terms CSR is A^T in CSR form already
-    transposed = sparse.csr_matrix((ones, index.mode_term_ids, index.mode_ptr), (m, n_terms))
-    overlap = incidence @ transposed
-    # the square is symmetric, and converting its transpose back to CSR
-    # lays each row out in ascending order, which is cheaper than sorting it
-    two_hop = (overlap @ overlap).T.tocsr()
-    two_hop.sort_indices()
-    # every row holds its diagonal entry (a term overlaps itself): drop it
-    rows = np.repeat(np.arange(n_terms), np.diff(two_hop.indptr))
-    indices = two_hop.indices[two_hop.indices != rows]
-    indptr = two_hop.indptr - np.arange(n_terms + 1)
-    graph = ConflictGraph(
-        n_vertices=n_terms,
-        indptr=indptr.astype(np.intp),
-        indices=indices.astype(np.intp),
-        term_rank=index.lex_rank,
-    )
+    starts, stops = index.mode_ptr[index.modes], index.mode_ptr[index.modes + 1]
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    # the i-th entry of a Majorana's block reads its mode -> terms row at i
+    rows = index.mode_term_ids[np.repeat(stops - ends, lengths) + np.arange(lengths.sum())]
     profile = sparsity_profile(ham)
-    if ham.n_terms:
-        q = max(profile.weights_present)
-        bound = conflict_degree_bound(q, max(profile.max_degree, 1))
-        if graph.max_degree > bound:
-            raise ContractError(f"conflict degree {graph.max_degree} exceeds its bound {bound}")
-    return graph
+    q, k = max(profile.weights_present, default=2), max(profile.max_degree, 1)
+    indptr, bound = np.append(0, ends)[index.term_ptr], conflict_degree_bound(q, k)
+    return ConflictGraph(ham.n_terms, indptr, rows, index.lex_rank, bound)
 
 
 def greedy_color(graph: ConflictGraph) -> list[int]:
-    """Proper coloring with at most ``max_degree + 1`` colors.
+    """Greedy distance-2 coloring in index-tuple order.
 
-    Vertices are processed by descending conflict degree, ties broken by
-    the term's index tuple, so the result is deterministic.
+    ``near[u]`` holds the color bits already on ``u``'s row.  A term takes
+    the lowest bit missing from the OR of ``near`` over its own row, which
+    covers every term within two steps, then ORs that bit into ``near``
+    over the same row.  Any order uses at most max degree + 1 colors.
     """
-    n = graph.n_vertices
-    degree = np.diff(graph.indptr)
-    order = np.lexsort((graph.term_rank, -degree))
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    # only the neighbors that come earlier in the order are colored when a
-    # vertex is reached: keep those, row by row
-    earlier = position[graph.indices] < np.repeat(position, degree)
-    ptr = np.concatenate(([0], np.cumsum(earlier)))[graph.indptr].tolist()
-    neighbors = graph.indices[earlier].tolist()
-    # bit[v] = 1 << color of v: v takes the lowest bit no earlier neighbor holds
-    bit = [0] * n
-    for v in order.tolist():
+    ptr, rows = graph.indptr.tolist(), graph.indices.tolist()
+    near = [0] * graph.n_vertices
+    colors = [0] * graph.n_vertices
+    for v in np.argsort(graph.term_rank).tolist():
+        row = rows[ptr[v] : ptr[v + 1]]
         taken = 0
-        for u in neighbors[ptr[v] : ptr[v + 1]]:
-            taken |= bit[u]
-        bit[v] = ~taken & (taken + 1)
-    colors = [b.bit_length() - 1 for b in bit]
-    if any(c < 0 for c in colors) or max(colors, default=-1) > graph.max_degree:
-        raise ContractError(f"coloring exceeds max degree + 1 = {graph.max_degree + 1} colors")
+        for u in row:
+            taken |= near[u]
+        bit = ~taken & (taken + 1)
+        for u in row:
+            near[u] |= bit
+        colors[v] = bit.bit_length() - 1
+    if max(colors, default=0) > graph.bound:
+        raise ContractError(f"coloring exceeds the bound + 1 = {graph.bound + 1} colors")
     return colors
 
 
@@ -220,11 +189,14 @@ def diffuse_partition(
     term count (in index order), the second half taking a new color.  Most
     draws have at most one violator per weight; small or crowded ones can
     have several, and the class count may then exceed ``bound``.  Each class
-    is checked once, and only the halves of a split class again.
+    is checked once, and only the halves of a split class again.  A
+    ``sparsity`` below the measured degree, which Q would not cover, raises.
     """
     profile = sparsity_profile(ham)
     q = locality if locality is not None else max(profile.weights_present, default=2)
     k = max(sparsity if sparsity is not None else profile.max_degree, 1)
+    if k < profile.max_degree:
+        raise ValueError(f"k = {k} is below the measured degree {profile.max_degree}")
     bound = part_bound(q, k)
 
     colors = greedy_color(build_conflict_graph(ham))

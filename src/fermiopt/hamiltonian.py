@@ -170,7 +170,8 @@ def _check_terms(term_ptr, modes, coeffs):
 def _checked_index(n_modes: int, term_ptr, modes, coeffs) -> TermIndex:
     """A read-only ``TermIndex`` of copies of the arrays, or the first fault
     that reading the terms one by one finds: each term's own, then the mode
-    count, then term by term an index out of range or a repeated index set."""
+    count, then term by term an index out of range or a repeated index set,
+    then a sum of |J| past the float range."""
     term_ptr, weights, modes, coeffs = _check_terms(term_ptr, modes, coeffs)
     if n_modes < 1:
         raise FormatError("malformed", f"n_modes must be positive, got {n_modes}")
@@ -190,6 +191,9 @@ def _checked_index(n_modes: int, term_ptr, modes, coeffs) -> TermIndex:
     if first_repeat < n_terms:
         idx = tuple(index.padded[first_repeat][: weights[first_repeat]].tolist())
         raise FormatError("duplicate-term", f"duplicate index set {idx}")
+    with np.errstate(over="ignore"):  # summed as total_strength sums it
+        if not np.isfinite(_sum_in_order(np.abs(coeffs))):
+            raise FormatError("malformed", "the sum of |J| overflows the float range")
     return index
 
 

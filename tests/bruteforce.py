@@ -358,12 +358,9 @@ def conflict_adjacency_two_hop_sets(ham) -> tuple[frozenset[int], ...]:
 
 
 def greedy_color_by_sets(adjacency, ham) -> list[int]:
-    """Greedy coloring over neighbor sets: vertices by descending degree,
-    ties by the term's index tuple, each taking the least color its
-    neighbors leave free."""
-    order = sorted(
-        range(len(adjacency)), key=lambda v: (-len(adjacency[v]), ham.terms[v].indices)
-    )
+    """Greedy coloring over neighbor sets: vertices by the term's index
+    tuple, each taking the least color its neighbors leave free."""
+    order = sorted(range(len(adjacency)), key=lambda v: ham.terms[v].indices)
     colors = [-1] * len(adjacency)
     for v in order:
         taken = {colors[u] for u in adjacency[v] if colors[u] >= 0}

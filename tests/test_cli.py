@@ -339,6 +339,29 @@ def test_optimize_rejects_oversized_mode_count(tmp_path, n_modes):
     assert "Traceback" not in proc.stderr
 
 
+def test_optimize_rejects_a_strength_sum_past_the_float_range(tmp_path):
+    # every coefficient is finite, but their sum of |J| is not
+    doc = json.loads(serialize_hamiltonian(gen_sparse_random(400, 4, 2, "normal", seed=1)))
+    for term in doc["terms"]:
+        term["coeff"] = 1e306
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(doc))
+    proc = _optimize_in_subprocess(tmp_path, h)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: the sum of |J| overflows the float range\n"
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["strictq", "mixed24"])
+def test_optimize_rejects_k_below_the_measured_degree(tmp_path, pipeline):
+    h = tmp_path / "h.json"
+    h.write_text(serialize_hamiltonian(gen_sparse_random(240, 4, 2, "normal", seed=3)))
+    proc = _optimize_in_subprocess(tmp_path, h, ["--pipeline", pipeline, "--k", "1"])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: k = 1 is below the measured degree 2\n"
+    assert not (tmp_path / "c.json").exists()
+
+
 @pytest.mark.parametrize("error", [DiracError, PullBackError, ContractError])
 def test_optimize_maps_pipeline_errors_to_exit_1(tmp_path, capsys, monkeypatch, error):
     h = tmp_path / "h.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -24,7 +25,11 @@ from fermiopt.gaussian import classify_consistency
 from fermiopt.hamiltonian import InteractionTerm, MajoranaHamiltonian
 from fermiopt.ensembles import gen_mixed_24, gen_sparse_random, gen_ssyk
 
-from bruteforce import enumerate_hamiltonian_cycles
+from bruteforce import (
+    conflict_adjacency_by_bridges,
+    conflict_adjacency_two_hop_sets,
+    enumerate_hamiltonian_cycles,
+)
 
 
 def ham_of(n_modes, *index_sets, coeffs=None):
@@ -61,29 +66,35 @@ def test_bridge_violates_condition_two():
 # ---------------------------------------------------------- conflict graph
 
 
+def conflicts(graph, v):
+    """The terms within two steps of ``v`` on the overlap rows, less ``v``."""
+    return set(np.concatenate([graph.neighbors(u) for u in graph.neighbors(v)]).tolist()) - {v}
+
+
 def test_disjoint_unbridged_terms_have_no_edge():
     ham = ham_of(12, (0, 1, 2, 3), (8, 9, 10, 11))
     graph = build_conflict_graph(ham)
-    assert not graph.has_edge(0, 1)
+    assert 1 not in conflicts(graph, 0) and 0 not in conflicts(graph, 1)
 
 
 def test_shared_mode_gives_edge():
     ham = ham_of(8, (0, 1, 2, 3), (3, 4, 5, 6))
     graph = build_conflict_graph(ham)
-    assert graph.has_edge(0, 1)
+    assert 1 in conflicts(graph, 0) and 0 in conflicts(graph, 1)
 
 
 def test_bridge_gives_edge():
     ham = ham_of(12, (0, 1, 2, 3), (8, 9, 10, 11), (3, 5, 6, 8))
     graph = build_conflict_graph(ham)
-    assert graph.has_edge(0, 1)
+    assert 1 in conflicts(graph, 0) and 0 in conflicts(graph, 1)
+    assert 1 not in graph.neighbors(0).tolist()  # a bridge, not an overlap
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_conflict_degree_bound_sparse_quartic(seed):
     ham = gen_sparse_random(12, 4, 2, "normal", seed=seed)
-    graph = build_conflict_graph(ham)
-    assert graph.max_degree <= conflict_degree_bound(4, 2) == 16
+    degree = max(map(len, conflict_adjacency_two_hop_sets(ham)), default=0)
+    assert degree <= build_conflict_graph(ham).bound <= conflict_degree_bound(4, 2) == 16
 
 
 # --------------------------------------------------------- greedy coloring
@@ -143,10 +154,31 @@ def test_greedy_coloring_is_proper(seed):
     ham = gen_sparse_random(14, 4, 2, "normal", seed=seed)
     graph = build_conflict_graph(ham)
     colors = greedy_color(graph)
-    for v in range(graph.n_vertices):
-        for u in graph.neighbors(v).tolist():
+    adjacency = conflict_adjacency_two_hop_sets(ham)
+    for v, neighbors in enumerate(adjacency):
+        for u in neighbors:
             assert colors[u] != colors[v]
-    assert len(set(colors)) <= graph.max_degree + 1
+    assert len(set(colors)) <= max(map(len, adjacency), default=0) + 1 <= graph.bound + 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([2, 4, 6]),
+    st.integers(1, 6),
+    st.integers(1, 12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_coloring_at_higher_degree_is_proper_and_within_its_bound(q, k, extra, seed):
+    ham = gen_sparse_random(q * k + extra, q, k, "normal", seed=seed)
+    graph = build_conflict_graph(ham)
+    colors = greedy_color(graph)
+    for v, neighbors in enumerate(conflict_adjacency_by_bridges(ham)):
+        assert all(colors[u] != colors[v] for u in neighbors)
+    top = max(colors, default=0)
+    assert top <= graph.bound
+    if top:
+        with pytest.raises(ContractError):
+            greedy_color(dataclasses.replace(graph, bound=top - 1))
 
 
 # -------------------------------------------------------- diffuse partition
@@ -214,15 +246,16 @@ def test_partition_halves_every_support_violator(n, seed):
 
 
 # (draw, partition arguments, sha256 of repr([(key, ids) ...]) over sorted keys),
-# recorded when the parts were still tuples of ints; the last three are the
-# draws of test_partition_halves_every_support_violator
+# recorded when the parts were still tuples of ints, the first three re-pinned
+# when the coloring moved to index-tuple order; the last three are the draws
+# of test_partition_halves_every_support_violator
 PART_DRAWS = [
     (lambda: gen_sparse_random(120, 4, 2, "normal", 3), {"sparsity": 2},
-     "eaf8c5cabfb5837b79dfe01cd0f0b16291a020c33e0bc94bb068083917ff1419"),
+     "587e970b742b8b5024101f268165d73d250a8a1a8ece1657a9b35d887a9f89e3"),
     (lambda: gen_mixed_24(120, 2, 4), {"locality": 4, "sparsity": 2},
-     "db8d38b5238fc62f867e46b8b5fb5af66a9fccefb2018d5de1f3ee8033e8946c"),
+     "7aafcf703368dce5699b55e25b746d25d1d23bf963e2062ae0df7f6bb7693647"),
     (lambda: gen_ssyk(400, 2, 1), {"sparsity": 24},
-     "39c6c74c04fa954d9f160f83851e039e864c69fc1e3a1579e18aadce36e3930b"),
+     "edbe5c57ed3ab1fd717ad0f9ebd337eb248ef1ce91d3d7b396ff72e96da7dc25"),
     (lambda: gen_sparse_random(6, 2, 2, "normal", 2), {"locality": 2, "sparsity": 2},
      "1637327bb063e804b404cff8eff1ded4a6a3cd6f24d065575a41ee0c35b4e0a1"),
     (lambda: gen_sparse_random(9, 2, 2, "normal", 29), {"locality": 2, "sparsity": 2},

@@ -5,7 +5,9 @@ the certificate of one seeded draw.  The digests were recorded before the
 certify path was rewritten for speed; any change to the generators, the
 partition, the matching, the signs or the certificate text shows up here,
 even when it changes two runs the same way (which the determinism
-criterion cannot see).
+criterion cannot see).  The pipeline digests whose partition moved were
+re-pinned once, when the coloring changed from descending conflict degree
+to index-tuple order, with every ``guarantee_holds`` unchanged.
 """
 
 import hashlib
@@ -54,27 +56,27 @@ def _mixed24_quartic_x10(n, k, seed):
 CASES = [
     (
         "ssyk-n400-k2", lambda: _ssyk(400, 2, 17), (),
-        "57358da3ae87710479ae3d5b87f427295fc365e96bd9d290927f7689bfb0ca91",
+        "c39220e9380719f094c07092673e77f27a6da26f0958b22b29b6b9afdaf2664d",
     ),
     (
         "ssyk-n800-k2", lambda: _ssyk(800, 2, 29), (),
-        "d6605cae16028b3227538a3dc9f8c0ea7fecf5c8f0ce4a62605c69ab4e982175",
+        "7a099ea49704fca8a4525541dc57663fbf0661f4e542892b3b974f5d6abe644d",
     ),
     (
         "strictq-q4-k2-n40", lambda: _strictq(40, 4, 2, 5), (),
-        "5566f6f4121b351d9433d69c365e14fd90eaa4db75718a9d12b322f2c179c12f",
+        "a9ddc154233ea80925eaf031e1018aa163645e6b56859299d04a4b37ddfa2a8c",
     ),
     (
         "strictq-q4-k2-n120", lambda: _strictq(120, 4, 2, 6), (),
-        "193b3d5a05dea62fd29bb3c8e1340e04d6ab80ce5832cb53f5b64e6491b63c7d",
+        "64c1cc398aa73f52ec5e9d941aeb672f3364be545c8a109329ba03189a63f9d7",
     ),
     (
         "mixed24-k2-n40", lambda: _mixed24(40, 2, 7), ("winning branch",),
-        "466207657987dbdd66eca5bf7dcf33ce6648f0dd4d48fd500df0d59b99183a7d",
+        "46e0bb38c5790da534ea48e8be80a37cced2a72a86b398c33036c14fa8af1fa5",
     ),
     (
         "mixed24-k2-n120", lambda: _mixed24(120, 2, 8), ("winning branch",),
-        "906ac0bd8cd0560d7af324f39710624f0f33d1a7bb8eac0a2ad1986e11e075b3",
+        "0d41304e52fa3f630f9f88e7b8ce80870b9f3f39db52bfdbf7d690678b99fa1c",
     ),
     # the weight-4 branch, whose pull-back conditions on the auxiliary dimer
     (
@@ -84,12 +86,12 @@ CASES = [
     (
         "mixed24-quartic-x10-n200-weight4", lambda: _mixed24_quartic_x10(200, 2, 1),
         ("winning branch: weight 4",),
-        "292a9fe3cc2d175491823b9652aa347be696de51e19f2ee6f8fc8ef231a54fa2",
+        "7a15107c94bc8ab234582e28cf316cbd615633f010e9602cd94ef76f20e645bb",
     ),
     (
         "mixed24-quartic-x10-n1600-weight4", lambda: _mixed24_quartic_x10(1600, 2, 1),
         ("winning branch: weight 4",),
-        "56750ba0acb94738ef9687679ebc052c99132e34b996b801dfd3ede66ba8df39",
+        "83aad27b8fdc8946bf71784a44495ca4b04d3e244598b39929e4fe56c0a5576b",
     ),
     (
         "strictq-q2-fallback-below", lambda: _strictq(5, 2, 2, 0), ("fallback", "below"),
@@ -105,7 +107,7 @@ CASES = [
     ),
     (
         "strictq-q6-skip-fallback", lambda: _strictq(13, 6, 2, 12), ("skipped", "fallback"),
-        "c93f251ef2aef68a6bfa7fae5d1d0d5b3dbe5b2aba1e7fe006007cf741d8e9df",
+        "3a6cd9c4349770283d1cb35b401ed2adfb965604f67d8898c2db8fea04fe0c6b",
     ),
 ]
 
@@ -135,15 +137,15 @@ def test_golden_digest(build, notes, expected):
 CLOSED_FORM_CASES = [
     (
         "ssyk-n12800-k2", lambda: _ssyk(12800, 2, 31),
-        "3069b11c11d735d74792295871f61bb32fb7983a466fc4c806e546be058ce7a7",
+        "a520f8fbdd3b817e41b10fe53d979ea90529e5562119daf1d73d80f008c51590",
     ),
     (
         "strictq-q4-k2-n240", lambda: _strictq(240, 4, 2, 32),
-        "5e474529b9377c48585d2de3aa57df8ad84720ca935c5916bb1d64720df2a443",
+        "787579355a881d98431b325657856822b224f8c0815aeee0e9a2fd5486c26d0a",
     ),
     (
         "mixed24-k2-n240", lambda: _mixed24(240, 2, 33),
-        "119ddfdfd0d4335e5c778db9df181dd9ddf2fdba1e431018ba178edae9e03908",
+        "e6766739e2bc63696abc7f25d24b4e4a8312fdf150530888dcc9ffcd5ac81e2b",
     ),
 ]
 
@@ -163,24 +165,25 @@ def _sha256(text: str) -> str:
 
 
 # ssyk at the benchmark's largest size (k=2, so k' = 24 cuts nothing), pinned
-# before the truncation, coloring, cycle and state writer were rewritten for
-# speed: the state and certificate documents, the raw greedy colors, and
-# the Hamiltonian cycle on the leftovers of the largest class.
+# before the truncation, cycle and state writer were rewritten for speed and
+# re-pinned when the coloring moved to index-tuple order: the state and
+# certificate documents, the raw greedy colors, and the Hamiltonian cycle on
+# the leftovers of the largest class.
 # (seed, state sha256, certificate sha256, colors sha256, cycle sha256)
 SSYK_BENCH_CASES = [
     (
         5,
-        "5dea905e7554c8e869b9b87b2c438435df7312986649dbdb6571885d08532891",
-        "72a9cb16be2c53b578f0244598fd0dae12389810bb932ff4bda52a176930a200",
-        "946ef173586fcf384c8d81b0dad66095ed94d015c11c6a516c237cd33abefb6d",
-        "20dc662bff32fdf73da245d0b82dfbe189fe81c297f08d2b9225908356f48bab",
+        "a4a8d034ad227805b620f9eb760c105a046ce2956977bfac612d21f3cc4aeba0",
+        "c686b138181bc0f941133fcd6f38e1f2b65b957186959c3908e2d9a25a481c37",
+        "3424b903440b9094930e93d5c94ff36d6b78c3886b375358b16faec5fcf815e7",
+        "b53e4b0db44e210e859f9ba8d1dc89711edeaa5047c569292f7bd947d56d1665",
     ),
     (
         41,
-        "b6a3db98987992ac50378f22a612bd6f04cd2fa8c207e203686cfd8f9461cf5f",
-        "eb8221ce11bced589c31601fd671b169a6d73f74c75afc13ed538cd5749d58e2",
-        "508a455686eb68819c1af93ebc9734156d8508c86a8a62cf2da9bf694c26959e",
-        "f516a637d90df87183a3363dd8907bf4580eedc6616dc9e554945934f4bb28cc",
+        "2f94590487fa8d80ffcbfe435147fb8a34812bed791012456c7999c157f18d5f",
+        "a6495f8ac7593c4a61d1c5596c20f8bd2171a57f7972565e1d436df1e969a518",
+        "ef0578ef3535684569937dd33218f4d1af71f37e083167a760b56298c926f193",
+        "3d2c12cfc9c35c570095bc8c5b15be3594578f85f38df566184fc1dbdce1df4b",
     ),
 ]
 
@@ -354,24 +357,24 @@ def _cli_digest(capsys, argv, files) -> str:
 OPTIMIZE_CASES = [
     (
         "auto-mixed24-n12", lambda: gen_mixed_24(12, 2, 3), ["--pipeline", "auto"],
-        "fbd73707a4e460368c94ca80fe52add72d982d6557aaa5a517cc5ccce129eae6",
+        "5a0b83d2e46c2ac347038f2beafd20b2b8f66cbb831321711f46ba8d0c744850",
     ),
     (
         "auto-strictq-n20", lambda: gen_sparse_random(20, 4, 2, "normal", seed=11), [],
-        "1a3b2f4c89d067e3fa71c81d132c4a6a9bd12982ea51b66e5a8cd833dbe9355d",
+        "f122630912d2aa2fe3facb9cc47afd34c198a7bb96ed5e99a9aabd37499a5627",
     ),
     (
         "strictq-n20", lambda: gen_sparse_random(20, 4, 2, "normal", seed=11),
         ["--pipeline", "strictq"],
-        "1a3b2f4c89d067e3fa71c81d132c4a6a9bd12982ea51b66e5a8cd833dbe9355d",
+        "f122630912d2aa2fe3facb9cc47afd34c198a7bb96ed5e99a9aabd37499a5627",
     ),
     (
         "mixed24-n20", lambda: gen_mixed_24(20, 2, 4), ["--pipeline", "mixed24"],
-        "dbd47599d7640541a125c0422480bfad807d7155e75374854ec60939f9b95e23",
+        "44d2c248fed50561b4381773cdc0eafb7705d93277ebd988a56770dd82bd65c7",
     ),
     (
         "ssyk-n100-k2", lambda: gen_ssyk(100, 2, seed=5), ["--pipeline", "ssyk", "--k", "2"],
-        "df69f5c21c9cac84d4881cefdd05b5e83fcb7e87ce084976dcc0e97ba04ea863",
+        "3176574a6572b6615edc3a7edb9c7450d1eebd8a899a0fc385406ac97494b1db",
     ),
 ]
 
@@ -396,11 +399,11 @@ STUDY_CASES = [
     ),
     (
         "mixed24", {"n": 10, "k": 2},
-        "e06f5dccb82965c70fd505474ef7d4f351c3d2cb71ea439b5a018c931f417f32",
+        "9c9cbebb296493b9e11297777c61241bad632706fbc94b51abc34fbd07f0248f",
     ),
     (
         "ssyk", {"n": 100, "k": 2},
-        "85bf0e9ec90305102de2d58269df677db2591b064fbbabad9dd6e959ca267031",
+        "dfa7c73ad23a36754bff504b4649044535ffc0b6d7c70765f3830cc60b09627c",
     ),
 ]
 

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fermiopt.hamiltonian import (
@@ -247,7 +247,11 @@ def _hamiltonians(draw):
         unique_by=frozenset,
     ))
     coeff = st.one_of(st.sampled_from(SPECIAL_COEFFS), st.floats(allow_nan=False, allow_infinity=False))
-    return MajoranaHamiltonian(n_modes, [InteractionTerm(tuple(sorted(s)), draw(coeff)) for s in sets])
+    coeffs = [draw(coeff) for _ in sets]
+    with np.errstate(over="ignore"):  # the validator rejects a sum of |J| past the float range
+        assume(np.isfinite(np.cumsum(np.abs(coeffs))[-1:]).all())
+    terms = [InteractionTerm(tuple(sorted(s)), c) for s, c in zip(sets, coeffs)]
+    return MajoranaHamiltonian(n_modes, terms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -306,6 +310,12 @@ def test_serialize_round_trip():
         ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": "2.5"}]}', "malformed"),
         ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": null}]}', "malformed"),
         ('{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": 1%s}]}' % ("0" * 400), "malformed"),
+        # finite coefficients whose sum of |J| is not
+        (
+            '{"n_modes": 2, "terms": [{"indices": [0, 1], "coeff": 1e308},'
+            ' {"indices": [2, 3], "coeff": -1e308}]}',
+            "malformed",
+        ),
         # mode counts past 2**17, and one past Python's int-parse digit limit
         ('{"n_modes": 131073, "terms": []}', "malformed"),
         ('{"n_modes": 100000000, "terms": []}', "malformed"),

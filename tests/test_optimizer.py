@@ -440,6 +440,24 @@ def test_optimize_rejects_k_below_one(pipeline, k):
         optimize(ham, pipeline, k=k)
 
 
+@pytest.mark.parametrize(
+    "pipeline,build",
+    [
+        ("strictq", lambda: gen_sparse_random(240, 4, 2, "normal", 3)),
+        ("mixed24", lambda: gen_mixed_24(240, 2, 4)),
+    ],
+    ids=["strictq", "mixed24"],
+)
+def test_optimize_rejects_k_below_the_measured_degree(pipeline, build):
+    # Q and every threshold would be computed for a degree the input exceeds
+    ham = build()
+    degree = sparsity_profile(ham).max_degree
+    assert degree == 2
+    with pytest.raises(ValueError, match="^k = 1 is below the measured degree 2$"):
+        optimize(ham, pipeline, k=1)
+    assert optimize(ham, pipeline, k=degree).certificate.guarantee_holds
+
+
 def test_certificate_json_round_trip():
     ham = gen_sparse_random(16, 4, 1, "normal", seed=0)
     cert = optimize_strict_q(ham).certificate

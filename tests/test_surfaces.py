@@ -3,7 +3,10 @@ survive ``python -O``."""
 
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +77,16 @@ def test_declared_numpy_floor_has_bitwise_count():
     assert floor is not None, "pyproject.toml declares no numpy floor"
     assert (int(floor[1]), int(floor[2])) >= (2, 0)
     assert hasattr(np, "bitwise_count")
+
+
+def test_import_loads_no_sparse_matrix_module():
+    # the certify path holds its graphs as numpy arrays; scipy.sparse is
+    # imported only by the iterative oracle, on its first call
+    env = dict(os.environ, PYTHONPATH=str(Path(fermiopt.__file__).resolve().parent.parent))
+    probe = "import sys, fermiopt; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_package_has_no_bare_assert():

@@ -65,15 +65,19 @@ class ConflictGraph:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
 
+def _terms_on(index, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mode -> terms rows of ``modes``, one after another, and where each row ends."""
+    stops, lengths = index.mode_ptr[modes + 1], np.diff(index.mode_ptr)[modes]
+    ends = np.cumsum(lengths)
+    # the i-th entry of a Majorana's block reads its mode -> terms row at i
+    return index.mode_term_ids[np.repeat(stops - ends, lengths) + np.arange(lengths.sum())], ends
+
+
 def build_conflict_graph(ham: MajoranaHamiltonian) -> ConflictGraph:
     """Overlap lists off the term index: term ``t``'s row is the
     mode -> terms rows of its Majoranas, one after another."""
     index = ham.index
-    starts, stops = index.mode_ptr[index.modes], index.mode_ptr[index.modes + 1]
-    lengths = stops - starts
-    ends = np.cumsum(lengths)
-    # the i-th entry of a Majorana's block reads its mode -> terms row at i
-    rows = index.mode_term_ids[np.repeat(stops - ends, lengths) + np.arange(lengths.sum())]
+    rows, ends = _terms_on(index, index.modes)
     profile = sparsity_profile(ham)
     q, k = max(profile.weights_present, default=2), max(profile.max_degree, 1)
     indptr, bound = np.append(0, ends)[index.term_ptr], conflict_degree_bound(q, k)
@@ -130,13 +134,13 @@ def is_diffuse(
     if np.bincount(support).max(initial=0) > 1:
         return DiffuseCheck(False, 1)
     # Condition 1 holds from here on, so every Majorana of the united
-    # support belongs to exactly one member: a term touches two distinct
-    # members exactly when the owners of its Majoranas differ.  owner[c]:
+    # support belongs to exactly one member: a term on the support touches
+    # two members exactly when the owners of its Majoranas differ.  owner[c]:
     # the member holding Majorana c; the extra last slot takes the -1 padding
     owner = np.full(ham.n_majoranas + 1, -1, dtype=np.intp)
     owner[rows] = members[:, None]
     owner[-1] = -1
-    owners = owner[padded]
+    owners = owner[padded[_terms_on(ham.index, support)[0]]]
     last = owners.max(axis=1)
     first = np.where(owners < 0, last[:, None], owners).min(axis=1)
     if (first != last).any():

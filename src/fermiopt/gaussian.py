@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .hamiltonian import FormatError, MajoranaHamiltonian, _is_int, _json_list, _load_json
-from .hamiltonian import _sum_in_order, canonical_sign
+from .hamiltonian import _total, canonical_sign
 
 ANTISYM_TOL = 1e-12
 SINGVAL_TOL = 1e-9
@@ -310,7 +310,7 @@ def monomial_expectation(corr: CorrelationMatrix, indices: Sequence[int]) -> flo
 
 
 def hamiltonian_expectation(corr: CorrelationMatrix, ham: MajoranaHamiltonian) -> float:
-    """Tr(H rho) = sum_I J_I Pf(gamma_I), summed in term order.
+    """Tr(H rho) = sum_I J_I Pf(gamma_I), correctly rounded.
 
     Terms up to weight ``EXPANSION_MAX_WEIGHT`` take their Pfaffians from
     the matching expansion, one gather per weight block of ``ham.index``;
@@ -323,7 +323,7 @@ def hamiltonian_expectation(corr: CorrelationMatrix, ham: MajoranaHamiltonian) -
     pfs = _TermEvaluator(expanded, index.coeffs, corr.n_majoranas).pfaffians(corr.gamma)
     for t in np.flatnonzero(index.weights > EXPANSION_MAX_WEIGHT).tolist():
         pfs[t] = monomial_expectation(corr, index.padded[t, : index.weights[t]])
-    return _sum_in_order(index.coeffs * pfs)
+    return _total(index.coeffs * pfs)
 
 
 def classify_consistency(matching: Matching, indices: Sequence[int]) -> ConsistencyVerdict:
@@ -376,8 +376,7 @@ def matching_state_expectation(
     gather of the partner and dimer-sign arrays decides every term: a term
     is consistent when each of its Majoranas' partners lies in the term,
     and ``sign(pi)`` is the parity of the inversions of the pair-adjacent
-    order of its positions.  The contributions, each exactly ``+-J``, are
-    summed one after another in term order.
+    order of its positions.  The exact ``+-J`` contributions are rounded once.
     """
     _check_state(matching, signs, ham.n_majoranas)
     partner = matching.partner
@@ -386,7 +385,7 @@ def matching_state_expectation(
     dimer_sign[partner > np.arange(partner.size)] = signs.signs
 
     index = ham.index
-    contribution = np.zeros(index.coeffs.size)  # +0.0 leaves a running sum's bits alone
+    contributions = [np.zeros(0)]  # of the consistent terms; the rest are 0
     for w, ids, rows in index.blocks:
         ids, rows, opener, closer = _inner_pairs(partner, ids, rows)
         order = np.stack((opener, closer), axis=2).reshape(-1, w)
@@ -394,8 +393,8 @@ def matching_state_expectation(
         inversions = ((order[:, :, None] > order[:, None, :]) & later).sum(axis=(1, 2))
         sign = dimer_sign[np.take_along_axis(rows, opener, axis=1)]
         value = (1 - 2 * (inversions & 1)) * sign.prod(axis=1)
-        contribution[ids] = index.coeffs[ids] * value
-    return _sum_in_order(contribution)
+        contributions.append(index.coeffs[ids] * value)
+    return _total(np.concatenate(contributions))
 
 
 def assign_signs(matching: Matching, ham: MajoranaHamiltonian, ids) -> SignAssignment:

@@ -12,6 +12,7 @@ bookkeeping, reordering signs, and the JSON wire format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -81,7 +82,7 @@ class TermIndex:
     ``modes[term_ptr[t]:term_ptr[t + 1]]`` are the Majoranas of term ``t``
     in increasing order, ``coeffs`` and ``weights`` are per term, and
     ``mode_term_ids[mode_ptr[c]:mode_ptr[c + 1]]`` are the ids of the terms
-    containing Majorana ``c``, ascending.
+    containing Majorana ``c``, ascending.  ``strength`` is the sum of |J|.
     """
 
     _n_majoranas: int
@@ -89,6 +90,7 @@ class TermIndex:
     modes: np.ndarray
     coeffs: np.ndarray
     weights: np.ndarray
+    strength: float
 
     @cached_property
     def mode_ptr(self) -> np.ndarray:
@@ -130,6 +132,17 @@ class TermIndex:
             _read_only(ids, rows)
             out.append((w, ids, rows))
         return tuple(out)
+
+
+def _total(values: np.ndarray) -> float:
+    """``math.fsum`` of a 1-D array: its correctly rounded sum, whatever the
+    order of the values, and +0.0 when zero.  When a partial sum leaves the
+    float range, or inf meets -inf, it is numpy's sum: an infinity or nan."""
+    try:
+        return math.fsum(values.tolist()) + 0.0
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(values.sum())
 
 
 def _check_terms(term_ptr, modes, coeffs):
@@ -178,7 +191,8 @@ def _checked_index(n_modes: int, term_ptr, modes, coeffs) -> TermIndex:
     m, n_terms = 2 * n_modes, weights.size
     # every index is now >= 0; clipped at m, only the out-of-range terms
     # change, and a duplicate among terms before the first of them is exact
-    index = TermIndex(m, term_ptr, np.minimum(modes, m).astype(np.intp), coeffs, weights)
+    clipped = np.minimum(modes, m).astype(np.intp)
+    index = TermIndex(m, term_ptr, clipped, coeffs, weights, _total(np.abs(coeffs)))
     _read_only(index.term_ptr, index.modes, coeffs, weights)
     first_out = int(np.append(index.modes[term_ptr[1:] - 1] == m, True).argmax())  # n_terms: none
     by_tuple = np.argsort(index.lex_rank)  # equal index sets in term order
@@ -191,9 +205,8 @@ def _checked_index(n_modes: int, term_ptr, modes, coeffs) -> TermIndex:
     if first_repeat < n_terms:
         idx = tuple(index.padded[first_repeat][: weights[first_repeat]].tolist())
         raise FormatError("duplicate-term", f"duplicate index set {idx}")
-    with np.errstate(over="ignore"):  # summed as total_strength sums it
-        if not np.isfinite(_sum_in_order(np.abs(coeffs))):
-            raise FormatError("malformed", "the sum of |J| overflows the float range")
+    if not math.isfinite(index.strength):
+        raise FormatError("malformed", "the sum of |J| overflows the float range")
     return index
 
 
@@ -263,16 +276,9 @@ def sparsity_profile(ham: MajoranaHamiltonian) -> SparsityProfile:
     return ham._profile
 
 
-def _sum_in_order(values: np.ndarray) -> float | list[float]:
-    """Left-to-right sums from 0.0 along the last axis, a ``+=`` loop's bits on every
-    Python (the builtin ``sum`` compensates from 3.12): a float, or a list of them."""
-    zero = np.zeros((*values.shape[:-1], 1))
-    return np.cumsum(np.concatenate((zero, values), axis=-1), axis=-1)[..., -1].tolist()
-
-
 def total_strength(ham: MajoranaHamiltonian) -> float:
     """Sum of |J_I| over all terms; an upper bound on the largest eigenvalue."""
-    return _sum_in_order(np.abs(ham.index.coeffs))
+    return ham.index.strength
 
 
 def _load_json(text: str):

@@ -42,7 +42,7 @@ from .hamiltonian import (
     MajoranaHamiltonian,
     _is_int,
     _load_json,
-    _sum_in_order,
+    _total,
     sparsity_profile,
     total_strength,
 )
@@ -155,16 +155,10 @@ def _best_effort(
 
 
 def _ranked_parts(partition: DiffusePartition, ham: MajoranaHamiltonian):
-    """Parts by descending absolute weight, ties toward low (weight, color); each
-    weight is one running sum along a row padded with +0.0, which keeps its bits."""
-    parts = partition.parts
-    sizes = np.array([ids.size for ids in parts.values()], dtype=np.intp)
-    ids = np.concatenate(list(parts.values()))
-    magnitude = np.zeros((sizes.size, sizes.max(initial=0)))
-    magnitude[np.arange(magnitude.shape[1]) < sizes[:, None]] = np.abs(ham.index.coeffs[ids])
-    weight = dict(zip(parts, _sum_in_order(magnitude)))
-    ranked = sorted(parts, key=lambda key: (-weight[key], key))
-    return [(key, parts[key], weight[key]) for key in ranked]
+    """Parts by descending absolute weight, ties toward low (weight, color)."""
+    weight = {key: _total(np.abs(ham.index.coeffs[ids])) for key, ids in partition.parts.items()}
+    ranked = sorted(weight, key=lambda key: (-weight[key], key))
+    return [(key, partition.parts[key], weight[key]) for key in ranked]
 
 
 def _certify(
@@ -239,7 +233,7 @@ def optimize_strict_q(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
     def build(key, ids, value, matching):
         signs = assign_signs(matching, ham, ids)
         check = matching_state_expectation(matching, signs, ham)
-        if not math.isclose(check, value, rel_tol=1e-9, abs_tol=1e-12):
+        if check != value:  # each target term gives exactly |J|, and no other term counts
             raise ContractError(f"closed form {check} disagrees with the part weight {value}")
         return matching, signs, value, ()
 
@@ -390,7 +384,7 @@ def optimize_mixed_24(ham: MajoranaHamiltonian, k: int | None = None) -> Optimiz
             values = np.append(np.delete(values, outer[0]), (1, 1))
         tilde_matching, tilde_signs = signed_matching(dimers, values)
         tilde_value = matching_state_expectation(tilde_matching, tilde_signs, lifted)
-        if not math.isclose(tilde_value, value, rel_tol=1e-9, abs_tol=1e-12):
+        if tilde_value != value:
             raise ContractError(f"lifted value {tilde_value} disagrees with the class {value}")
         matching, signs = pull_back(tilde_matching, tilde_signs, ham, lifted)
         achieved = matching_state_expectation(matching, signs, ham)
@@ -434,10 +428,7 @@ def truncate_to_sparse(
 def ssyk_part_bound(k: int) -> int:
     """Class-count bound of the diluted-quartic certificate: twice the
     strict-route bound at the truncation degree 8(k+1)."""
-    value = 1236 + 2752 * k + 1536 * k * k
-    if value != 2 * part_bound(4, 8 * (k + 1)):
-        raise ContractError(f"closed-form bound {value} disagrees with part_bound")
-    return value
+    return 2 * part_bound(4, 8 * (k + 1))
 
 
 def optimize_ssyk(ham: MajoranaHamiltonian, k: int) -> OptimizationResult:
@@ -458,8 +449,7 @@ def optimize_ssyk(ham: MajoranaHamiltonian, k: int) -> OptimizationResult:
     if not core.n_terms:
         return _best_effort(ham, PIPELINE_SSYK, bound, ratio, ["empty core after truncation"])
     inner = optimize_strict_q(core, k=k_prime)
-    residual_value = matching_state_expectation(inner.matching, inner.signs, residual)
-    achieved = inner.certificate.achieved + residual_value
+    achieved = matching_state_expectation(inner.matching, inner.signs, ham)
     upper = total_strength(ham)
 
     inner_bound = part_bound(4, k_prime)

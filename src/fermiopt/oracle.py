@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import CorrelationMatrix, Matching, SignAssignment, _check_state, _TermEvaluator
-from .hamiltonian import MajoranaHamiltonian, _sum_in_order
+from .hamiltonian import MajoranaHamiltonian, _total
 
 DENSE_OP_MODE_BUDGET = 13
 DENSE_EIG_MODE_BUDGET = 10
@@ -251,7 +251,7 @@ def dense_expectation(ham: MajoranaHamiltonian, rho: DenseOperator) -> float:
         raise ValueError(f"state on {rho.n_modes} modes, Hamiltonian on {ham.n_modes}")
     rows = np.arange(2**ham.n_modes)
     traces = [coef @ rho.matrix[cols, rows] for cols, coef in _hamiltonian_sum(ham)]
-    return _sum_in_order(np.real(traces))  # the real parts add on their own
+    return _total(np.real(traces))  # the real parts add on their own
 
 
 # ---------------------------------------------------------------------------

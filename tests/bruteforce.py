@@ -71,13 +71,13 @@ def pfaffian_matching_sum(mat: np.ndarray) -> float:
 
 
 def hamiltonian_expectation_per_term(corr, ham) -> float:
-    """Tr(H rho) = sum_I J_I Pf(gamma_I), one ``pfaffian`` per term, summed
-    in term order."""
-    total = 0.0
+    """Tr(H rho) = sum_I J_I Pf(gamma_I), one ``pfaffian`` per term, with
+    one correctly rounded sum (+0.0 when it is zero)."""
+    values = []
     for t in ham.terms:
         idx = list(t.indices)
-        total += t.coeff * pfaffian(corr.gamma[np.ix_(idx, idx)])
-    return total
+        values.append(t.coeff * pfaffian(corr.gamma[np.ix_(idx, idx)]))
+    return math.fsum(values) + 0.0
 
 
 def enumerate_hamiltonian_cycles(vertices, has_edge):
@@ -399,11 +399,12 @@ def diffuse_verdict_by_mode_walk(subset_ids, ham, locality=None) -> tuple[bool, 
 def closed_form_per_term(matching, signs, ham) -> float:
     """Tr(H rho(M, signs)) one term at a time: ``classify_consistency`` per
     term, the verdict's parity times the dimer signs of its inner pairs,
-    times J, summed in term order over the consistent terms."""
+    times J, over the consistent terms, with one correctly rounded sum
+    (+0.0 when it is zero)."""
     from fermiopt.gaussian import classify_consistency
 
     sd = signs.as_dict()
-    total = 0.0
+    values = []
     for t in ham.terms:
         verdict = classify_consistency(matching, t.indices)
         if not verdict.consistent:
@@ -411,8 +412,8 @@ def closed_form_per_term(matching, signs, ham) -> float:
         value = float(verdict.sign)
         for pair in verdict.inner_pairs:
             value *= sd[pair]
-        total += t.coeff * value
-    return total
+        values.append(t.coeff * value)
+    return math.fsum(values) + 0.0
 
 
 # -------------------------------------------------------------------------

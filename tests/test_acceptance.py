@@ -151,7 +151,7 @@ def test_criterion_3_strict_route_certificates():
             cert = result.certificate
             assert cert.part_bound == 18
             best = max(
-                sum(abs(ham.terms[i].coeff) for i in ids)
+                math.fsum(abs(ham.terms[i].coeff) for i in ids)
                 for ids in result.partition.parts.values()
             )
             assert cert.achieved == best
@@ -192,7 +192,7 @@ def test_criterion_4_mixed_route_and_pull_back():
             slack = 1e-9 * cert.upper_bound
             # the winning branch value equals the heaviest class weight
             branch_value = max(
-                sum(abs(ham.terms[i].coeff) for i in ids)
+                math.fsum(abs(ham.terms[i].coeff) for i in ids)
                 for ids in result.partition.parts.values()
             )
             assert cert.achieved >= branch_value - slack
@@ -243,7 +243,7 @@ def test_criterion_5_ssyk_certificates():
             core, _ = truncate_to_sparse(ham, 16)
             core_value = matching_state_expectation(result.matching, result.signs, core)
             best = max(
-                sum(abs(core.terms[i].coeff) for i in ids)
+                math.fsum(abs(core.terms[i].coeff) for i in ids)
                 for ids in result.partition.parts.values()
             )
             assert core_value == best  # exact part-weight identity, every trial

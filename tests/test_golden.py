@@ -7,7 +7,9 @@ partition, the matching, the signs or the certificate text shows up here,
 even when it changes two runs the same way (which the determinism
 criterion cannot see).  The pipeline digests whose partition moved were
 re-pinned once, when the coloring changed from descending conflict degree
-to index-tuple order, with every ``guarantee_holds`` unchanged.
+to index-tuple order, with every ``guarantee_holds`` unchanged; those whose
+totals moved in the last bits were re-pinned when every total became the
+correctly rounded ``math.fsum``, with every state unchanged.
 """
 
 import hashlib
@@ -56,23 +58,23 @@ def _mixed24_quartic_x10(n, k, seed):
 CASES = [
     (
         "ssyk-n400-k2", lambda: _ssyk(400, 2, 17), (),
-        "c39220e9380719f094c07092673e77f27a6da26f0958b22b29b6b9afdaf2664d",
+        "9898a66a29a089f1a40fda36b5378c850123f8bb690a8edc28bd07db24b5f7db",
     ),
     (
         "ssyk-n800-k2", lambda: _ssyk(800, 2, 29), (),
-        "7a099ea49704fca8a4525541dc57663fbf0661f4e542892b3b974f5d6abe644d",
+        "7610b24e88e87000d7138df26a6c0217c7078cf2e3162fd6bd4f0e6926b54e2d",
     ),
     (
         "strictq-q4-k2-n40", lambda: _strictq(40, 4, 2, 5), (),
-        "a9ddc154233ea80925eaf031e1018aa163645e6b56859299d04a4b37ddfa2a8c",
+        "0849dbe6826742249dcec92df7f99c7b7bf32bcbd89fe4d00099a86a5507fce5",
     ),
     (
         "strictq-q4-k2-n120", lambda: _strictq(120, 4, 2, 6), (),
-        "64c1cc398aa73f52ec5e9d941aeb672f3364be545c8a109329ba03189a63f9d7",
+        "435571077143901227ab91fd94075dee34534bfd5a69db5cc276134517a20a71",
     ),
     (
         "mixed24-k2-n40", lambda: _mixed24(40, 2, 7), ("winning branch",),
-        "46e0bb38c5790da534ea48e8be80a37cced2a72a86b398c33036c14fa8af1fa5",
+        "71db14f2fc496e729d93d3f695b70e65d319bfc88be451cca935f03cb4864448",
     ),
     (
         "mixed24-k2-n120", lambda: _mixed24(120, 2, 8), ("winning branch",),
@@ -81,17 +83,17 @@ CASES = [
     # the weight-4 branch, whose pull-back conditions on the auxiliary dimer
     (
         "mixed24-k2-n10-weight4", lambda: _mixed24(10, 2, 1), ("winning branch: weight 4",),
-        "95424e3d8810801d0b877e639e96deaf4b69c98e3623e6d67e5aa80fc1c2b099",
+        "f1a86ed851a95d0879f6a923369567538b605cd09921592de08c9d8ee15717c2",
     ),
     (
         "mixed24-quartic-x10-n200-weight4", lambda: _mixed24_quartic_x10(200, 2, 1),
         ("winning branch: weight 4",),
-        "7a15107c94bc8ab234582e28cf316cbd615633f010e9602cd94ef76f20e645bb",
+        "4b6d2b7f75e42e9af731bbd5db327f977605b9a9a5cbd68d6c61ef9e1df38702",
     ),
     (
         "mixed24-quartic-x10-n1600-weight4", lambda: _mixed24_quartic_x10(1600, 2, 1),
         ("winning branch: weight 4",),
-        "83aad27b8fdc8946bf71784a44495ca4b04d3e244598b39929e4fe56c0a5576b",
+        "0cde133f7a086c67e2e4705e4ce24226c105fca56f23322c75c8443763a20260",
     ),
     (
         "strictq-q2-fallback-below", lambda: _strictq(5, 2, 2, 0), ("fallback", "below"),
@@ -107,7 +109,7 @@ CASES = [
     ),
     (
         "strictq-q6-skip-fallback", lambda: _strictq(13, 6, 2, 12), ("skipped", "fallback"),
-        "3a6cd9c4349770283d1cb35b401ed2adfb965604f67d8898c2db8fea04fe0c6b",
+        "f7c2077ef342386a6b059a241d548af0dd9aec1fa354b960940cd7345bc94797",
     ),
 ]
 
@@ -137,15 +139,15 @@ def test_golden_digest(build, notes, expected):
 CLOSED_FORM_CASES = [
     (
         "ssyk-n12800-k2", lambda: _ssyk(12800, 2, 31),
-        "a520f8fbdd3b817e41b10fe53d979ea90529e5562119daf1d73d80f008c51590",
+        "3e95f892efdc159e2ea144f280ed1cd9f328f97c363cdf2b31ffc9ac919f3bcc",
     ),
     (
         "strictq-q4-k2-n240", lambda: _strictq(240, 4, 2, 32),
-        "787579355a881d98431b325657856822b224f8c0815aeee0e9a2fd5486c26d0a",
+        "d8fa9045d49b36561df0ce49aa4b6ac078cb7ee804464c0317880c3426d2968d",
     ),
     (
         "mixed24-k2-n240", lambda: _mixed24(240, 2, 33),
-        "e6766739e2bc63696abc7f25d24b4e4a8312fdf150530888dcc9ffcd5ac81e2b",
+        "64793ad58fb26bf72bf15066932e1ca2ce4ca1e36bc6f38d0aed4998fcca4ee4",
     ),
 ]
 
@@ -174,14 +176,14 @@ SSYK_BENCH_CASES = [
     (
         5,
         "a4a8d034ad227805b620f9eb760c105a046ce2956977bfac612d21f3cc4aeba0",
-        "c686b138181bc0f941133fcd6f38e1f2b65b957186959c3908e2d9a25a481c37",
+        "315db848a133cc7cb2f92c7c3464465ab4434e41156d43e2918d4cd7de27eca4",
         "3424b903440b9094930e93d5c94ff36d6b78c3886b375358b16faec5fcf815e7",
         "b53e4b0db44e210e859f9ba8d1dc89711edeaa5047c569292f7bd947d56d1665",
     ),
     (
         41,
         "2f94590487fa8d80ffcbfe435147fb8a34812bed791012456c7999c157f18d5f",
-        "a6495f8ac7593c4a61d1c5596c20f8bd2171a57f7972565e1d436df1e969a518",
+        "43a57c768e6db917e7a5dbac04c781ba310c76ed04dfbc5e72bb2f3f4b5ae3d5",
         "ef0578ef3535684569937dd33218f4d1af71f37e083167a760b56298c926f193",
         "3d2c12cfc9c35c570095bc8c5b15be3594578f85f38df566184fc1dbdce1df4b",
     ),
@@ -236,7 +238,7 @@ def test_optimize_paths_never_build_the_terms_view(monkeypatch, case_id):
     for fragment in notes:
         assert any(fragment in note for note in result.certificate.notes), fragment
     closed = gaussian.matching_state_expectation(result.matching, result.signs, ham)
-    assert math.isclose(closed, result.certificate.achieved, rel_tol=1e-9, abs_tol=1e-12)
+    assert closed == result.certificate.achieved
     assert artifact_digest(ham, result) == expected
 
 
@@ -361,20 +363,20 @@ OPTIMIZE_CASES = [
     ),
     (
         "auto-strictq-n20", lambda: gen_sparse_random(20, 4, 2, "normal", seed=11), [],
-        "f122630912d2aa2fe3facb9cc47afd34c198a7bb96ed5e99a9aabd37499a5627",
+        "c07c04432133303f7b51f0f3b7fb79b053718e9fa9aaf06ffae05c24339e000b",
     ),
     (
         "strictq-n20", lambda: gen_sparse_random(20, 4, 2, "normal", seed=11),
         ["--pipeline", "strictq"],
-        "f122630912d2aa2fe3facb9cc47afd34c198a7bb96ed5e99a9aabd37499a5627",
+        "c07c04432133303f7b51f0f3b7fb79b053718e9fa9aaf06ffae05c24339e000b",
     ),
     (
         "mixed24-n20", lambda: gen_mixed_24(20, 2, 4), ["--pipeline", "mixed24"],
-        "44d2c248fed50561b4381773cdc0eafb7705d93277ebd988a56770dd82bd65c7",
+        "025690bd73c0aab31f78feb6232f103ac3b60e5c4fd350c4e233aea8b0d4feca",
     ),
     (
         "ssyk-n100-k2", lambda: gen_ssyk(100, 2, seed=5), ["--pipeline", "ssyk", "--k", "2"],
-        "3176574a6572b6615edc3a7edb9c7450d1eebd8a899a0fc385406ac97494b1db",
+        "4c6d10f8af1f6a0e6561e27d7e93d6ed598d9effda58db624e5fef4b202e5c30",
     ),
 ]
 
@@ -395,15 +397,15 @@ def test_golden_cli_optimize(tmp_path, capsys, build, args, expected):
 STUDY_CASES = [
     (
         "strictq", {"n": 9, "q": 2, "k": 2},
-        "2148b60196d819e71fa7761de2083c2e9de236feb03d0652c39329e4143d0336",
+        "557c04605ef812673d7d330c4d6a4636adaa9fd621f81ad80ef62bef886f8f89",
     ),
     (
         "mixed24", {"n": 10, "k": 2},
-        "9c9cbebb296493b9e11297777c61241bad632706fbc94b51abc34fbd07f0248f",
+        "7fa003b2e15ca2223136345a162d93e791fb487f3f24df6dcf99de3af2507814",
     ),
     (
         "ssyk", {"n": 100, "k": 2},
-        "dfa7c73ad23a36754bff504b4649044535ffc0b6d7c70765f3830cc60b09627c",
+        "14bfbdd5b5b269f33017f842bcf55a9316b144d9ccbaec12bc34eb4317c983e7",
     ),
 ]
 
@@ -422,6 +424,133 @@ def test_golden_ratio_bench_study(tmp_path, capsys, pipeline, sizes, expected):
     sidecar = out.with_name(out.name + ".config.json")
     blob = "\n".join([str(code), out.read_text(), sidecar.read_text()])
     assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
+# ------------------------------------------------------------ the term order
+#
+# Every total is correctly rounded, so a state and its certificate are a
+# function of the operator, not of the order its terms are listed in: each
+# pipeline input above, its terms shuffled, gives the pinned bytes again.
+# On each certified state the closed form is, bit for bit, the achieved
+# energy, the Wick route's sum and, on the strict and diluted routes, the
+# weight of the heaviest part when that is the one matched (the mixed route
+# checks its lifted value against the class weight itself).  The Wick route
+# builds a dense correlation matrix, so it runs up to WICK_MAX_MODES modes.
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from fermiopt.gaussian import correlation_from_matching, state_from_json  # noqa: E402
+from fermiopt.optimizer import optimize, truncate_to_sparse  # noqa: E402
+
+WICK_MAX_MODES = 1600
+
+
+def _permuted(ham, seed):
+    """``ham`` with its terms listed in a seeded random order."""
+    order = np.random.default_rng(seed).permutation(ham.n_terms).tolist()
+    return MajoranaHamiltonian(ham.n_modes, [ham.terms[t] for t in order])
+
+
+def _rerun(ham, pipeline):
+    """The named pipeline on ``ham``; every diluted case above has k = 2."""
+    return optimize(ham, pipeline, k=2 if pipeline == "ssyk" else None)
+
+
+def _closed_form_is_the_wick_sum(ham, matching, signs, achieved):
+    closed = gaussian.matching_state_expectation(matching, signs, ham)
+    assert closed == achieved
+    if ham.n_modes <= WICK_MAX_MODES:
+        corr = correlation_from_matching(matching, signs)
+        assert gaussian.hamiltonian_expectation(corr, ham) == closed
+    return closed
+
+
+def _closed_form_is_exact(ham, result, k=2):
+    cert = result.certificate
+    closed = _closed_form_is_the_wick_sum(ham, result.matching, result.signs, cert.achieved)
+    heaviest_matched = not any("skipped" in note or "best-effort" in note for note in cert.notes)
+    if cert.pipeline != "mixed24" and heaviest_matched:
+        core = truncate_to_sparse(ham, 8 * (k + 1))[0] if cert.pipeline == "ssyk" else ham
+        magnitude = np.abs(core.index.coeffs)
+        heaviest = max(math.fsum(magnitude[ids].tolist()) for ids in result.partition.parts.values())
+        assert gaussian.matching_state_expectation(result.matching, result.signs, core) == heaviest
+    return closed
+
+
+@pytest.mark.parametrize("build,expected", [(c[1], c[3]) for c in CASES], ids=[c[0] for c in CASES])
+def test_golden_digest_in_any_term_order(build, expected):
+    ham, result = build()
+    permuted = _permuted(ham, 1)
+    again = _rerun(permuted, result.certificate.pipeline)
+    assert artifact_digest(ham, again) == expected
+    _closed_form_is_exact(permuted, again)
+
+
+@pytest.mark.parametrize(
+    "build,expected", [c[1:] for c in CLOSED_FORM_CASES], ids=[c[0] for c in CLOSED_FORM_CASES]
+)
+def test_golden_closed_form_digest_in_any_term_order(build, expected):
+    ham, result = build()
+    permuted = _permuted(ham, 2)
+    again = _rerun(permuted, result.certificate.pipeline)
+    closed = _closed_form_is_exact(permuted, again)
+    blob = artifact_digest(ham, again) + "\n" + repr(closed)
+    assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "seed,state,cert", [c[:3] for c in SSYK_BENCH_CASES], ids=[f"seed{c[0]}" for c in SSYK_BENCH_CASES]
+)
+def test_golden_ssyk_bench_size_in_any_term_order(seed, state, cert):
+    permuted = _permuted(gen_ssyk(1600, 2, seed), 3)
+    result = optimize_ssyk(permuted, 2)
+    assert _sha256(state_to_json(result.matching, result.signs)) == state
+    assert _sha256(result.certificate.to_json()) == cert
+    _closed_form_is_exact(permuted, result)
+
+
+@pytest.mark.parametrize(
+    "build,args,expected", [c[1:] for c in OPTIMIZE_CASES], ids=[c[0] for c in OPTIMIZE_CASES]
+)
+def test_golden_cli_optimize_in_any_term_order(tmp_path, capsys, build, args, expected):
+    permuted = _permuted(build(), 4)
+    h = tmp_path / "h.json"
+    h.write_text(serialize_hamiltonian(permuted))
+    state, cert = tmp_path / "s.json", tmp_path / "c.json"
+    argv = ["optimize", "--in", str(h), *args, "--out-state", str(state), "--out-cert", str(cert)]
+    assert _cli_digest(capsys, argv, [state, cert]) == expected
+    achieved = json.loads(cert.read_text())["achieved"]
+    _closed_form_is_the_wick_sum(permuted, *state_from_json(state.read_text()), achieved)
+
+
+SEEDS = st.integers(0, 2**31)
+DRAWS = st.one_of(
+    st.builds(
+        lambda n, q, k, seed: (gen_sparse_random(n, q, k, "normal", seed=seed), "strictq", None),
+        st.integers(13, 160), st.sampled_from([2, 4]), st.integers(1, 3), SEEDS,
+    ),
+    st.builds(
+        lambda n, k, seed: (gen_mixed_24(n, k, seed), "mixed24", None),
+        st.integers(6, 160), st.integers(2, 3), SEEDS,
+    ),
+    st.builds(
+        lambda n, k, seed: (gen_ssyk(n, k, seed=seed), "ssyk", k),
+        st.integers(60, 400), st.integers(1, 2), SEEDS,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DRAWS, SEEDS)
+def test_certificate_is_a_function_of_the_operator(draw, order_seed):
+    ham, pipeline, k = draw
+    result = optimize(ham, pipeline, k=k)
+    permuted = _permuted(ham, order_seed)
+    again = optimize(permuted, pipeline, k=k)
+    assert state_to_json(again.matching, again.signs) == state_to_json(result.matching, result.signs)
+    assert again.certificate.to_json() == result.certificate.to_json()
+    _closed_form_is_exact(permuted, again, k)
 
 
 # --------------------------------------------------------- the Gaussian ascent

@@ -1,5 +1,7 @@
 import json
+import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from fermiopt.hamiltonian import (
     FormatError,
     InteractionTerm,
     MajoranaHamiltonian,
-    _sum_in_order,
+    _total,
     canonical_sign,
     parse_hamiltonian,
     serialize_hamiltonian,
@@ -143,11 +145,16 @@ def test_total_strength_absolute_sum():
     assert total_strength(MajoranaHamiltonian(n_modes=1, terms=())) == 0.0
 
 
-def _loop_sum(values) -> float:
-    total = 0.0
+def _rounded_once(values) -> float:
+    """The exact sum of ``values`` rounded once to a float: +0.0 when it is
+    zero, an infinity of its sign past the float range."""
+    exact = Fraction(0)
     for value in values:
-        total += value
-    return total
+        exact += Fraction(value)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 SUMS = {
@@ -157,32 +164,41 @@ SUMS = {
     "zero-signs": [0.0, -0.0, -0.0],
     "subnormals": [5e-324, -1e-323, 2.5e-323, 2.2250738585072014e-308, -5e-324],
     "mixed-magnitudes": [1e16, 1.0, -1e16, 1e-8, 3.0, 1e8, 0.1, 0.2, -0.3],
+    "overflow": [-1e308, -1e308, 1e307],
 }
 
 
 @pytest.mark.parametrize("values", SUMS.values(), ids=SUMS.keys())
-def test_sum_in_order_is_the_loop_sum(values):
-    assert _sum_in_order(np.array(values, dtype=float)).hex() == _loop_sum(values).hex()
+def test_total_is_the_sum_rounded_once(values):
+    assert _total(np.array(values, dtype=float)).hex() == _rounded_once(values).hex()
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.floats(-1e300, 1e300) | st.sampled_from([-0.0, 5e-324])),
-    st.integers(1, 4),
+    st.data(),
 )
-def test_sum_in_order_matches_the_loop_bit_for_bit(values, n_rows):
-    assert _sum_in_order(np.array(values, dtype=float)).hex() == _loop_sum(values).hex()
-    width = len(values) // n_rows
-    table = np.array(values[: n_rows * width], dtype=float).reshape(n_rows, width)
-    rows = _sum_in_order(table)
-    assert [v.hex() for v in rows] == [_loop_sum(row).hex() for row in table.tolist()]
+def test_total_is_the_sum_rounded_once_in_any_order(values, data):
+    expected = _rounded_once(values).hex()
+    assert _total(np.array(values, dtype=float)).hex() == expected
+    shuffled = data.draw(st.permutations(values))
+    assert _total(np.array(shuffled, dtype=float)).hex() == expected
 
 
-def test_total_strength_is_the_running_sum_on_every_python():
-    # Python 3.12+ sums this |J| list with compensation to 15.831284021954081
+def test_total_of_non_finite_values_is_ieee():
+    inf = math.inf
+    for values, expected in (
+        ([inf, 1e308, 1e308], inf), ([-inf, 1.0], -inf), ([inf, -inf], math.nan),
+        ([math.nan, 1e308, 1e308], math.nan),
+    ):
+        assert repr(_total(np.array(values))) == repr(expected)
+
+
+def test_total_strength_is_correctly_rounded():
+    # a left-to-right running sum of this |J| list gives 15.83128402195409
     ham = gen_ssyk(1600, 2, 5)
-    assert total_strength(ham) == _loop_sum(np.abs(ham.index.coeffs).tolist())
-    assert total_strength(ham) == 15.83128402195409
+    assert total_strength(ham) == _rounded_once(np.abs(ham.index.coeffs).tolist())
+    assert total_strength(ham) == 15.831284021954081
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,5 +1,6 @@
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from fermiopt.gaussian import (
     SignAssignment,
     assign_signs,
     matching_state_expectation,
+    state_to_json,
 )
 from fermiopt.hamiltonian import (
     FormatError,
@@ -79,7 +81,7 @@ def test_strict_quartic_selected_part_weight_exact(seed):
     # independent recomputation of every part weight
     partition = result.partition
     best = max(
-        sum(abs(ham.terms[i].coeff) for i in ids) for ids in partition.parts.values()
+        math.fsum(abs(ham.terms[i].coeff) for i in ids) for ids in partition.parts.values()
     )
     assert result.certificate.achieved == best
     assert result.certificate.achieved >= total_strength(ham) / 18 - 1e-12
@@ -376,6 +378,11 @@ def test_ssyk_bound_values():
     assert 1.0 / ssyk_part_bound(10) == pytest.approx(5.48e-6, rel=0.01)
 
 
+def test_ssyk_bound_is_the_papers_closed_form():
+    for k in range(1, 65):
+        assert ssyk_part_bound(k) == 1236 + 2752 * k + 1536 * k * k
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_ssyk_small_draw_full_identity(seed):
     ham = gen_ssyk(16, 1, seed=seed)
@@ -383,8 +390,7 @@ def test_ssyk_small_draw_full_identity(seed):
         pytest.skip("empty draw")
     result = optimize_ssyk(ham, k=1)
     cert = result.certificate
-    recomputed = matching_state_expectation(result.matching, result.signs, ham)
-    assert recomputed == pytest.approx(cert.achieved, rel=1e-12, abs=1e-15)
+    assert matching_state_expectation(result.matching, result.signs, ham) == cert.achieved
     assert cert.part_bound == 5524
     assert not cert.guarantee_holds  # n = 16 is far below 120 * (k+1)
 
@@ -571,3 +577,37 @@ def test_guarantee_sweep_meets_its_floor(q, sizes):
                 assert achieved >= cert.guaranteed_ratio * total_strength(ham) - 1e-12
     if q == 2:
         assert several > 0  # draws with more than one support violator are covered
+
+
+# ------------------------------------------------- scaling by a power of two
+
+# (pipeline, Hamiltonian, k): the strict and mixed routes, the weight-4 branch
+# with its pull-back, and the diluted route at the benchmark's largest size
+SCALED_DRAWS = [
+    ("strictq", lambda: gen_sparse_random(240, 4, 2, "normal", seed=32), None),
+    ("mixed24", lambda: gen_mixed_24(240, 2, 33), None),
+    ("mixed24", lambda: gen_mixed_24(10, 2, 1), None),
+    ("ssyk", lambda: gen_ssyk(1600, 2, seed=5), 2),
+]
+SCALED_NOTES = ("core bound", "achieved raw")  # these print |J|-scaled numbers
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 2.0**3, 2.0**600], ids=["2^-40", "2^3", "2^600"])
+@pytest.mark.parametrize(
+    "pipeline,build,k", SCALED_DRAWS, ids=["strictq", "mixed24", "mixed24-weight4", "ssyk"]
+)
+def test_scaling_every_coupling_by_a_power_of_two_scales_the_certificate(pipeline, build, k, scale):
+    ham = build()
+    index = ham.index
+    scaled = MajoranaHamiltonian.from_arrays(
+        ham.n_modes, index.term_ptr, index.modes, index.coeffs * scale
+    )
+    result, again = optimize(ham, pipeline, k=k), optimize(scaled, pipeline, k=k)
+    assert state_to_json(again.matching, again.signs) == state_to_json(result.matching, result.signs)
+    cert, other = result.certificate, again.certificate
+    assert other.achieved == cert.achieved * scale
+    assert other.upper_bound == cert.upper_bound * scale
+    assert (other.part_bound, other.guaranteed_ratio) == (cert.part_bound, cert.guaranteed_ratio)
+    assert other.guarantee_holds == cert.guarantee_holds
+    for before, after in zip(cert.notes, other.notes, strict=True):
+        assert after == before or before.startswith(SCALED_NOTES)

@@ -101,8 +101,8 @@ def test_package_has_no_bare_assert():
 
 def test_package_has_no_builtin_sum_but_the_inversion_count():
     # from Python 3.12 on the builtin sum adds floats with compensation, so a
-    # total built with it changes bits with the interpreter; term-order sums
-    # go through hamiltonian._sum_in_order, and canonical_sign counts integers
+    # total built with it changes bits with the interpreter; float totals go
+    # through math.fsum (hamiltonian._total), and canonical_sign counts integers
     found = []
     for path in sorted(Path(fermiopt.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
